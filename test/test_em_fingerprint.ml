@@ -1,0 +1,104 @@
+(* Pinned bit-level fingerprints of the serial EM path.
+
+   Every figure below is an order-sensitive fold of the IEEE bit
+   patterns ([Int64.bits_of_float]) of a result on one fixed simulated
+   trace.  Any change to the floating-point association of the serial
+   forward/backward/accumulate sweep or the M-step changes at least one
+   fingerprint, so these pins are what show that a refactor of the EM
+   kernel kept the serial arithmetic bit-for-bit.
+
+   To re-derive after an intentional numerical change, run this test:
+   a failure message prints the computed fingerprint next to the pinned
+   one. *)
+
+let trace_len = 4000
+
+(* One fixed MMHD-generated probe trace (n = 2 hidden states, m = 5
+   delay symbols, ~6% loss).  The first two entries are forced so the
+   trace has both a loss and an observation at the start. *)
+let trace =
+  let rng = Stats.Rng.create 0xF1A9 in
+  let truth = Mmhd.init_random rng ~n:2 ~m:5 ~loss_fraction:0.06 in
+  let obs, _ = Mmhd.simulate rng truth ~len:trace_len in
+  obs.(0) <- Some 1;
+  obs.(1) <- None;
+  obs
+
+let fold h x = Int64.add (Int64.mul h 1000003L) (Int64.bits_of_float x)
+let fold_array h a = Array.fold_left fold h a
+let fold_matrix h a = Array.fold_left fold_array h a
+
+let fold_stats h (st : Em.fit_stats) =
+  let h = fold h st.Em.log_likelihood in
+  let h = Int64.add (Int64.mul h 31L) (Int64.of_int st.Em.iterations) in
+  Int64.add (Int64.mul h 31L) (if st.Em.converged then 1L else 0L)
+
+let check name pinned computed =
+  Alcotest.(check string) name pinned (Printf.sprintf "%016Lx" computed)
+
+let test_mmhd_fit () =
+  let model, stats =
+    Mmhd.fit ~restarts:2 ~domains:1 ~rng:(Stats.Rng.create 21) ~n:2 ~m:5 trace
+  in
+  let h = fold_array 0L model.Mmhd.pi in
+  let h = fold_matrix h model.Mmhd.a in
+  let h = fold_array h model.Mmhd.c in
+  check "Mmhd.fit" "f4dc907116c5a02d" (fold_stats h stats)
+
+let test_hmm_fit () =
+  let model, stats =
+    Hmm.fit ~restarts:2 ~domains:1 ~rng:(Stats.Rng.create 21) ~n:2 ~m:5 trace
+  in
+  let h = fold_array 0L model.Hmm.pi in
+  let h = fold_matrix h model.Hmm.a in
+  let h = fold_matrix h model.Hmm.b in
+  let h = fold_array h model.Hmm.c in
+  check "Hmm.fit" "f237987a9256fc59" (fold_stats h stats)
+
+let informed () =
+  Mmhd.to_em (Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:5 trace)
+
+let test_log_likelihood () =
+  let ll = Em.log_likelihood ~ws:(Em.workspace ()) (informed ()) trace in
+  check "Em.log_likelihood" "c0bab89c4bef3bda" (fold 0L ll)
+
+(* Three equal batches through one online-EM round each: decay, append
+   (carrying the filtered end-distribution), M-step. *)
+let test_incremental () =
+  let ws = Em.workspace () in
+  let model = informed () in
+  let st = Em.Incremental.create ~s:model.Em.s ~m:model.Em.m in
+  let batch = trace_len / 3 in
+  let h = ref 0L in
+  let model = ref model in
+  for k = 0 to 2 do
+    Em.Incremental.decay st ~lambda:0.9;
+    let ll =
+      Em.Incremental.append ~ws st !model (Array.sub trace (k * batch) batch)
+    in
+    h := fold !h ll;
+    model := Em.Incremental.m_step st !model
+  done;
+  let h = fold_array !h !model.Em.pi in
+  let h = fold_array h !model.Em.a in
+  let h = fold_array h !model.Em.c in
+  let h = fold_array h (Em.Incremental.xi st) in
+  let h = fold_array h (Em.Incremental.gamma_sum st) in
+  let h = fold_array h (Em.Incremental.count_obs st) in
+  let h = fold_array h (Em.Incremental.count_loss st) in
+  let h = fold_array h (Em.Incremental.filtered_end st) in
+  let h = fold h (Em.Incremental.weight st) in
+  let h = fold h (Em.Incremental.log_likelihood st) in
+  check "Em.Incremental" "246d36080c7daffa" h
+
+let () =
+  Alcotest.run "em_fingerprint"
+    [
+      ( "serial fingerprint",
+        [
+          Alcotest.test_case "Mmhd.fit restarts=2 domains=1" `Quick test_mmhd_fit;
+          Alcotest.test_case "Hmm.fit restarts=2 domains=1" `Quick test_hmm_fit;
+          Alcotest.test_case "Em.log_likelihood" `Quick test_log_likelihood;
+          Alcotest.test_case "Em.Incremental 3 batches" `Quick test_incremental;
+        ] );
+    ]
