@@ -1,11 +1,11 @@
 (* EM kernel benchmark: fit wall-time and allocation per configuration;
-   serial vs spawn-per-call parallel restarts vs the persistent domain
-   pool; emitted as BENCH_em.json.
+   serial vs restarts raced on the persistent domain pool; emitted as
+   BENCH_em.json.
 
    Schema and the determinism contract are documented in DESIGN.md
    ("BENCH_em.json").  The bench aborts (exit 1) if the winner of any
-   parallel run — spawn-per-call or pooled, at any domain count —
-   differs bitwise from the serial winner. *)
+   pooled run, at any domain count, differs bitwise from the serial
+   winner. *)
 
 (* Monotonic wall time via the Obs clock stub: immune to NTP slews,
    and keeps the bench inside the R1 lint contract (no wall-clock
@@ -65,18 +65,9 @@ let model_fingerprint (m : Mmhd.t) =
    pooled speedup exceeds 1.05. *)
 let pool_domain_counts = [ 2; 4 ]
 
-(* Chunk counts for the within-sweep matrix (single restart, K sweep
-   chunks on K pool domains). *)
-let sweep_chunk_counts = [ 2; 4 ]
+type case_times = { serial : float; pooled : (int * float) list }
 
-type case_times = {
-  serial : float;
-  pooled : (int * float) list;
-  sweep_serial : float;
-  sweep : (int * float) list;
-}
-
-let run_case ~smoke ~assert_sweep_identity ~t ~n buf first =
+let run_case ~smoke ~t ~n buf first =
   let m = 5 and restarts = 4 in
   let max_iter = if smoke then 5 else 15 in
   let obs = synth_obs ~seed:(0x5EED + t + n) ~n ~m ~t in
@@ -101,12 +92,6 @@ let run_case ~smoke ~assert_sweep_identity ~t ~n buf first =
       exit 1
     end
   in
-  (* Legacy spawn-per-call path, kept measurable so the spawn cost the
-     pool amortizes away stays visible in the trajectory. *)
-  Stats.Par.spawn_per_call := true;
-  let ((model_spawn, _), spawn_s) = time_of (fun () -> fit ~domains:4) in
-  Stats.Par.spawn_per_call := false;
-  check_winner "spawn-per-call" model_spawn;
   let pooled =
     List.map
       (fun d ->
@@ -116,93 +101,19 @@ let run_case ~smoke ~assert_sweep_identity ~t ~n buf first =
       pool_domain_counts
   in
   let pool2_s = List.assoc 2 pooled and pool4_s = List.assoc 4 pooled in
-  (* --- within-sweep chunked parallelism: one restart, the sweep
-     itself split into K chunks on K pool domains.  The hard invariant
-     is the determinism contract: for each K the pooled run must be
-     bit-identical to the inline (domains = 1) run.  Identity against
-     the serial sweep is not contractual (the chunk warm-up changes the
-     floating-point association), so it is measured and reported. *)
-  let sweep_policy ~chunks ~domains =
-    Em.Sweep.policy ~chunks ~domains
-      ~warmup:(if smoke then 64 else 512)
-      ~min_chunk:(if smoke then 128 else 2048)
-      ()
-  in
-  let fit_sweep sweep =
-    let t0 = Mmhd.init_informed (Stats.Rng.create 7) ~n ~m obs in
-    match sweep with
-    | None -> Mmhd.fit_from ~eps:1e-4 ~max_iter t0 obs
-    | Some p -> Mmhd.fit_from ~eps:1e-4 ~max_iter ~sweep:p t0 obs
-  in
-  ignore (fit_sweep (Some (sweep_policy ~chunks:4 ~domains:4)));
-  let (model_sweep_serial, _), sweep_serial_s = time_of (fun () -> fit_sweep None) in
-  let sweep_times =
-    List.map
-      (fun k ->
-        let policy = sweep_policy ~chunks:k ~domains:k in
-        let (model_inline, _), _ =
-          time_of (fun () -> fit_sweep (Some (sweep_policy ~chunks:k ~domains:1)))
-        in
-        let (model_pool, _), pool_s = time_of (fun () -> fit_sweep (Some policy)) in
-        if model_fingerprint model_inline <> model_fingerprint model_pool then begin
-          Printf.eprintf
-            "FATAL: chunked sweep (K=%d) pooled winner differs from inline (T=%d n=%d)\n"
-            k t n;
-          exit 1
-        end;
-        let same = model_fingerprint model_pool = model_fingerprint model_sweep_serial in
-        (* With one effective chunk the policy degenerates to the serial
-           sweep — there is no warm-up to change the float association —
-           so identity to the serial winner is contractual, not merely
-           expected.  --assert-sweep-identity turns that into a hard
-           failure. *)
-        if
-          assert_sweep_identity
-          && Em.Sweep.effective_chunks policy ~tt:t = 1
-          && not same
-        then begin
-          Printf.eprintf
-            "FATAL: single-effective-chunk sweep (K=%d) differs from the serial \
-             sweep (T=%d n=%d)\n"
-            k t n;
-          exit 1
-        end;
-        (k, pool_s, same))
-      sweep_chunk_counts
-  in
-  let sweep_s k = match List.find (fun (k', _, _) -> k' = k) sweep_times with _, s, _ -> s in
-  let sweep_identical =
-    List.for_all (fun (_, _, same) -> same) sweep_times
-  in
-  (* --- float32 workspace mode: per-sweep log-likelihood drift against
-     the float64 workspace on the same model. *)
-  let em_model = Mmhd.to_em (Mmhd.init_informed (Stats.Rng.create 7) ~n ~m obs) in
-  let ll64 = Em.log_likelihood ~ws:(Em.workspace ()) em_model obs in
-  let ll32 = Em.log_likelihood ~ws:(Em.workspace ~precision:Em.F32 ()) em_model obs in
-  let f32_rel_drift = Float.abs ((ll32 -. ll64) /. ll64) in
   if not first then Buffer.add_string buf ",\n";
   Printf.bprintf buf
     "    {\"t\": %d, \"n\": %d, \"m\": %d, \"restarts\": %d, \"max_iter\": %d,\n\
-    \     \"serial_seconds\": %.6f, \"parallel4_seconds\": %.6f, \"speedup\": %.3f,\n\
+    \     \"serial_seconds\": %.6f,\n\
     \     \"pool2_seconds\": %.6f, \"pool_seconds\": %.6f, \"pool_speedup\": %.3f,\n\
-    \     \"sweep_serial_seconds\": %.6f, \"sweep2_seconds\": %.6f,\n\
-    \     \"sweep4_seconds\": %.6f, \"sweep_speedup\": %.3f,\n\
-    \     \"sweep_winner_identical_to_serial\": %b,\n\
-    \     \"f32_logl_rel_drift\": %.3e,\n\
     \     \"serial_alloc_bytes\": %.0f, \"alloc_bytes_per_obs_iter\": %.2f,\n\
     \     \"iterations\": %d, \"log_likelihood\": %.6f,\n\
     \     \"winner_identical_to_serial\": true}"
-    t n m restarts max_iter serial_s spawn_s (serial_s /. spawn_s) pool2_s
-    pool4_s (serial_s /. pool4_s) sweep_serial_s (sweep_s 2) (sweep_s 4)
-    (sweep_serial_s /. sweep_s 4) sweep_identical f32_rel_drift alloc_serial
+    t n m restarts max_iter serial_s pool2_s pool4_s (serial_s /. pool4_s)
+    alloc_serial
     (alloc_serial /. float_of_int (t * stats_serial.Mmhd.iterations * restarts))
     stats_serial.Mmhd.iterations stats_serial.Mmhd.log_likelihood;
-  {
-    serial = serial_s;
-    pooled;
-    sweep_serial = sweep_serial_s;
-    sweep = List.map (fun (k, s, _) -> (k, s)) sweep_times;
-  }
+  { serial = serial_s; pooled }
 
 let geomean = function
   | [] -> 1.
@@ -373,25 +284,21 @@ let run_obs ~smoke =
   end
 
 let () =
-  let smoke = ref false
-  and obs_mode = ref false
-  and assert_sweep_identity = ref false in
+  let smoke = ref false and obs_mode = ref false in
   Array.iteri
     (fun i arg ->
       if i > 0 then
         match arg with
         | "--smoke" -> smoke := true
         | "--obs" -> obs_mode := true
-        | "--assert-sweep-identity" -> assert_sweep_identity := true
         | _ ->
             Printf.eprintf
               "bench_em: unknown argument %S\n\
-               usage: bench_em [--smoke] [--obs] [--assert-sweep-identity]\n"
+               usage: bench_em [--smoke] [--obs]\n"
               arg;
             exit 2)
     Sys.argv;
   let smoke = !smoke in
-  let assert_sweep_identity = !assert_sweep_identity in
   if !obs_mode then begin
     run_obs ~smoke;
     exit 0
@@ -407,7 +314,7 @@ let () =
       List.iter
         (fun n ->
           Printf.eprintf "bench_em: T=%d n=%d...\n%!" t n;
-          times := run_case ~smoke ~assert_sweep_identity ~t ~n cases !first :: !times;
+          times := run_case ~smoke ~t ~n cases !first :: !times;
           first := false)
         ns)
     sizes;
@@ -420,11 +327,6 @@ let () =
       (List.map (fun c -> c.serial /. List.assoc d c.pooled) !times)
   in
   let by_domains = List.map (fun d -> (d, speedup_at d)) pool_domain_counts in
-  let sweep_speedup_at k =
-    geomean
-      (List.map (fun c -> c.sweep_serial /. List.assoc k c.sweep) !times)
-  in
-  let by_chunks = List.map (fun k -> (k, sweep_speedup_at k)) sweep_chunk_counts in
   let recommended =
     match List.find_opt (fun (_, s) -> s > 1.05) by_domains with
     | Some (d, _) -> d
@@ -436,14 +338,11 @@ let () =
     \  \"cores\": %d,\n\
     \  \"recommended_domain_count\": %d,\n\
     \  \"pool_speedup_by_domains\": {%s},\n\
-    \  \"sweep_speedup_by_chunks\": {%s},\n\
-    \  \"note\": \"parallel4 races 4 EM restarts with spawn-per-call domains (the pre-pool path); pool2/pool columns run the same fit on the persistent domain pool. recommended_domain_count is the first measured domain count whose geometric-mean pooled speedup exceeds 1.05, or 1 if none does (e.g. on a single-core machine). sweep* columns run a single restart whose forward/backward/accumulate sweeps are split into K chunks on K pool domains (Em.Sweep); per K the pooled run is asserted bit-identical to the inline run, while sweep_winner_identical_to_serial reports whether the chunk warm-up also reproduced the serial-sweep winner bit-for-bit on this trace. a false there is expected, not a defect: each chunk after the first re-enters the forward recursion from a warm-up prefix, which associates the same float products differently than one uninterrupted sweep, and EM convergence can then settle on a bitwise-different (equally valid) winner; identity IS contractual whenever the policy degenerates to one effective chunk, and --assert-sweep-identity enforces exactly that case (see DESIGN.md, chunked-sweep section). f32_logl_rel_drift is the relative log-likelihood drift of the float32 workspace mode against float64 for one sweep. serial_alloc_bytes is the calling domain's Gc.allocated_bytes delta for one full fit (restarts included).\",\n\
+    \  \"note\": \"pool2/pool columns race the same 4-restart fit on 2 and 4 domains of the persistent domain pool; every pooled winner is asserted bit-identical to the serial winner. recommended_domain_count is the first measured domain count whose geometric-mean pooled speedup exceeds 1.05, or 1 if none does (e.g. on a single-core machine). serial_alloc_bytes is the calling domain's Gc.allocated_bytes delta for one full fit (restarts included).\",\n\
     \  \"cases\": [\n"
     cores recommended
     (String.concat ", "
-       (List.map (fun (d, s) -> Printf.sprintf "\"%d\": %.3f" d s) by_domains))
-    (String.concat ", "
-       (List.map (fun (k, s) -> Printf.sprintf "\"%d\": %.3f" k s) by_chunks));
+       (List.map (fun (d, s) -> Printf.sprintf "\"%d\": %.3f" d s) by_domains));
   Buffer.add_buffer buf cases;
   Buffer.add_string buf "\n  ]\n}\n";
   let path = if smoke then "BENCH_em.smoke.json" else "BENCH_em.json" in

@@ -1,11 +1,8 @@
 (* Public EM surface: model/fit types, the EM update and convergence
    logic, and restart racing.  The numerical inner loops live in
-   Em_kernel (Bigarray hot state, range kernels); the chunked
-   multi-domain sweep drivers live in Em_sweep, re-exported here as
-   [Sweep]. *)
+   Em_kernel (Bigarray hot state, whole-sequence kernels). *)
 
 module Kernel = Em_kernel
-module Sweep = Em_sweep
 module Ba = Bigarray.Array1
 
 type model = Em_kernel.model = {
@@ -16,8 +13,6 @@ type model = Em_kernel.model = {
   b : float array;
   c : float array;
 }
-
-type precision = Em_kernel.precision = F64 | F32
 
 type observation = int option
 
@@ -81,33 +76,43 @@ let c_floor = 1e-9
 
 type workspace = Em_kernel.workspace
 
-let workspace ?precision () = Kernel.create ?precision ()
-let precision (ws : workspace) = ws.precision
-let domain_ws = Sweep.domain_ws
+let workspace () = Kernel.create ()
+
+(* One workspace per domain, reused across every fit that domain runs.
+   Because the domains behind Stats.Pool persist for the process
+   lifetime, these workspaces stay warm across pool jobs: back-to-back
+   parallel fits allocate nothing for their sweep buffers. *)
+let domain_ws_key =
+  (* lint: allow R2 per-domain workspace cache; each racing restart domain owns its slot *)
+  Domain.DLS.new_key (fun () -> Kernel.create ())
+
+(* lint: allow R2 reads the calling domain's own slot, never another domain's *)
+let domain_ws () = Domain.DLS.get domain_ws_key
 
 let check_obs name obs =
   if Array.length obs = 0 then invalid_arg (name ^ ": empty observation sequence")
 
-let run_sweep ~sweep ws (t : model) obs =
+(* Size, classify and prepare the workspace for [t] over [obs], then
+   run the forward pass; returns the log-likelihood. *)
+let run_forward ws (t : model) obs =
   let tt = Array.length obs in
-  Kernel.reserve ws ~tt ~s:t.s ~m:t.m ~k:(Sweep.effective_chunks sweep ~tt);
+  Kernel.reserve ws ~tt ~s:t.s ~m:t.m;
   Kernel.classify ws t obs;
   Kernel.prepare ws t;
-  let ll = Sweep.forward ws t sweep ~tt in
-  Sweep.backward ws t sweep ~tt;
+  Kernel.forward ws t ~tt
+
+let run_sweep ws (t : model) obs =
+  let ll = run_forward ws t obs in
+  Kernel.backward ws t ~tt:(Array.length obs);
   ll
 
-let log_likelihood ~ws ?(sweep = Sweep.serial) t obs =
+let log_likelihood ~ws t obs =
   check_obs "Em.log_likelihood" obs;
-  let tt = Array.length obs in
-  Kernel.reserve ws ~tt ~s:t.s ~m:t.m ~k:(Sweep.effective_chunks sweep ~tt);
-  Kernel.classify ws t obs;
-  Kernel.prepare ws t;
-  Sweep.forward ws t sweep ~tt
+  run_forward ws t obs
 
 let state_posteriors ~(ws : workspace) t obs =
   check_obs "Em.state_posteriors" obs;
-  ignore (run_sweep ~sweep:Sweep.serial ws t obs);
+  ignore (run_sweep ws t obs);
   let s = t.s in
   let act = ws.act and act_len = ws.act_len and cls = ws.cls in
   Array.init (Array.length obs) (fun time ->
@@ -124,7 +129,7 @@ let virtual_delay_pmf ~(ws : workspace) t obs =
   check_obs "Em.virtual_delay_pmf" obs;
   if not (Array.exists (fun o -> o = None) obs) then
     invalid_arg "Em.virtual_delay_pmf: no loss in the sequence";
-  ignore (run_sweep ~sweep:Sweep.serial ws t obs);
+  ignore (run_sweep ws t obs);
   let s = t.s and m = t.m in
   let cls = ws.cls and act = ws.act and act_len = ws.act_len in
   let acc = Array.make m 0. in
@@ -161,12 +166,11 @@ let floor_normalize row off n =
 
 let clamp_c p = Float.max c_floor (Float.min (1. -. c_floor) p)
 
-let em_step ~(ws : workspace) ?(sweep = Sweep.serial) ~update_b (t : model) obs =
+let em_step ~(ws : workspace) ~update_b (t : model) obs =
   check_obs "Em.em_step" obs;
-  let tt = Array.length obs in
   let s = t.s and m = t.m in
-  ignore (run_sweep ~sweep ws t obs);
-  Sweep.accumulate ws t sweep ~tt;
+  ignore (run_sweep ws t obs);
+  Kernel.accumulate ws t ~tt:(Array.length obs);
   (* M-step over the accumulated statistics.  gamma 0 sums to 1 only up
      to rounding; renormalize. *)
   let cls = ws.cls and act = ws.act and act_len = ws.act_len in
@@ -282,7 +286,7 @@ module Incremental = struct
   (* Multiplying by 1.0 is the bitwise identity, so [decay ~lambda:1.]
      is exact and needs no float-equality guard. *)
   let decay st ~lambda =
-    if lambda < 0. || lambda > 1. then
+    if Float.is_nan lambda || lambda < 0. || lambda > 1. then
       invalid_arg "Em.Incremental.decay: lambda must be in [0, 1]";
     scale_into st.xi lambda;
     scale_into st.gamma_sum lambda;
@@ -323,7 +327,7 @@ module Incremental = struct
       else t
     in
     let ll =
-      match run_sweep ~sweep:Sweep.serial ws t obs with
+      match run_sweep ws t obs with
       | ll -> ll
       | exception e ->
           (* Zero_likelihood from the sweep: close the span so the
@@ -331,8 +335,7 @@ module Incremental = struct
           Obs.Trace.span_end "em.append";
           raise e
     in
-    Kernel.clear_stats ws ~s ~m;
-    Kernel.accumulate_direct ws t ~t0:0 ~t1:tt ~tt;
+    Kernel.accumulate ws t ~tt;
     for i = 0 to (s * s) - 1 do
       st.xi.(i) <- st.xi.(i) +. Ba.get ws.xi i
     done;
@@ -459,13 +462,12 @@ let param_change old_t new_t =
   let d = if old_t.b == new_t.b then d else Float.max d (max_abs_diff old_t.b new_t.b) in
   Float.max d (max_abs_diff old_t.c new_t.c)
 
-let fit_from ~ws ?(eps = 1e-3) ?(max_iter = 300) ?(sweep = Sweep.serial)
-    ~update_b t0 obs =
+let fit_from ~ws ?(eps = 1e-3) ?(max_iter = 300) ~update_b t0 obs =
   let rec iterate t iter =
     let t0_ns = Obs.Span.start () in
     Obs.Trace.span_begin "em.sweep" (iter + 1);
     let t' =
-      match em_step ~ws ~sweep ~update_b t obs with
+      match em_step ~ws ~update_b t obs with
       | t' ->
           Obs.Trace.span_end "em.sweep";
           t'
@@ -478,13 +480,13 @@ let fit_from ~ws ?(eps = 1e-3) ?(max_iter = 300) ?(sweep = Sweep.serial)
     (match Atomic.get iteration_trace with
     | None -> ()
     | Some hook ->
-        hook ~iteration:(iter + 1) ~log_likelihood:(log_likelihood ~ws ~sweep t' obs));
+        hook ~iteration:(iter + 1) ~log_likelihood:(log_likelihood ~ws t' obs));
     let change = param_change t t' in
     if change <= eps || iter + 1 >= max_iter then begin
       let stats =
         {
           iterations = iter + 1;
-          log_likelihood = log_likelihood ~ws ~sweep t' obs;
+          log_likelihood = log_likelihood ~ws t' obs;
           converged = change <= eps;
           skipped_restarts = 0;
         }
@@ -500,12 +502,11 @@ let fit_from ~ws ?(eps = 1e-3) ?(max_iter = 300) ?(sweep = Sweep.serial)
   in
   iterate t0 0
 
-let fit_restarts ?eps ?max_iter ?(domains = 1) ?sweep ~restarts ~update_b ~init
-    obs =
+let fit_restarts ?eps ?max_iter ?(domains = 1) ~restarts ~update_b ~init obs =
   if restarts <= 0 then invalid_arg "Em.fit_restarts: restarts must be positive";
   let attempt k =
     Obs.Trace.span_begin "em.fit" k;
-    match fit_from ~ws:(domain_ws ()) ?eps ?max_iter ?sweep ~update_b (init k) obs with
+    match fit_from ~ws:(domain_ws ()) ?eps ?max_iter ~update_b (init k) obs with
     | r ->
         Obs.Trace.span_end "em.fit";
         Some r

@@ -13,8 +13,7 @@
     loss-as-missing-value emission logic (Section V of the paper), the
     EM step, and restart racing.  All [O(T * s)] sweep state lives in
     unboxed [Bigarray] float64 buffers preallocated in a reusable
-    {!workspace} (optionally emulating a single-precision sweep, see
-    {!precision}).  States with zero emission probability for an
+    {!workspace}.  States with zero emission probability for an
     observation are skipped via per-symbol active-state lists, which
     restores the MMHD's [O(T * n * s)] sparse cost inside the generic
     kernel.
@@ -30,11 +29,9 @@
     are pure layout changes: results are bit-identical to the direct
     formulation.
 
-    Long sweeps can additionally be cut into chunks that run
-    concurrently on the persistent {!Stats.Pool} domains — see
-    {!Sweep} and the [?sweep] arguments below.  For a fixed policy the
-    pooled and inline runs are bit-identical; only the chunk count
-    changes the floating-point association (DESIGN.md §10). *)
+    Every sweep runs serially over the whole sequence; parallelism
+    comes from racing restarts ({!fit_restarts}) or from callers
+    fanning out over independent sequences. *)
 
 type model = Em_kernel.model = {
   s : int;  (** number of states *)
@@ -47,16 +44,6 @@ type model = Em_kernel.model = {
 
 type observation = int option
 (** [Some j]: delay symbol [j] observed; [None]: probe lost. *)
-
-type precision = Em_kernel.precision =
-  | F64  (** native double-precision sweeps (the default) *)
-  | F32
-      (** emulate a single-precision sweep: every stored sweep value
-          (normalized alpha/beta rows, prepared model tables) is
-          rounded to the nearest float32, while the E-step accumulators
-          stay double — "mixed precision" in the GPU-kernel sense.  The
-          log-likelihood drifts from [F64] by an
-          {!Stats.Float_cmp}-boundable relative error. *)
 
 type fit_stats = {
   iterations : int;
@@ -77,62 +64,23 @@ exception Zero_likelihood of int
     collapses.  {!fit_restarts} treats this as a degenerate restart and
     skips it instead of aborting. *)
 
-(** Within-sweep parallelism policies (chunked forward/backward/
-    accumulate passes over {!Stats.Pool}). *)
-module Sweep : sig
-  type policy
-
-  val policy :
-    ?chunks:int ->
-    ?domains:int ->
-    ?warmup:int ->
-    ?min_chunk:int ->
-    unit ->
-    policy
-  (** [chunks] (default 1): target chunk count K — the time axis is cut
-      into K near-equal ranges whose boundary states are recovered by
-      speculative warm-up recursions of [warmup] steps (default 512,
-      floored at 1).  [domains] (default [chunks]): pool participants.
-      [min_chunk] (default 4096, floored at [2 * warmup]): the serial
-      crossover — a sweep of [tt] steps uses at most [tt / min_chunk]
-      chunks, falling back to the serial path for short sequences.
-      Raises [Invalid_argument] on non-positive [chunks] or
-      [domains]. *)
-
-  val serial : policy
-  (** [policy ()]: one chunk, no pool — the plain serial sweep, and the
-      default of every [?sweep] argument. *)
-
-  val chunks : policy -> int
-  val domains : policy -> int
-
-  val effective_chunks : policy -> tt:int -> int
-  (** The chunk count actually used for a [tt]-step sweep, after the
-      [min_chunk] crossover cut. *)
-end
-
 type workspace
 (** Reusable scratch buffers ([alpha], [beta], [scale], [xi],
-    expected-count accumulators, active-state lists, per-chunk warm-up
-    scratch).  Buffers grow on demand and are retained between calls,
-    so a fit of [iters] iterations performs no per-iteration [O(T * s)]
-    allocation.  A workspace must not be shared across {e concurrent}
-    fits; the chunked sweep hands disjoint ranges of one workspace to
-    the pool, which is the one sanctioned concurrent use. *)
+    expected-count accumulators, active-state lists).  Buffers grow on
+    demand and are retained between calls, so a fit of [iters]
+    iterations performs no per-iteration [O(T * s)] allocation.  A
+    workspace must not be shared across concurrent fits. *)
 
-val workspace : ?precision:precision -> unit -> workspace
-(** A fresh (empty) workspace; [precision] defaults to {!F64}. *)
-
-val precision : workspace -> precision
+val workspace : unit -> workspace
+(** A fresh (empty) workspace. *)
 
 val domain_ws : unit -> workspace
-(** The calling domain's (float64) workspace, held in domain-local
+(** The calling domain's workspace, held in domain-local
     storage and reused across calls — the idiomatic way to get an
     allocation-free series of fits without threading a workspace
     explicitly. *)
 
-val log_likelihood :
-  ws:workspace -> ?sweep:Sweep.policy -> model -> observation array -> float
+val log_likelihood : ws:workspace -> model -> observation array -> float
 (** Scaled-forward log-likelihood (forward pass only).
     @raise Zero_likelihood on an impossible observation. *)
 
@@ -146,12 +94,7 @@ val virtual_delay_pmf : ws:workspace -> model -> observation array -> float arra
     loss ([Invalid_argument] otherwise). *)
 
 val em_step :
-  ws:workspace ->
-  ?sweep:Sweep.policy ->
-  update_b:bool ->
-  model ->
-  observation array ->
-  model
+  ws:workspace -> update_b:bool -> model -> observation array -> model
 (** One EM iteration.  When [update_b] is false the emission matrix [b]
     is shared, not re-estimated (the MMHD case, where [b] is
     structural).  Re-estimated parameter blocks are floored away from
@@ -186,7 +129,8 @@ module Incremental : sig
   val decay : stats -> lambda:float -> unit
   (** Multiply every accumulator (and the running weight and
       log-likelihood) by [lambda] in [\[0, 1\]]; [lambda = 1] is the
-      bitwise identity.  Call once per epoch before {!append}: the
+      bitwise identity.  Raises [Invalid_argument] on any other
+      [lambda], NaN included.  Call once per epoch before {!append}: the
       effective memory is a [1 / (1 - lambda)]-batch exponential
       window. *)
 
@@ -259,7 +203,6 @@ val fit_from :
   ws:workspace ->
   ?eps:float ->
   ?max_iter:int ->
-  ?sweep:Sweep.policy ->
   update_b:bool ->
   model ->
   observation array ->
@@ -272,7 +215,6 @@ val fit_restarts :
   ?eps:float ->
   ?max_iter:int ->
   ?domains:int ->
-  ?sweep:Sweep.policy ->
   restarts:int ->
   update_b:bool ->
   init:(int -> model) ->
@@ -284,10 +226,7 @@ val fit_restarts :
     the restarts run on that many concurrent multicore domains (each
     with its own workspace); because every restart's starting point is a
     pure function of its index, the winning model is bit-identical to
-    the serial ([domains = 1]) run.  A [?sweep] policy additionally
-    chunks each restart's sweeps; nested inside restart-level
-    parallelism the chunks run inline, so the two levels compose
-    without changing results.  A restart that hits {!Zero_likelihood}
+    the serial ([domains = 1]) run.  A restart that hits {!Zero_likelihood}
     is skipped; [Failure] is raised only if every restart degenerates.
     [init] must be safe to call from any domain (per-index pre-split
     RNGs satisfy this). *)

@@ -1,30 +1,19 @@
-(* Bigarray-backed hot state and range kernels for the shared EM sweep.
+(* Bigarray-backed hot state and whole-sequence kernels for the shared
+   EM sweep.
 
    This module owns the numerical inner loops only: the public API, the
-   EM update logic and restart racing live in [Em], and the chunked
-   multi-domain drivers in [Em_sweep].
+   EM update logic and restart racing live in [Em].
 
    All float sweep state lives in unboxed [Bigarray.Array1] float64
    buffers ([buf]); [unsafe_get]/[unsafe_set] on them appear strictly
    inside the [lint: hot] fences below (dcl-lint rule R5 checks both
-   directions).  Every kernel runs over an explicit time range
-   [\[t0, t1)] plus a chunk [slot] addressing per-chunk scratch, so the
-   serial sweep (one chunk covering the whole sequence) and the chunked
-   parallel sweep of [Em_sweep] are the same code path — chunking
-   doubles as the time-axis cache block: a chunk's alpha rows are still
-   L2-warm when its backward and accumulate passes revisit them.
-
-   Float32 mode keeps the same float64 storage but rounds every stored
-   sweep value (normalized alpha rows, beta rows, warm-up rows, and the
-   prepared model tables) through a one-element float32 scratch cell,
-   emulating a single-precision sweep with double-precision
-   accumulation. *)
+   directions).  Each pass runs serially over the whole sequence;
+   parallelism lives one level up, in restart racing ([Em]) and in the
+   fleet's fan-out over paths. *)
 
 module Ba = Bigarray.Array1
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Ba.t
-
-type precision = F64 | F32
 
 type model = {
   s : int;
@@ -42,11 +31,6 @@ let m_zero =
     "dcl_em_zero_likelihood_total"
 
 type workspace = {
-  precision : precision;
-  f32 : bool;
-  (* One-element float32 cell: storing and re-loading a double through
-     it is exactly IEEE round-to-nearest single rounding. *)
-  r32 : (float, Bigarray.float32_elt, Bigarray.c_layout) Ba.t;
   (* T*S sweep buffers, row-major by time. *)
   mutable alpha : buf;
   mutable beta : buf;
@@ -70,34 +54,21 @@ type workspace = {
      row m lists states with positive loss emission. *)
   mutable act : int array; (* (M+1)*S *)
   mutable act_len : int array; (* M+1 *)
-  (* Final EM accumulators (the M-step reads these). *)
+  (* EM accumulators (the M-step reads these). *)
   mutable xi : buf; (* S*S *)
   mutable gamma_sum : buf; (* S *)
   mutable count_obs : buf; (* S*M *)
   mutable count_loss : buf; (* S*M *)
-  (* Per-chunk scratch, one slot per chunk of the parallel sweep (all
-     K-striped so concurrent chunks write disjoint ranges). *)
-  mutable tmp : buf; (* K*S, backward/accumulate step scratch *)
-  mutable warm : buf; (* K*2*S, speculative warm-up ping-pong rows *)
-  mutable wsum : buf; (* K, warm-up normalizers *)
-  mutable lls : buf; (* K, per-chunk logL partials *)
-  mutable acc_xi : buf; (* K*S*S *)
-  mutable acc_gamma : buf; (* K*S *)
-  mutable acc_obs : buf; (* K*S*M *)
-  mutable acc_loss : buf; (* K*S*M *)
+  mutable tmp : buf; (* S, backward/accumulate step scratch *)
   mutable cap_t : int;
   mutable cap_s : int;
   mutable cap_m : int;
-  mutable cap_k : int;
 }
 
 let fbuf n = Ba.create Bigarray.float64 Bigarray.c_layout n
 
-let create ?(precision = F64) () =
+let create () =
   {
-    precision;
-    f32 = (match precision with F32 -> true | F64 -> false);
-    r32 = Ba.create Bigarray.float32 Bigarray.c_layout 1;
     alpha = fbuf 0;
     beta = fbuf 0;
     scale = fbuf 0;
@@ -114,24 +85,15 @@ let create ?(precision = F64) () =
     count_obs = fbuf 0;
     count_loss = fbuf 0;
     tmp = fbuf 0;
-    warm = fbuf 0;
-    wsum = fbuf 0;
-    lls = fbuf 0;
-    acc_xi = fbuf 0;
-    acc_gamma = fbuf 0;
-    acc_obs = fbuf 0;
-    acc_loss = fbuf 0;
     cap_t = 0;
     cap_s = 0;
     cap_m = 0;
-    cap_k = 0;
   }
 
-(* Grow (never shrink) every buffer to hold a [tt]-step, [k]-chunk
-   sweep of an [s]-state, [m]-symbol model.  Amortized: a workspace
-   reused across iterations and restarts allocates nothing after the
-   first call. *)
-let reserve ws ~tt ~s ~m ~k =
+(* Grow (never shrink) every buffer to hold a [tt]-step sweep of an
+   [s]-state, [m]-symbol model.  Amortized: a workspace reused across
+   iterations and restarts allocates nothing after the first call. *)
+let reserve ws ~tt ~s ~m =
   if s > ws.cap_s || m > ws.cap_m then begin
     let cs = max s ws.cap_s and cm = max m ws.cap_m in
     ws.e_all <- fbuf ((cm + 1) * cs);
@@ -145,12 +107,11 @@ let reserve ws ~tt ~s ~m ~k =
     ws.gamma_sum <- fbuf cs;
     ws.count_obs <- fbuf (cs * cm);
     ws.count_loss <- fbuf (cs * cm);
+    ws.tmp <- fbuf cs;
     ws.cap_s <- cs;
     ws.cap_m <- cm;
-    (* Force the T- and K-striped buffers to regrow with the new row
-       width. *)
-    ws.cap_t <- 0;
-    ws.cap_k <- 0
+    (* Force the T-striped buffers to regrow with the new row width. *)
+    ws.cap_t <- 0
   end;
   if tt > ws.cap_t then begin
     let ct = max tt ws.cap_t in
@@ -159,18 +120,6 @@ let reserve ws ~tt ~s ~m ~k =
     ws.scale <- fbuf ct;
     ws.cls <- Array.make ct 0;
     ws.cap_t <- ct
-  end;
-  if k > ws.cap_k then begin
-    let ck = max k ws.cap_k in
-    ws.tmp <- fbuf (ck * ws.cap_s);
-    ws.warm <- fbuf (ck * 2 * ws.cap_s);
-    ws.wsum <- fbuf ck;
-    ws.lls <- fbuf ck;
-    ws.acc_xi <- fbuf (ck * ws.cap_s * ws.cap_s);
-    ws.acc_gamma <- fbuf (ck * ws.cap_s);
-    ws.acc_obs <- fbuf (ck * ws.cap_s * ws.cap_m);
-    ws.acc_loss <- fbuf (ck * ws.cap_s * ws.cap_m);
-    ws.cap_k <- ck
   end
 
 (* Collapse the boxed observations into integer classes once per sweep;
@@ -186,16 +135,6 @@ let classify ws (t : model) obs =
 
 (* lint: hot *)
 
-(* Round a double to the nearest float32 value through the scratch
-   cell; identity in float64 mode.  Small enough for Closure-mode
-   inlining, so the f64 path keeps its one-branch cost. *)
-let[@inline always] round32 ws x =
-  if ws.f32 then begin
-    Ba.unsafe_set ws.r32 0 x;
-    Ba.unsafe_get ws.r32 0
-  end
-  else x
-
 (* [Ba.fill (Ba.sub ..)] would allocate a view per call; a plain loop
    keeps the clears allocation-free. *)
 let fill_range (b : buf) off len v =
@@ -210,8 +149,7 @@ let fill_range (b : buf) off len v =
    shared by both model families:
      e(st, Some j) = b_st(j) * (1 - c_j)
      e(st, None)   = sum_j b_st(j) * c_j
-     w(st, j)      = b_st(j) * c_j / e(st, None)   (loss-symbol posterior)
-   In float32 mode every prepared table entry is rounded here, once. *)
+     w(st, j)      = b_st(j) * c_j / e(st, None)   (loss-symbol posterior) *)
 let prepare ws (t : model) =
   let s = t.s and m = t.m in
   let b = t.b and c = t.c in
@@ -222,7 +160,7 @@ let prepare ws (t : model) =
     let row = j * s in
     let len = ref 0 in
     for st = 0 to s - 1 do
-      let e = round32 ws (Array.unsafe_get b ((st * m) + j) *. one_minus_c) in
+      let e = Array.unsafe_get b ((st * m) + j) *. one_minus_c in
       Ba.unsafe_set e_all (row + st) e;
       if e > 0. then begin
         Array.unsafe_set act (row + !len) st;
@@ -239,7 +177,7 @@ let prepare ws (t : model) =
     for j = 0 to m - 1 do
       acc := !acc +. (Array.unsafe_get b (base + j) *. Array.unsafe_get c j)
     done;
-    let e = round32 ws !acc in
+    let e = !acc in
     Ba.unsafe_set e_all (loss_row + st) e;
     if e > 0. then begin
       Array.unsafe_set act (loss_row + !loss_len) st;
@@ -247,8 +185,7 @@ let prepare ws (t : model) =
       let inv = 1. /. e in
       for j = 0 to m - 1 do
         Ba.unsafe_set w (base + j)
-          (round32 ws
-             (Array.unsafe_get b (base + j) *. Array.unsafe_get c j *. inv))
+          (Array.unsafe_get b (base + j) *. Array.unsafe_get c j *. inv)
       done
     end
     else
@@ -261,27 +198,48 @@ let prepare ws (t : model) =
   for st = 0 to s - 1 do
     let row = st * s in
     for st' = 0 to s - 1 do
-      let v = round32 ws (Array.unsafe_get a (row + st')) in
+      let v = Array.unsafe_get a (row + st') in
       Ba.unsafe_set a_r (row + st') v;
       Ba.unsafe_set a_t ((st' * s) + st) v
     done
   done;
   for st = 0 to s - 1 do
-    Ba.unsafe_set ws.pi_b st (round32 ws (Array.unsafe_get t.pi st))
+    Ba.unsafe_set ws.pi_b st (Array.unsafe_get t.pi st)
   done
 
-(* One forward step over the active sets.  A class [r] addresses both
-   its emission row and its active-state row at offset [r * s], so one
-   [base] serves both tables and there is no per-kind dispatch.  Writes
-   unnormalized values into the destination row and the row sum into
-   [scb.(scidx)] — the destination and scale target are parameters so
-   the same step serves the main alpha sweep ([alpha] / [scale]) and
-   the speculative warm-up (scratch rows / [wsum] slot).  The inner sum
-   reads the transposed transitions: for a fixed successor [st'] the
-   predecessors walk the contiguous row [a_t.(st'*s + ..)]. *)
-let fwd_step ws ~s ~(srcb : buf) ~rowp ~(dstb : buf) ~row ~base ~len ~basep
-    ~lenp ~(scb : buf) ~scidx =
-  let a_t = ws.a_t and e_all = ws.e_all and act = ws.act in
+let zero_likelihood time =
+  Obs.Counter.incr m_zero;
+  raise (Zero_likelihood time)
+
+(* Normalize the active slots of alpha row [time] by its sum, read back
+   from [scale.(time)] where the producing step stored it.  The sum
+   travels through the scale buffer rather than as a float argument:
+   without flambda a float crossing a function boundary is boxed, and
+   this call sits on the per-observation hot path. *)
+let normalize_row ws ~s ~time ~base ~len =
+  let alpha = ws.alpha and act = ws.act in
+  let row = time * s in
+  let inv = 1. /. Ba.unsafe_get ws.scale time in
+  for idx = 0 to len - 1 do
+    let st = Array.unsafe_get act (base + idx) in
+    Ba.unsafe_set alpha (row + st) (Ba.unsafe_get alpha (row + st) *. inv)
+  done
+
+(* One normalized forward step at [time > 0] over the active sets.  A
+   class [r] addresses both its emission row and its active-state row
+   at offset [r * s], so one [base] serves both tables and there is no
+   per-kind dispatch.  The inner sum reads the transposed transitions:
+   for a fixed successor [st'] the predecessors walk the contiguous row
+   [a_t.(st'*s + ..)].  Only slots listed in a time's active set are
+   written; every later read is masked by the same active set, so the
+   untouched slots are never observed. *)
+let fwd_step ws ~s ~time =
+  let cls = ws.cls and act_len = ws.act_len and act = ws.act in
+  let alpha = ws.alpha and a_t = ws.a_t and e_all = ws.e_all in
+  let r = Array.unsafe_get cls time and rp = Array.unsafe_get cls (time - 1) in
+  let base = r * s and len = Array.unsafe_get act_len r in
+  let basep = rp * s and lenp = Array.unsafe_get act_len rp in
+  let row = time * s and rowp = (time - 1) * s in
   let sc = ref 0. in
   for idx = 0 to len - 1 do
     let st' = Array.unsafe_get act (base + idx) in
@@ -291,252 +249,107 @@ let fwd_step ws ~s ~(srcb : buf) ~rowp ~(dstb : buf) ~row ~base ~len ~basep
       let st = Array.unsafe_get act (basep + idxp) in
       acc :=
         !acc
-        +. (Ba.unsafe_get srcb (rowp + st) *. Ba.unsafe_get a_t (trow + st))
+        +. (Ba.unsafe_get alpha (rowp + st) *. Ba.unsafe_get a_t (trow + st))
     done;
     let v = !acc *. Ba.unsafe_get e_all (base + st') in
-    Ba.unsafe_set dstb (row + st') v;
+    Ba.unsafe_set alpha (row + st') v;
     sc := !sc +. v
   done;
-  Ba.unsafe_set scb scidx !sc
+  Ba.unsafe_set ws.scale time !sc;
+  if Ba.unsafe_get ws.scale time <= 0. then zero_likelihood time;
+  normalize_row ws ~s ~time ~base ~len
 
-(* Normalize the active slots of a freshly written row by its sum,
-   read back from [scb.(scidx)] where the producing step stored it,
-   rounding each stored slot in float32 mode.  The sum travels through
-   the scale buffer rather than as a float argument: without flambda a
-   float crossing a function boundary is boxed, and this call sits on
-   the per-observation hot path. *)
-let normalize_row ws ~(b : buf) ~row ~base ~len ~(scb : buf) ~scidx =
-  let act = ws.act in
-  let inv = 1. /. Ba.unsafe_get scb scidx in
-  for idx = 0 to len - 1 do
-    let st = Array.unsafe_get act (base + idx) in
-    Ba.unsafe_set b (row + st) (round32 ws (Ba.unsafe_get b (row + st) *. inv))
-  done
-
-(* Seed a (to-be-normalized) alpha row from the initial distribution:
-   time 0 of the sequence, wherever the row lives. *)
-let forward_seed ws ~(dstb : buf) ~row ~base0 ~len0 ~(scb : buf) ~scidx =
+(* Scaled forward recursion (Rabiner's \hat{alpha}) over the whole
+   [tt]-step sequence, seeded from pi: writes every alpha row and scale
+   and returns the log-likelihood, the sum of the log scales. *)
+let forward ws (t : model) ~tt =
+  let s = t.s in
   let act = ws.act and e_all = ws.e_all and pi = ws.pi_b in
+  let alpha = ws.alpha and scale = ws.scale in
+  let r0 = Array.unsafe_get ws.cls 0 in
+  let base0 = r0 * s and len0 = Array.unsafe_get ws.act_len r0 in
   let s0 = ref 0. in
   for idx = 0 to len0 - 1 do
     let st = Array.unsafe_get act (base0 + idx) in
     let v = Ba.unsafe_get pi st *. Ba.unsafe_get e_all (base0 + st) in
-    Ba.unsafe_set dstb (row + st) v;
+    Ba.unsafe_set alpha st v;
     s0 := !s0 +. v
   done;
-  Ba.unsafe_set scb scidx !s0
-
-(* One complete normalized forward step at [time]: the predecessor row
-   is [srcb.(rowp..)] (time - 1), the destination row and scale target
-   are parameters.  Raises on a zero row sum, which with the uniform
-   warm-up seed only happens when the true likelihood is zero too (the
-   seed dominates a positive multiple of the true alpha row). *)
-let fwd_step_at ws ~s ~time ~(srcb : buf) ~rowp ~(dstb : buf) ~row ~(scb : buf)
-    ~scidx =
-  let cls = ws.cls and act_len = ws.act_len in
-  let r = Array.unsafe_get cls time and rp = Array.unsafe_get cls (time - 1) in
-  let base = r * s and len = Array.unsafe_get act_len r in
-  let basep = rp * s and lenp = Array.unsafe_get act_len rp in
-  fwd_step ws ~s ~srcb ~rowp ~dstb ~row ~base ~len ~basep ~lenp ~scb ~scidx;
-  let sc = Ba.unsafe_get scb scidx in
-  if sc <= 0. then begin
-    Obs.Counter.incr m_zero;
-    raise (Zero_likelihood time)
-  end;
-  normalize_row ws ~b:dstb ~row ~base ~len ~scb ~scidx
-
-(* Scaled forward recursion (Rabiner's \hat{alpha}) over [t0, t1):
-   writes the alpha rows and scales of those times and stores the
-   chunk's logL partial in [lls.(slot)].  For [t0 = 0] the first row is
-   seeded from pi (the exact serial start); otherwise the predecessor
-   row for time [t0] is [srcb.(src_row..)] — a warm-up scratch row.
-   Only slots listed in a time's active set are written; every later
-   read is masked by the same active set, so the untouched slots are
-   never observed. *)
-let forward_range ws (t : model) ~slot ~t0 ~t1 ~(srcb : buf) ~src_row =
-  let s = t.s in
-  let alpha = ws.alpha and scale = ws.scale in
-  let ll = ref 0. in
-  let first =
-    if t0 = 0 then begin
-      let r0 = Array.unsafe_get ws.cls 0 in
-      let base0 = r0 * s and len0 = Array.unsafe_get ws.act_len r0 in
-      forward_seed ws ~dstb:alpha ~row:0 ~base0 ~len0 ~scb:scale ~scidx:0;
-      let s0 = Ba.unsafe_get scale 0 in
-      if s0 <= 0. then begin
-        Obs.Counter.incr m_zero;
-        raise (Zero_likelihood 0)
-      end;
-      normalize_row ws ~b:alpha ~row:0 ~base:base0 ~len:len0 ~scb:scale
-        ~scidx:0;
-      ll := log s0;
-      1
-    end
-    else begin
-      fwd_step_at ws ~s ~time:t0 ~srcb ~rowp:src_row ~dstb:alpha ~row:(t0 * s)
-        ~scb:scale ~scidx:t0;
-      ll := log (Ba.unsafe_get scale t0);
-      t0 + 1
-    end
-  in
-  for time = first to t1 - 1 do
-    fwd_step_at ws ~s ~time ~srcb:alpha ~rowp:((time - 1) * s) ~dstb:alpha
-      ~row:(time * s) ~scb:scale ~scidx:time;
+  Ba.unsafe_set scale 0 !s0;
+  if Ba.unsafe_get scale 0 <= 0. then zero_likelihood 0;
+  normalize_row ws ~s ~time:0 ~base:base0 ~len:len0;
+  let ll = ref (log (Ba.unsafe_get scale 0)) in
+  for time = 1 to tt - 1 do
+    fwd_step ws ~s ~time;
     ll := !ll +. log (Ba.unsafe_get scale time)
   done;
-  Ba.unsafe_set ws.lls slot !ll
+  !ll
 
-(* Speculative forward warm-up for a chunk starting at [t0 > 0]: run
-   the same normalized recursion over the [warmup] steps before [t0] in
-   the chunk's private ping-pong scratch rows, seeded uniformly over
-   the states active at the warm-up start (or exactly from pi when the
-   warm-up reaches time 0, in which case the chunk is exact).  The
-   normalized forward map contracts toward the true filtered
-   distribution, so by [t0] the scratch row has converged to the serial
-   alpha row — to the last bit, for the warm-up lengths used in
-   practice.  Returns the scratch offset holding the predecessor row
-   for time [t0]. *)
-let forward_warm ws (t : model) ~slot ~warmup ~t0 =
-  let s = t.s in
-  let w0 = max 0 (t0 - warmup) in
-  let warm = ws.warm and wsum = ws.wsum in
-  let row_a = slot * 2 * ws.cap_s in
-  let row_b = row_a + ws.cap_s in
-  let r0 = Array.unsafe_get ws.cls w0 in
-  let base0 = r0 * s and len0 = Array.unsafe_get ws.act_len r0 in
-  if w0 = 0 then begin
-    forward_seed ws ~dstb:warm ~row:row_a ~base0 ~len0 ~scb:wsum ~scidx:slot;
-    let s0 = Ba.unsafe_get wsum slot in
-    if s0 <= 0. then begin
-      Obs.Counter.incr m_zero;
-      raise (Zero_likelihood 0)
-    end;
-    normalize_row ws ~b:warm ~row:row_a ~base:base0 ~len:len0 ~scb:wsum
-      ~scidx:slot
-  end
-  else begin
-    let v = round32 ws (1. /. float_of_int len0) in
-    for idx = 0 to len0 - 1 do
-      Ba.unsafe_set warm (row_a + Array.unsafe_get ws.act (base0 + idx)) v
-    done
-  end;
-  let src = ref row_a and dst = ref row_b in
-  for time = w0 + 1 to t0 - 1 do
-    fwd_step_at ws ~s ~time ~srcb:warm ~rowp:!src ~dstb:warm ~row:!dst
-      ~scb:wsum ~scidx:slot;
-    let swap = !src in
-    src := !dst;
-    dst := swap
-  done;
-  !src
-
-(* One backward step at [time]: reads the successor beta row (time + 1)
-   from [srcb.(src_row..)], writes the beta row for [time] into
-   [dstb.(row..)].  The chunk-private [tmp] slot holds
-   tmp(st') = e(st', o_{time+1}) * beta_{time+1}(st') / scale_{time+1};
-   the contraction then walks contiguous rows of the row-major
-   transition copy. *)
-let bwd_step ws ~s ~time ~(srcb : buf) ~src_row ~(dstb : buf) ~row ~tmpoff =
-  let cls = ws.cls and act_len = ws.act_len and act = ws.act in
-  let r = Array.unsafe_get cls time and r1 = Array.unsafe_get cls (time + 1) in
-  let base = r * s and len = Array.unsafe_get act_len r in
-  let base1 = r1 * s and len1 = Array.unsafe_get act_len r1 in
-  let tmp = ws.tmp and e_all = ws.e_all and a_r = ws.a_r in
+(* Fill the [tmp] scratch with
+   tmp(st') = e(st', o_{time+1}) * beta_{time+1}(st') / scale_{time+1}
+   over the states active at [time + 1]: the shared factor of a
+   backward step and of the transition statistics at [time]. *)
+let fill_tmp ws ~s ~time ~base1 ~len1 =
+  let tmp = ws.tmp and e_all = ws.e_all and beta = ws.beta and act = ws.act in
+  let row1 = (time + 1) * s in
   let inv = 1. /. Ba.unsafe_get ws.scale (time + 1) in
   for idx1 = 0 to len1 - 1 do
     let st' = Array.unsafe_get act (base1 + idx1) in
-    Ba.unsafe_set tmp (tmpoff + st')
-      (Ba.unsafe_get e_all (base1 + st')
-      *. Ba.unsafe_get srcb (src_row + st')
-      *. inv)
-  done;
-  for idx = 0 to len - 1 do
-    let st = Array.unsafe_get act (base + idx) in
-    let arow = st * s in
-    let acc = ref 0. in
-    for idx1 = 0 to len1 - 1 do
-      let st' = Array.unsafe_get act (base1 + idx1) in
-      acc :=
-        !acc
-        +. (Ba.unsafe_get a_r (arow + st') *. Ba.unsafe_get tmp (tmpoff + st'))
-    done;
-    Ba.unsafe_set dstb (row + st) (round32 ws !acc)
+    Ba.unsafe_set tmp st'
+      (Ba.unsafe_get e_all (base1 + st') *. Ba.unsafe_get beta (row1 + st') *. inv)
   done
 
-(* Scaled backward recursion over [t0, t1); requires a completed
-   forward pass (true scales).  The last chunk ([t1 = tt]) starts from
-   the exact all-ones seed; an interior chunk's first step reads the
-   warmed successor row (beta at [t1]) from [srcb.(src_row..)]. *)
-let backward_range ws (t : model) ~t0 ~t1 ~tt ~(srcb : buf) ~src_row ~tmpoff =
+(* Scaled backward recursion over the whole [tt]-step sequence, from
+   the all-ones seed at [tt - 1]; requires a completed forward pass
+   (true scales).  The contraction walks contiguous rows of the
+   row-major transition copy. *)
+let backward ws (t : model) ~tt =
   let s = t.s in
-  let beta = ws.beta in
-  let first =
-    if t1 = tt then begin
-      let rl = Array.unsafe_get ws.cls (tt - 1) in
-      let basel = rl * s and lenl = Array.unsafe_get ws.act_len rl in
-      let rowl = (tt - 1) * s in
-      for idx = 0 to lenl - 1 do
-        Ba.unsafe_set beta (rowl + Array.unsafe_get ws.act (basel + idx)) 1.
+  let cls = ws.cls and act_len = ws.act_len and act = ws.act in
+  let beta = ws.beta and a_r = ws.a_r and tmp = ws.tmp in
+  let rl = Array.unsafe_get cls (tt - 1) in
+  let basel = rl * s and lenl = Array.unsafe_get act_len rl in
+  let rowl = (tt - 1) * s in
+  for idx = 0 to lenl - 1 do
+    Ba.unsafe_set beta (rowl + Array.unsafe_get act (basel + idx)) 1.
+  done;
+  for time = tt - 2 downto 0 do
+    let r = Array.unsafe_get cls time and r1 = Array.unsafe_get cls (time + 1) in
+    let base = r * s and len = Array.unsafe_get act_len r in
+    let base1 = r1 * s and len1 = Array.unsafe_get act_len r1 in
+    fill_tmp ws ~s ~time ~base1 ~len1;
+    let row = time * s in
+    for idx = 0 to len - 1 do
+      let st = Array.unsafe_get act (base + idx) in
+      let arow = st * s in
+      let acc = ref 0. in
+      for idx1 = 0 to len1 - 1 do
+        let st' = Array.unsafe_get act (base1 + idx1) in
+        acc := !acc +. (Ba.unsafe_get a_r (arow + st') *. Ba.unsafe_get tmp st')
       done;
-      tt - 2
-    end
-    else begin
-      bwd_step ws ~s ~time:(t1 - 1) ~srcb ~src_row ~dstb:beta
-        ~row:((t1 - 1) * s) ~tmpoff;
-      t1 - 2
-    end
-  in
-  for time = first downto t0 do
-    bwd_step ws ~s ~time ~srcb:beta ~src_row:((time + 1) * s) ~dstb:beta
-      ~row:(time * s) ~tmpoff
+      Ba.unsafe_set beta (row + st) !acc
+    done
   done
 
-(* Speculative backward warm-up for a chunk ending before [tt]: seed
-   all-ones at [we = min (tt-1) (t1-1+warmup)] and recurse down to
-   [t1] in the chunk's scratch rows.  Because the scales are the true
-   forward scales and every alpha row is normalized, the recursion
-   preserves <alpha_t, beta_t> = 1 exactly while the matrix products
-   contract directions, so the warm row converges to the true scaled
-   beta at [t1] (bit-exactly in practice; exactly whenever [we]
-   reaches [tt - 1], where all-ones is the serial seed).  Returns the
-   scratch offset of the row for time [t1]. *)
-let backward_warm ws (t : model) ~slot ~warmup ~t1 ~tt =
-  let s = t.s in
-  let we = min (tt - 1) (t1 - 1 + warmup) in
-  let warm = ws.warm in
-  let row_a = slot * 2 * ws.cap_s in
-  let row_b = row_a + ws.cap_s in
-  let re = Array.unsafe_get ws.cls we in
-  let basee = re * s and lene = Array.unsafe_get ws.act_len re in
-  for idx = 0 to lene - 1 do
-    Ba.unsafe_set warm (row_a + Array.unsafe_get ws.act (basee + idx)) 1.
-  done;
-  let src = ref row_a and dst = ref row_b in
-  for time = we - 1 downto t1 do
-    bwd_step ws ~s ~time ~srcb:warm ~src_row:!src ~dstb:warm ~row:!dst
-      ~tmpoff:(slot * ws.cap_s);
-    let swap = !src in
-    src := !dst;
-    dst := swap
-  done;
-  !src
-
-(* E-step statistics for [t0, t1), fused into one ascending-time pass
-   (emission/loss counts at [time], then transition statistics toward
-   [time + 1]) — the two groups touch disjoint accumulator cells, so
-   each cell still receives its contributions in ascending time order.
-   The targets are parameters: the serial path accumulates straight
-   into the final buffers, a parallel chunk into its private slot.
-   Transition statistics stop at [tt - 2], matching the serial
-   recursion (gamma_sum is the transition-count denominator). *)
-let accumulate_range ws (t : model) ~t0 ~t1 ~tt ~tmpoff ~(xib : buf) ~xioff
-    ~(gsum : buf) ~goff ~(cobs : buf) ~coff ~(closs : buf) ~loff =
+(* E-step statistics of the whole sequence, cleared first and then
+   fused into one ascending-time pass (emission/loss counts at [time],
+   then transition statistics toward [time + 1]) — the two groups touch
+   disjoint accumulator cells, so each cell receives its contributions
+   in ascending time order.  Transition statistics stop at [tt - 2]
+   (gamma_sum is the transition-count denominator).  Requires completed
+   forward and backward passes. *)
+let accumulate ws (t : model) ~tt =
   let s = t.s and m = t.m in
   let alpha = ws.alpha and beta = ws.beta and cls = ws.cls in
   let act = ws.act and act_len = ws.act_len in
-  let w = ws.w and a_r = ws.a_r and e_all = ws.e_all and tmp = ws.tmp in
-  let scale = ws.scale in
-  for time = t0 to t1 - 1 do
+  let w = ws.w and a_r = ws.a_r and tmp = ws.tmp in
+  let xi = ws.xi and gsum = ws.gamma_sum in
+  let cobs = ws.count_obs and closs = ws.count_loss in
+  fill_range xi 0 (s * s) 0.;
+  fill_range gsum 0 s 0.;
+  fill_range cobs 0 (s * m) 0.;
+  fill_range closs 0 (s * m) 0.;
+  for time = 0 to tt - 1 do
     let r = Array.unsafe_get cls time in
     let base = r * s and len = Array.unsafe_get act_len r in
     let row = time * s in
@@ -548,7 +361,7 @@ let accumulate_range ws (t : model) ~t0 ~t1 ~tt ~tmpoff ~(xib : buf) ~xioff
         let g =
           Ba.unsafe_get alpha (row + st) *. Ba.unsafe_get beta (row + st)
         in
-        let ko = coff + (st * m) + r in
+        let ko = (st * m) + r in
         Ba.unsafe_set cobs ko (Ba.unsafe_get cobs ko +. g)
       done
     else
@@ -559,7 +372,7 @@ let accumulate_range ws (t : model) ~t0 ~t1 ~tt ~tmpoff ~(xib : buf) ~xioff
         in
         let wbase = st * m in
         for j = 0 to m - 1 do
-          let kl = loff + wbase + j in
+          let kl = wbase + j in
           Ba.unsafe_set closs kl
             (Ba.unsafe_get closs kl +. (g *. Ba.unsafe_get w (wbase + j)))
         done
@@ -568,103 +381,25 @@ let accumulate_range ws (t : model) ~t0 ~t1 ~tt ~tmpoff ~(xib : buf) ~xioff
     if time <= tt - 2 then begin
       let r1 = Array.unsafe_get cls (time + 1) in
       let base1 = r1 * s and len1 = Array.unsafe_get act_len r1 in
-      let row1 = (time + 1) * s in
-      let inv = 1. /. Ba.unsafe_get scale (time + 1) in
-      for idx1 = 0 to len1 - 1 do
-        let st' = Array.unsafe_get act (base1 + idx1) in
-        Ba.unsafe_set tmp (tmpoff + st')
-          (Ba.unsafe_get e_all (base1 + st')
-          *. Ba.unsafe_get beta (row1 + st')
-          *. inv)
-      done;
+      fill_tmp ws ~s ~time ~base1 ~len1;
       for idx = 0 to len - 1 do
         let st = Array.unsafe_get act (base + idx) in
         let a_ts = Ba.unsafe_get alpha (row + st) in
-        let kg = goff + st in
-        Ba.unsafe_set gsum kg
-          (Ba.unsafe_get gsum kg
-          +. (a_ts *. Ba.unsafe_get beta (row + st)));
+        Ba.unsafe_set gsum st
+          (Ba.unsafe_get gsum st +. (a_ts *. Ba.unsafe_get beta (row + st)));
         if a_ts > 0. then begin
           let arow = st * s in
           for idx1 = 0 to len1 - 1 do
             let st' = Array.unsafe_get act (base1 + idx1) in
-            let kx = xioff + arow + st' in
-            Ba.unsafe_set xib kx
-              (Ba.unsafe_get xib kx
+            let kx = arow + st' in
+            Ba.unsafe_set xi kx
+              (Ba.unsafe_get xi kx
               +. (a_ts
                  *. Ba.unsafe_get a_r (arow + st')
-                 *. Ba.unsafe_get tmp (tmpoff + st')))
+                 *. Ba.unsafe_get tmp st'))
           done
         end
       done
     end
   done
 (* lint: end-hot *)
-
-(* --- chunk-level wrappers (called by Em_sweep and the serial path) --- *)
-
-let forward_chunk ws (t : model) ~warmup ~slot ~t0 ~t1 =
-  if t0 = 0 then forward_range ws t ~slot ~t0 ~t1 ~srcb:ws.alpha ~src_row:0
-  else begin
-    let wr = forward_warm ws t ~slot ~warmup ~t0 in
-    forward_range ws t ~slot ~t0 ~t1 ~srcb:ws.warm ~src_row:wr
-  end
-
-let backward_chunk ws (t : model) ~warmup ~slot ~t0 ~t1 ~tt =
-  let tmpoff = slot * ws.cap_s in
-  if t1 = tt then
-    backward_range ws t ~t0 ~t1 ~tt ~srcb:ws.beta ~src_row:0 ~tmpoff
-  else begin
-    let wr = backward_warm ws t ~slot ~warmup ~t1 ~tt in
-    backward_range ws t ~t0 ~t1 ~tt ~srcb:ws.warm ~src_row:wr ~tmpoff
-  end
-
-let clear_stats ws ~s ~m =
-  fill_range ws.xi 0 (s * s) 0.;
-  fill_range ws.gamma_sum 0 s 0.;
-  fill_range ws.count_obs 0 (s * m) 0.;
-  fill_range ws.count_loss 0 (s * m) 0.
-
-let accumulate_direct ws (t : model) ~t0 ~t1 ~tt =
-  accumulate_range ws t ~t0 ~t1 ~tt ~tmpoff:0 ~xib:ws.xi ~xioff:0
-    ~gsum:ws.gamma_sum ~goff:0 ~cobs:ws.count_obs ~coff:0 ~closs:ws.count_loss
-    ~loff:0
-
-let accumulate_slot ws (t : model) ~slot ~t0 ~t1 ~tt =
-  let s2 = ws.cap_s * ws.cap_s and sm = ws.cap_s * ws.cap_m in
-  fill_range ws.acc_xi (slot * s2) (t.s * t.s) 0.;
-  fill_range ws.acc_gamma (slot * ws.cap_s) t.s 0.;
-  fill_range ws.acc_obs (slot * sm) (t.s * t.m) 0.;
-  fill_range ws.acc_loss (slot * sm) (t.s * t.m) 0.;
-  accumulate_range ws t ~t0 ~t1 ~tt ~tmpoff:(slot * ws.cap_s) ~xib:ws.acc_xi
-    ~xioff:(slot * s2) ~gsum:ws.acc_gamma ~goff:(slot * ws.cap_s)
-    ~cobs:ws.acc_obs ~coff:(slot * sm) ~closs:ws.acc_loss ~loff:(slot * sm)
-
-(* Fold chunk [slot]'s private statistics into the final accumulators.
-   Must be called in ascending slot order so the combine is a pure
-   function of the chunking, independent of the pool schedule. *)
-let combine_slot ws ~slot ~s ~m =
-  let s2 = ws.cap_s * ws.cap_s and sm = ws.cap_s * ws.cap_m in
-  for i = 0 to (s * s) - 1 do
-    Ba.set ws.xi i (Ba.get ws.xi i +. Ba.get ws.acc_xi ((slot * s2) + i))
-  done;
-  for i = 0 to s - 1 do
-    Ba.set ws.gamma_sum i
-      (Ba.get ws.gamma_sum i +. Ba.get ws.acc_gamma ((slot * ws.cap_s) + i))
-  done;
-  for i = 0 to (s * m) - 1 do
-    Ba.set ws.count_obs i
-      (Ba.get ws.count_obs i +. Ba.get ws.acc_obs ((slot * sm) + i));
-    Ba.set ws.count_loss i
-      (Ba.get ws.count_loss i +. Ba.get ws.acc_loss ((slot * sm) + i))
-  done
-
-(* Total log-likelihood of a [k]-chunk forward pass: the per-chunk
-   partials summed in ascending chunk order (a fixed association, so
-   the result depends on the chunking but not on the schedule). *)
-let ll_total ws ~k =
-  let ll = ref 0. in
-  for i = 0 to k - 1 do
-    ll := !ll +. Ba.get ws.lls i
-  done;
-  !ll

@@ -1,18 +1,13 @@
-(** Bigarray-backed hot state and range kernels for the shared EM
-    sweep (library-internal; the public surface is {!Em}).
+(** Bigarray-backed hot state and whole-sequence kernels for the shared
+    EM sweep (library-internal; the public surface is {!Em}).
 
-    The kernels are written over explicit time ranges [[t0, t1)] and a
-    chunk [slot] addressing per-chunk scratch, so one code path serves
-    the serial sweep (one chunk covering the sequence) and the chunked
-    parallel sweep driven by {!Em_sweep}.  The workspace record is
-    exposed transparently so {!Em}'s M-step and posterior extractors
-    can read the sweep buffers without a forest of accessors. *)
+    The workspace record is exposed transparently so {!Em}'s M-step and
+    posterior extractors can read the sweep buffers without a forest of
+    accessors. *)
 
 module Ba = Bigarray.Array1
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Ba.t
-
-type precision = F64 | F32
 
 type model = {
   s : int;
@@ -26,9 +21,6 @@ type model = {
 exception Zero_likelihood of int
 
 type workspace = {
-  precision : precision;
-  f32 : bool;
-  r32 : (float, Bigarray.float32_elt, Bigarray.c_layout) Ba.t;
   mutable alpha : buf;
   mutable beta : buf;
   mutable scale : buf;
@@ -45,26 +37,17 @@ type workspace = {
   mutable count_obs : buf;
   mutable count_loss : buf;
   mutable tmp : buf;
-  mutable warm : buf;
-  mutable wsum : buf;
-  mutable lls : buf;
-  mutable acc_xi : buf;
-  mutable acc_gamma : buf;
-  mutable acc_obs : buf;
-  mutable acc_loss : buf;
   mutable cap_t : int;
   mutable cap_s : int;
   mutable cap_m : int;
-  mutable cap_k : int;
 }
 
-val create : ?precision:precision -> unit -> workspace
-(** A fresh (empty) workspace; [precision] defaults to [F64]. *)
+val create : unit -> workspace
+(** A fresh (empty) workspace. *)
 
-val reserve : workspace -> tt:int -> s:int -> m:int -> k:int -> unit
-(** Grow (never shrink) every buffer for a [tt]-step, [k]-chunk sweep
-    of an [s]-state, [m]-symbol model.  Amortized allocation-free on
-    reuse. *)
+val reserve : workspace -> tt:int -> s:int -> m:int -> unit
+(** Grow (never shrink) every buffer for a [tt]-step sweep of an
+    [s]-state, [m]-symbol model.  Amortized allocation-free on reuse. *)
 
 val classify : workspace -> model -> int option array -> unit
 (** Collapse the observations into integer classes in [cls] (symbol
@@ -72,44 +55,17 @@ val classify : workspace -> model -> int option array -> unit
 
 val prepare : workspace -> model -> unit
 (** Fill the emission table, loss weights, active-state lists and
-    transition copies for the model (rounded to float32 in [F32]
-    mode). *)
+    transition copies for the model. *)
 
-val forward_chunk :
-  workspace -> model -> warmup:int -> slot:int -> t0:int -> t1:int -> unit
-(** Forward recursion over [[t0, t1)]: exact from pi when [t0 = 0],
-    otherwise speculatively warmed over the [warmup] steps before
-    [t0].  Stores the chunk's logL partial in [lls.(slot)].
+val forward : workspace -> model -> tt:int -> float
+(** Scaled forward recursion over [[0, tt)] from pi; returns the
+    log-likelihood.
     @raise Zero_likelihood on an impossible observation. *)
 
-val backward_chunk :
-  workspace ->
-  model ->
-  warmup:int ->
-  slot:int ->
-  t0:int ->
-  t1:int ->
-  tt:int ->
-  unit
-(** Backward recursion over [[t0, t1)]: exact all-ones seed when
-    [t1 = tt], otherwise warmed over the [warmup] steps past [t1].
-    Requires a completed forward pass (true scales). *)
+val backward : workspace -> model -> tt:int -> unit
+(** Scaled backward recursion over [[0, tt)] from the all-ones seed.
+    Requires a completed {!forward} (true scales). *)
 
-val clear_stats : workspace -> s:int -> m:int -> unit
-(** Zero the final E-step accumulators. *)
-
-val accumulate_direct : workspace -> model -> t0:int -> t1:int -> tt:int -> unit
-(** Accumulate the E-step statistics of [[t0, t1)] straight into the
-    final accumulators (serial path). *)
-
-val accumulate_slot :
-  workspace -> model -> slot:int -> t0:int -> t1:int -> tt:int -> unit
-(** Accumulate into chunk [slot]'s private accumulators (cleared
-    first); combine afterwards with {!combine_slot}. *)
-
-val combine_slot : workspace -> slot:int -> s:int -> m:int -> unit
-(** Fold chunk [slot]'s private statistics into the final accumulators;
-    call in ascending slot order for a schedule-independent result. *)
-
-val ll_total : workspace -> k:int -> float
-(** Sum of the [k] per-chunk logL partials, in ascending chunk order. *)
+val accumulate : workspace -> model -> tt:int -> unit
+(** Clear the E-step accumulators and fill them from the whole
+    sequence.  Requires completed {!forward} and {!backward}. *)

@@ -27,7 +27,7 @@ type config = {
 let config ?(n = 2) ?(lambda = 0.9) ?params ?(min_weight = 64.)
     ?(min_loss_mass = 1.) ?(timeline_capacity = 64) ~scheme () =
   if n <= 0 then invalid_arg "Fleet.Path_state.config: n must be positive";
-  if lambda < 0. || lambda > 1. then
+  if Float.is_nan lambda || lambda < 0. || lambda > 1. then
     invalid_arg "Fleet.Path_state.config: lambda must be in [0, 1]";
   if min_weight < 0. then
     invalid_arg "Fleet.Path_state.config: min_weight must be non-negative";

@@ -46,7 +46,8 @@ val config :
     epochs), [params = Dcl.Identify.default_params], [min_weight = 64]
     observations, [min_loss_mass = 1] expected loss,
     [timeline_capacity = 64] retained diagnosis events.  Raises
-    [Invalid_argument] on out-of-range values. *)
+    [Invalid_argument] on out-of-range values, a NaN [lambda]
+    included. *)
 
 val states : config -> int
 (** Flattened state count [n * m] — the workspace-cache key

@@ -178,13 +178,13 @@ let viterbi t obs =
 let log_likelihood t obs = Em.log_likelihood ~ws:(ws ()) (to_em t) obs
 let state_posteriors t obs = Em.state_posteriors ~ws:(ws ()) (to_em t) obs
 
-let fit_from ?eps ?max_iter ?sweep t0 obs =
+let fit_from ?eps ?max_iter t0 obs =
   let fitted, stats =
-    Em.fit_from ~ws:(ws ()) ?eps ?max_iter ?sweep ~update_b:true (to_em t0) obs
+    Em.fit_from ~ws:(ws ()) ?eps ?max_iter ~update_b:true (to_em t0) obs
   in
   (of_em ~n:t0.n ~m:t0.m fitted, stats)
 
-let fit ?eps ?max_iter ?(restarts = 2) ?(domains = 1) ?sweep ~rng ~n ~m obs =
+let fit ?eps ?max_iter ?(restarts = 2) ?(domains = 1) ~rng ~n ~m obs =
   if restarts <= 0 then invalid_arg "Hmm.fit: restarts must be positive";
   (* Every starting point is the data-driven informed initialization
      with independent jitter, and the best converged attempt wins.
@@ -200,7 +200,7 @@ let fit ?eps ?max_iter ?(restarts = 2) ?(domains = 1) ?sweep ~rng ~n ~m obs =
   let rngs = Array.init restarts (fun _ -> Stats.Rng.split rng) in
   let init k = to_em (init_informed rngs.(k) ~n ~m obs) in
   let fitted, stats =
-    Em.fit_restarts ?eps ?max_iter ~domains ?sweep ~restarts ~update_b:true ~init
+    Em.fit_restarts ?eps ?max_iter ~domains ~restarts ~update_b:true ~init
       obs
   in
   (of_em ~n ~m fitted, stats)

@@ -70,7 +70,6 @@ val fit :
   ?max_iter:int ->
   ?restarts:int ->
   ?domains:int ->
-  ?sweep:Em.Sweep.policy ->
   rng:Stats.Rng.t ->
   n:int ->
   m:int ->
@@ -85,14 +84,11 @@ val fit :
     domains of the persistent pool ({!Stats.Pool}; domains are spawned
     once per process and their EM workspaces stay warm across calls);
     each restart draws from its own pre-split RNG, so the winning
-    model is bit-identical to the serial run.  A [?sweep] policy
-    additionally chunks each sweep across pool domains
-    ({!Em.Sweep}); the default is the serial sweep. *)
+    model is bit-identical to the serial run. *)
 
 val fit_from :
   ?eps:float ->
   ?max_iter:int ->
-  ?sweep:Em.Sweep.policy ->
   t ->
   observation array ->
   t * fit_stats
@@ -100,8 +96,7 @@ val fit_from :
 val to_em : t -> Em.model
 (** The flattened {!Em} view of the model ([s = n * m] states, fixed
     indicator emission matrix); exposed so benchmarks and tests can
-    drive the shared kernel (e.g. alternate {!Em.precision}
-    workspaces) directly. *)
+    drive the shared kernel directly. *)
 
 val virtual_delay_pmf : t -> observation array -> float array
 (** Equation (5): [P(Y = j | loss)].  Requires at least one loss. *)

@@ -85,7 +85,7 @@ module Histogram : sig
 
   val linear_buckets : lo:float -> width:float -> n:int -> float array
   (** [n] strictly increasing upper bounds [lo], [lo + width], ... —
-      for small-integer-valued observations (chunks per sweep, records
+      for small-integer-valued observations (restarts per fit, records
       per window) where the latency defaults are useless.  Raises
       [Invalid_argument] unless [n] and [width] are positive. *)
 

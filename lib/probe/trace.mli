@@ -62,4 +62,6 @@ val save : t -> string -> unit
     retained when present). *)
 
 val load : string -> t
-(** Inverse of {!save}. *)
+(** Inverse of {!save}.  Raises [Failure "FILE:LINE: Trace.load: ..."]
+    (1-based [LINE]) on a malformed header or record, a non-finite
+    numeric field, or a non-positive interval. *)

@@ -1,38 +1,5 @@
-(* lint: owner driver *)
-let spawn_per_call = ref false
-
-(* PR 1's fork–join implementation: spawn fresh domains for every call.
-   Kept (behind [spawn_per_call]) so the bench can measure what the
-   persistent pool amortizes away. *)
-let map_range_spawn ~domains n f =
-  if n <= 0 then [||]
-  else
-    let domains = max 1 (min domains n) in
-    if domains = 1 then Array.init n f
-    else begin
-      let results = Array.make n None in
-      let errors = Array.make domains None in
-      (* Strided assignment: worker [d] owns items d, d+domains, ... so
-         ownership is disjoint and independent of scheduling. *)
-      let worker d =
-        try
-          let i = ref d in
-          while !i < n do
-            results.(!i) <- Some (f !i);
-            i := !i + domains
-          done
-        with e -> errors.(d) <- Some e
-      in
-      let handles = Array.init (domains - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
-      worker 0;
-      Array.iter Domain.join handles;
-      Array.iter (function Some e -> raise e | None -> ()) errors;
-      Array.map (function Some x -> x | None -> assert false) results
-    end
-
 let map_range ~domains n f =
   if n <= 0 then [||]
-  else if !spawn_per_call then map_range_spawn ~domains n f
   else
     let domains = max 1 (min domains n) in
     if domains = 1 then Array.init n f

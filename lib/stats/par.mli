@@ -6,10 +6,10 @@
     [domains].  Exceptions raised by work items are re-raised in the
     calling domain after all workers have finished.
 
-    Since PR 2 the parallel path runs on the persistent domain pool
-    ({!Pool}): domains are spawned once per process and reused, so
-    repeated fan-outs (EM restart racing, window scanning, bootstrap
-    replicates) no longer pay [Domain.spawn]/[Domain.join] per call. *)
+    The parallel path runs on the persistent domain pool ({!Pool}):
+    domains are spawned once per process and reused, so repeated
+    fan-outs (EM restart racing, window scanning, bootstrap replicates)
+    do not pay [Domain.spawn]/[Domain.join] per call. *)
 
 val map_range : domains:int -> int -> (int -> 'a) -> 'a array
 (** [map_range ~domains n f] evaluates [f 0 .. f (n - 1)] on up to
@@ -17,16 +17,3 @@ val map_range : domains:int -> int -> (int -> 'a) -> 'a array
     in the calling domain with no parallelism) and returns [[| f 0; ...;
     f (n - 1) |]].  [f] must not share mutable state across items.
     Nested calls from inside [f] run serially in the calling domain. *)
-
-val map_range_spawn : domains:int -> int -> (int -> 'a) -> 'a array
-(** The pre-pool implementation: spawns [domains - 1] fresh domains on
-    every call and joins them before returning.  Same contract and same
-    results as {!map_range}; kept so benchmarks can compare
-    spawn-per-call against pool amortization.  Not for production
-    call sites. *)
-
-val spawn_per_call : bool ref
-(** Benchmark escape hatch, default [false].  When set, {!map_range}
-    delegates to {!map_range_spawn}, letting a bench drive unmodified
-    callers (e.g. [Mmhd.fit]) through the legacy path.  Results are
-    identical either way; only the scheduling cost differs. *)

@@ -196,133 +196,6 @@ let test_workspace_reuse_across_sizes () =
   check_same_floats "b" step_fresh.Em.b step_shared.Em.b;
   check_same_floats "c" step_fresh.Em.c step_shared.Em.c
 
-(* --- chunked within-sweep parallelism ---------------------------------- *)
-
-(* Small warm-up/crossover so a 1500-step fixture actually splits into
-   up to 8 chunks; production defaults would fall back to serial. *)
-let sweep ~chunks ~domains =
-  Em.Sweep.policy ~chunks ~domains ~warmup:64 ~min_chunk:128 ()
-
-let chunk_counts = [ 1; 2; 4; 8 ]
-
-(* For each K, the pooled run and the inline (domains = 1) run execute
-   the identical chunked arithmetic over disjoint buffer ranges, so
-   full fits — forward, backward, accumulate, M-step, iterated — must
-   agree bit-for-bit. *)
-let test_mmhd_chunked_pool_identity () =
-  Stats.Pool.set_capacity 3;
-  let obs = mmhd_obs ~seed:11 ~len:1500 in
-  List.iter
-    (fun k ->
-      let fit domains =
-        Mmhd.fit_from ~max_iter:15
-          ~sweep:(sweep ~chunks:k ~domains)
-          (Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:4 obs)
-          obs
-      in
-      let inline, i_stats = fit 1 in
-      let pooled, p_stats = fit k in
-      let name s = Printf.sprintf "K=%d %s" k s in
-      check_same_floats (name "pi") inline.Mmhd.pi pooled.Mmhd.pi;
-      check_same_matrix (name "a") inline.Mmhd.a pooled.Mmhd.a;
-      check_same_floats (name "c") inline.Mmhd.c pooled.Mmhd.c;
-      check_float (name "logL") i_stats.Mmhd.log_likelihood
-        p_stats.Mmhd.log_likelihood;
-      Alcotest.(check int) (name "iterations") i_stats.Mmhd.iterations
-        p_stats.Mmhd.iterations)
-    chunk_counts
-
-let test_hmm_chunked_pool_identity () =
-  Stats.Pool.set_capacity 3;
-  let obs = hmm_obs ~seed:13 ~len:1500 in
-  List.iter
-    (fun k ->
-      let fit domains =
-        Hmm.fit_from ~max_iter:15
-          ~sweep:(sweep ~chunks:k ~domains)
-          (Hmm.init_informed (Stats.Rng.create 7) ~n:2 ~m:4 obs)
-          obs
-      in
-      let inline, i_stats = fit 1 in
-      let pooled, p_stats = fit k in
-      let name s = Printf.sprintf "K=%d %s" k s in
-      check_same_floats (name "pi") inline.Hmm.pi pooled.Hmm.pi;
-      check_same_matrix (name "a") inline.Hmm.a pooled.Hmm.a;
-      check_same_matrix (name "b") inline.Hmm.b pooled.Hmm.b;
-      check_same_floats (name "c") inline.Hmm.c pooled.Hmm.c;
-      check_float (name "logL") i_stats.Hmm.log_likelihood
-        p_stats.Hmm.log_likelihood)
-    chunk_counts
-
-(* Across different K the floating-point association changes and the
-   chunk boundaries are re-derived through speculative warm-up, so
-   bit-identity is not on offer — but with a 64-step warm-up the
-   geometric contraction leaves drift far below any statistical
-   resolution.  Bound the per-sweep log-likelihood against the exact
-   serial recursion. *)
-let test_chunked_loglik_drift_bounded () =
-  let obs = mmhd_obs ~seed:11 ~len:1500 in
-  let model = Mmhd.to_em (Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:4 obs) in
-  let ws = Em.workspace () in
-  let ll_serial = Em.log_likelihood ~ws model obs in
-  List.iter
-    (fun k ->
-      let ll_k =
-        Em.log_likelihood ~ws ~sweep:(sweep ~chunks:k ~domains:1) model obs
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "K=%d logL within 1e-6 relative of serial" k)
-        true
-        (Stats.Float_cmp.approx_eq
-           ~eps:(1e-6 *. Float.abs ll_serial)
-           ll_serial ll_k))
-    chunk_counts
-
-(* Sweep-level chunking nested under restart-level parallelism: pool
-   jobs submitted from inside a pool item run inline, so the two
-   composition orders execute the same arithmetic. *)
-let test_restart_and_sweep_parallelism_compose () =
-  Stats.Pool.set_capacity 3;
-  let obs = mmhd_obs ~seed:17 ~len:1500 in
-  let fit domains =
-    Mmhd.fit ~max_iter:10 ~restarts:2 ~domains
-      ~sweep:(sweep ~chunks:2 ~domains:2)
-      ~rng:(Stats.Rng.create 3) ~n:2 ~m:4 obs
-  in
-  let serial_restarts, s_stats = fit 1 in
-  let pooled_restarts, p_stats = fit 2 in
-  check_same_floats "pi" serial_restarts.Mmhd.pi pooled_restarts.Mmhd.pi;
-  check_same_matrix "a" serial_restarts.Mmhd.a pooled_restarts.Mmhd.a;
-  check_float "logL" s_stats.Mmhd.log_likelihood p_stats.Mmhd.log_likelihood
-
-(* --- float32 workspace mode -------------------------------------------- *)
-
-let test_f32_drift_bounded () =
-  let obs = mmhd_obs ~seed:11 ~len:1500 in
-  let model = Mmhd.to_em (Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:4 obs) in
-  let ws32 = Em.workspace ~precision:Em.F32 () in
-  Alcotest.(check bool) "precision accessor" true
-    (match Em.precision ws32 with Em.F32 -> true | Em.F64 -> false);
-  let ll64 = Em.log_likelihood ~ws:(Em.workspace ()) model obs in
-  let ll32 = Em.log_likelihood ~ws:ws32 model obs in
-  Alcotest.(check bool) "f32 logL finite" true (Float.is_finite ll32);
-  Alcotest.(check bool) "f32 logL within 1e-3 relative of f64" true
-    (Stats.Float_cmp.approx_eq ~eps:(1e-3 *. Float.abs ll64) ll64 ll32)
-
-let test_f32_chunked_matches_f32_serial_contract () =
-  (* The same-K inline/pooled identity holds in f32 mode too: rounding
-     is a pure function of the value being written. *)
-  Stats.Pool.set_capacity 3;
-  let obs = mmhd_obs ~seed:19 ~len:1500 in
-  let model = Mmhd.to_em (Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:4 obs) in
-  let ll domains =
-    Em.log_likelihood
-      ~ws:(Em.workspace ~precision:Em.F32 ())
-      ~sweep:(sweep ~chunks:4 ~domains)
-      model obs
-  in
-  check_float "f32 inline = pooled" (ll 1) (ll 4)
-
 let test_restarts_validation () =
   Alcotest.check_raises "restarts must be positive"
     (Invalid_argument "Em.fit_restarts: restarts must be positive")
@@ -354,23 +227,6 @@ let () =
             test_zero_likelihood_carries_time;
           Alcotest.test_case "floors keep fit alive" `Quick
             test_em_floors_keep_fit_alive;
-        ] );
-      ( "chunked sweep",
-        [
-          Alcotest.test_case "mmhd inline = pooled per K" `Quick
-            test_mmhd_chunked_pool_identity;
-          Alcotest.test_case "hmm inline = pooled per K" `Quick
-            test_hmm_chunked_pool_identity;
-          Alcotest.test_case "cross-K logL drift bounded" `Quick
-            test_chunked_loglik_drift_bounded;
-          Alcotest.test_case "restart x sweep composition" `Quick
-            test_restart_and_sweep_parallelism_compose;
-        ] );
-      ( "float32",
-        [
-          Alcotest.test_case "f32 drift bounded" `Quick test_f32_drift_bounded;
-          Alcotest.test_case "f32 inline = pooled" `Quick
-            test_f32_chunked_matches_f32_serial_contract;
         ] );
       ( "workspace",
         [

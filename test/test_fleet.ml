@@ -118,7 +118,10 @@ let test_decay_validation () =
   let stats = Em.Incremental.create ~s:4 ~m:2 in
   Alcotest.check_raises "lambda > 1"
     (Invalid_argument "Em.Incremental.decay: lambda must be in [0, 1]")
-    (fun () -> Em.Incremental.decay stats ~lambda:1.5)
+    (fun () -> Em.Incremental.decay stats ~lambda:1.5);
+  Alcotest.check_raises "lambda nan"
+    (Invalid_argument "Em.Incremental.decay: lambda must be in [0, 1]")
+    (fun () -> Em.Incremental.decay stats ~lambda:Float.nan)
 
 (* --- carry: the forward likelihood factorizes across batches ----------- *)
 
@@ -316,6 +319,10 @@ let test_config_validation () =
     (Invalid_argument "Fleet.Path_state.config: lambda must be in [0, 1]")
     (fun () ->
       ignore (Fleet.Path_state.config ~lambda:1.2 ~scheme:scheme5 ()));
+  Alcotest.check_raises "lambda nan"
+    (Invalid_argument "Fleet.Path_state.config: lambda must be in [0, 1]")
+    (fun () ->
+      ignore (Fleet.Path_state.config ~lambda:Float.nan ~scheme:scheme5 ()));
   Alcotest.check_raises "n non-positive"
     (Invalid_argument "Fleet.Path_state.config: n must be positive") (fun () ->
       ignore (Fleet.Path_state.config ~n:0 ~scheme:scheme5 ()))

@@ -32,8 +32,8 @@ let test_r2_concurrency () =
     (lint ~path:"lib/stats/pool.ml" "let c = Atomic.make 0\n");
   check_diags "sanctioned under lib/obs/" []
     (lint ~path:"lib/obs/obs.ml" "let c = Atomic.make 0\n");
-  check_diags "sanctioned in the sweep chunk driver" []
-    (lint ~path:"lib/em/em_sweep.ml" "let k = Domain.DLS.new_key (fun () -> 0)\n");
+  check_diags "lib/em/ is not a concurrency home" [ (1, "R2") ]
+    (lint ~path:"lib/em/em.ml" "let k = Domain.DLS.new_key (fun () -> 0)\n");
   check_diags "sanctioned under lib/fleet/" []
     (lint ~path:"lib/fleet/workspace_cache.ml"
        "let k = Domain.DLS.new_key (fun () -> 0)\n");

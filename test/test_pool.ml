@@ -20,13 +20,6 @@ let test_map_range_matches_init =
       let f i = (i * 2654435761) lxor (i lsl 7) in
       Stats.Par.map_range ~domains n f = Array.init n f)
 
-let test_map_range_spawn_matches_init =
-  QCheck.Test.make ~name:"spawn-per-call map_range equals Array.init" ~count:50
-    QCheck.(pair (int_bound 64) (int_range 1 6))
-    (fun (n, domains) ->
-      let f i = (i * 31) + 7 in
-      Stats.Par.map_range_spawn ~domains n f = Array.init n f)
-
 let test_map_range_allocating_payload =
   (* Boxed results exercise the GC across domains. *)
   QCheck.Test.make ~name:"pooled map_range with allocating items" ~count:50
@@ -161,7 +154,6 @@ let () =
       ( "map_range",
         [
           qtest test_map_range_matches_init;
-          qtest test_map_range_spawn_matches_init;
           qtest test_map_range_allocating_payload;
           Alcotest.test_case "empty and clamped inputs" `Quick test_empty_and_clamp;
         ] );

@@ -180,6 +180,31 @@ let test_trace_save_load_roundtrip () =
           | _ -> Alcotest.fail "truth mismatch")
         t.Probe.Trace.records)
 
+(* Malformed or non-finite input is rejected with the file name and the
+   1-based line of the offending record. *)
+let check_load_rejects name contents ~line ~reason =
+  let file = Filename.temp_file "dclbad" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_text file (fun oc -> output_string oc contents);
+      Alcotest.check_raises name
+        (Failure (Printf.sprintf "%s:%d: Trace.load: %s" file line reason))
+        (fun () -> ignore (Probe.Trace.load file)))
+
+let test_trace_load_rejects_bad_input () =
+  let header = "dcltrace 1 0.020000000 0.010000000 1\n" in
+  check_load_rejects "nan delay"
+    (header ^ "0.000000 0.015000000\n0.020000 nan\n0.040000 L\n")
+    ~line:3 ~reason:"non-finite delay \"nan\"";
+  check_load_rejects "inf interval"
+    "dcltrace 1 inf 0.010000000 1\n0.000000 0.015000000\n" ~line:1
+    ~reason:"non-finite interval \"inf\"";
+  check_load_rejects "truncated record"
+    (header ^ "0.000000 0.015000000\n0.020000\n") ~line:3 ~reason:"bad record";
+  check_load_rejects "truncated truth"
+    (header ^ "0.000000 L T 0.001000000\n") ~line:2 ~reason:"bad record"
+
 (* Property: save/load roundtrips arbitrary traces. *)
 let trace_gen =
   QCheck.Gen.(
@@ -309,6 +334,8 @@ let () =
           Alcotest.test_case "sub" `Quick test_trace_sub;
           Alcotest.test_case "random segment" `Quick test_trace_random_segment;
           Alcotest.test_case "save/load roundtrip" `Quick test_trace_save_load_roundtrip;
+          Alcotest.test_case "load rejects bad input" `Quick
+            test_trace_load_rejects_bad_input;
         ] );
       ( "prober",
         [

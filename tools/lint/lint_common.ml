@@ -39,8 +39,8 @@ let rule_help =
     ("R0", "malformed lint directive (unsuppressible)");
     ("R1", "Random.* and wall-clock seeding only in lib/stats/rng.ml");
     ( "R2",
-      "Domain/Mutex/Condition/Atomic only in pool.ml, par.ml, em_sweep.ml, \
-       lib/obs/, lib/fleet/, lib/sketch/" );
+      "Domain/Mutex/Condition/Atomic only in pool.ml, par.ml, lib/obs/, \
+       lib/fleet/, lib/sketch/" );
     ("R3", "no =, <>, compare on floats; no hand-rolled abs_float epsilon");
     ("R4", "no exit / printf / prerr in lib/");
     ( "R5",
@@ -327,7 +327,7 @@ let float_cmp_home rel = rel = "lib/stats/float_cmp.ml"
 
 let concurrency_home rel =
   match rel with
-  | "lib/stats/pool.ml" | "lib/stats/par.ml" | "lib/em/em_sweep.ml" -> true
+  | "lib/stats/pool.ml" | "lib/stats/par.ml" -> true
   | _ -> (
       match segments rel with
       | "lib" :: "obs" :: _ -> true
