@@ -71,10 +71,7 @@ type result = {
 let identifiable trace =
   Probe.Trace.losses trace > 0
   && Probe.Trace.length trace > Probe.Trace.losses trace
-  &&
-  let ds = Probe.Trace.observed_delays trace in
-  Array.length ds > 0
-  && Array.fold_left Float.max ds.(0) ds > Array.fold_left Float.min ds.(0) ds
+  && Probe.Trace.max_delay trace > Probe.Trace.min_delay trace
 
 let model_pmf params ~rng symbols =
   let fit0 = Obs.Span.start () in
