@@ -54,18 +54,6 @@ let m_last_ll =
   Obs.Gauge.make ~help:"Final log-likelihood of the most recently completed fit"
     "dcl_em_last_log_likelihood"
 
-(* Per-iteration log-likelihood trace hook: when installed, [fit_from]
-   computes the likelihood after every EM step (one extra forward pass
-   per iteration) and reports it.  The hook may be called concurrently
-   from racing restart domains; it must be thread-safe. *)
-let iteration_trace :
-    (iteration:int -> log_likelihood:float -> unit) option Atomic.t =
-  (* lint: allow R2 lock-free hook cell read by racing restart domains *)
-  Atomic.make None
-
-(* lint: allow R2 installing the trace hook must be visible to all domains *)
-let set_iteration_trace h = Atomic.set iteration_trace h
-
 (* Floors applied by the M-step so no re-estimated emission or
    transition probability can collapse to exactly zero (a collapsed row
    makes a later observation impossible and used to abort the whole
@@ -74,9 +62,40 @@ let set_iteration_trace h = Atomic.set iteration_trace h
 let prob_floor = 1e-12
 let c_floor = 1e-9
 
-type workspace = Em_kernel.workspace
+(* One set of EM sufficient statistics: what a sweep accumulates and
+   the M-step reads.  [em_step] fills a scratch set from one sweep;
+   [Incremental] keeps a decayed running set per sequence.  Arrays may
+   be longer than the model needs (the scratch set grows with the
+   workspace); only the [s]/[m]-strided prefix is read or written. *)
+type acc = {
+  xi : float array; (* s*s transition statistics *)
+  gamma_sum : float array; (* s, transition denominators *)
+  count_obs : float array; (* s*m *)
+  count_loss : float array; (* s*m *)
+  pi0 : float array; (* s, batch-start posteriors *)
+}
 
-let workspace () = Kernel.create ()
+let acc_create ~s ~m =
+  {
+    xi = Array.make (s * s) 0.;
+    gamma_sum = Array.make s 0.;
+    count_obs = Array.make (s * m) 0.;
+    count_loss = Array.make (s * m) 0.;
+    pi0 = Array.make s 0.;
+  }
+
+let acc_clear acc ~s ~m =
+  Array.fill acc.xi 0 (s * s) 0.;
+  Array.fill acc.gamma_sum 0 s 0.;
+  Array.fill acc.count_obs 0 (s * m) 0.;
+  Array.fill acc.count_loss 0 (s * m) 0.;
+  Array.fill acc.pi0 0 s 0.
+
+(* The kernel's sweep buffers plus [em_step]'s scratch statistics,
+   grown alongside them. *)
+type workspace = { k : Kernel.workspace; mutable scratch : acc }
+
+let workspace () = { k = Kernel.create (); scratch = acc_create ~s:0 ~m:0 }
 
 (* One workspace per domain, reused across every fit that domain runs.
    Because the domains behind Stats.Pool persist for the process
@@ -84,7 +103,7 @@ let workspace () = Kernel.create ()
    parallel fits allocate nothing for their sweep buffers. *)
 let domain_ws_key =
   (* lint: allow R2 per-domain workspace cache; each racing restart domain owns its slot *)
-  Domain.DLS.new_key (fun () -> Kernel.create ())
+  Domain.DLS.new_key workspace
 
 (* lint: allow R2 reads the calling domain's own slot, never another domain's *)
 let domain_ws () = Domain.DLS.get domain_ws_key
@@ -92,18 +111,20 @@ let domain_ws () = Domain.DLS.get domain_ws_key
 let check_obs name obs =
   if Array.length obs = 0 then invalid_arg (name ^ ": empty observation sequence")
 
-(* Size, classify and prepare the workspace for [t] over [obs], then
-   run the forward pass; returns the log-likelihood. *)
+(* Size, classify and prepare the workspace for [t] over [obs]. *)
+let prepare_sweep { k; _ } (t : model) obs =
+  Kernel.reserve k ~tt:(Array.length obs) ~s:t.s ~m:t.m;
+  Kernel.classify k t obs;
+  Kernel.prepare k t
+
+(* Prepare, then run the forward pass; returns the log-likelihood. *)
 let run_forward ws (t : model) obs =
-  let tt = Array.length obs in
-  Kernel.reserve ws ~tt ~s:t.s ~m:t.m;
-  Kernel.classify ws t obs;
-  Kernel.prepare ws t;
-  Kernel.forward ws t ~tt
+  prepare_sweep ws t obs;
+  Kernel.forward ws.k t ~tt:(Array.length obs)
 
 let run_sweep ws (t : model) obs =
   let ll = run_forward ws t obs in
-  Kernel.backward ws t ~tt:(Array.length obs);
+  Kernel.backward ws.k t ~tt:(Array.length obs);
   ll
 
 let log_likelihood ~ws t obs =
@@ -113,7 +134,7 @@ let log_likelihood ~ws t obs =
 let state_posteriors ~(ws : workspace) t obs =
   check_obs "Em.state_posteriors" obs;
   ignore (run_sweep ws t obs);
-  let s = t.s in
+  let s = t.s and ws = ws.k in
   let act = ws.act and act_len = ws.act_len and cls = ws.cls in
   Array.init (Array.length obs) (fun time ->
       let gamma = Array.make s 0. in
@@ -130,7 +151,7 @@ let virtual_delay_pmf ~(ws : workspace) t obs =
   if not (Array.exists (fun o -> o = None) obs) then
     invalid_arg "Em.virtual_delay_pmf: no loss in the sequence";
   ignore (run_sweep ws t obs);
-  let s = t.s and m = t.m in
+  let s = t.s and m = t.m and ws = ws.k in
   let cls = ws.cls and act = ws.act and act_len = ws.act_len in
   let acc = Array.make m 0. in
   let base = m * s and len = act_len.(m) in
@@ -149,6 +170,53 @@ let virtual_delay_pmf ~(ws : workspace) t obs =
   done;
   Stats.Histogram.normalize acc
 
+let viterbi ~who ~ws (t : model) obs =
+  let tt = Array.length obs in
+  if tt = 0 then invalid_arg (who ^ ": empty observation sequence");
+  (* The kernel's emission table and active-state lists: states that
+     cannot emit an observation keep delta = -inf and are skipped, so
+     the MMHD's 0/1 emissions cost O(T * n * s), not O(T * s^2). *)
+  prepare_sweep ws t obs;
+  let s = t.s and ws = ws.k in
+  let cls = ws.cls and act = ws.act and act_len = ws.act_len in
+  let log_safe x = if x <= 0. then neg_infinity else log x in
+  let log_a = Array.map log_safe t.a in
+  let log_e time st = log_safe (Ba.get ws.e_all ((cls.(time) * s) + st)) in
+  let delta = Array.make (tt * s) neg_infinity in
+  let back = Array.make (tt * s) 0 in
+  let r0 = cls.(0) in
+  for idx = 0 to act_len.(r0) - 1 do
+    let st = act.((r0 * s) + idx) in
+    delta.(st) <- log_safe t.pi.(st) +. log_e 0 st
+  done;
+  for time = 1 to tt - 1 do
+    let r = cls.(time) and rp = cls.(time - 1) in
+    let row = time * s and prev = (time - 1) * s in
+    for idx = 0 to act_len.(r) - 1 do
+      let st' = act.((r * s) + idx) in
+      let e = log_e time st' in
+      for pidx = 0 to act_len.(rp) - 1 do
+        let st = act.((rp * s) + pidx) in
+        let cand = delta.(prev + st) +. log_a.((st * s) + st') +. e in
+        if cand > delta.(row + st') then begin
+          delta.(row + st') <- cand;
+          back.(row + st') <- st
+        end
+      done
+    done
+  done;
+  let last = (tt - 1) * s in
+  let best = ref 0 in
+  for st = 1 to s - 1 do
+    if delta.(last + st) > delta.(last + !best) then best := st
+  done;
+  let path = Array.make tt 0 in
+  path.(tt - 1) <- !best;
+  for time = tt - 2 downto 0 do
+    path.(time) <- back.(((time + 1) * s) + path.(time + 1))
+  done;
+  (path, delta.(last + !best))
+
 (* Floor every entry of [row] (length [n] at [off]) and normalize it to
    sum to one. *)
 let floor_normalize row off n =
@@ -166,32 +234,51 @@ let floor_normalize row off n =
 
 let clamp_c p = Float.max c_floor (Float.min (1. -. c_floor) p)
 
-let em_step ~(ws : workspace) ~update_b (t : model) obs =
-  check_obs "Em.em_step" obs;
-  let s = t.s and m = t.m in
-  ignore (run_sweep ws t obs);
-  Kernel.accumulate ws t ~tt:(Array.length obs);
-  (* M-step over the accumulated statistics.  gamma 0 sums to 1 only up
-     to rounding; renormalize. *)
-  let cls = ws.cls and act = ws.act and act_len = ws.act_len in
-  let pi' = Array.make s 0. in
-  let r0 = cls.(0) in
-  let base0 = r0 * s in
-  for idx = 0 to act_len.(r0) - 1 do
-    let st = act.(base0 + idx) in
-    pi'.(st) <- Float.max 0. (Ba.get ws.alpha st *. Ba.get ws.beta st)
+(* Add the statistics of the sweep just accumulated in [ws] to [acc],
+   with the batch-start posterior restricted to the states active at
+   the first instant (the sweep writes only active slots of an alpha
+   row). *)
+let acc_add (ws : Kernel.workspace) acc ~s ~m =
+  for i = 0 to (s * s) - 1 do
+    acc.xi.(i) <- acc.xi.(i) +. Ba.get ws.xi i
   done;
-  let pi_sum = Array.fold_left ( +. ) 0. pi' in
-  let pi' = Array.map (fun p -> p /. pi_sum) pi' in
+  for i = 0 to s - 1 do
+    acc.gamma_sum.(i) <- acc.gamma_sum.(i) +. Ba.get ws.gamma_sum i
+  done;
+  for i = 0 to (s * m) - 1 do
+    acc.count_obs.(i) <- acc.count_obs.(i) +. Ba.get ws.count_obs i;
+    acc.count_loss.(i) <- acc.count_loss.(i) +. Ba.get ws.count_loss i
+  done;
+  let r0 = ws.cls.(0) in
+  let base0 = r0 * s in
+  for idx = 0 to ws.act_len.(r0) - 1 do
+    let st = ws.act.(base0 + idx) in
+    acc.pi0.(st) <- acc.pi0.(st) +. Float.max 0. (Ba.get ws.alpha st *. Ba.get ws.beta st)
+  done
+
+(* The M-step: re-estimate [t] from one set of statistics.  A block
+   with no mass (zero posterior start mass, a state never left, a
+   symbol never seen) keeps the current parameters. *)
+let m_step ~update_b acc (t : model) =
+  let s = t.s and m = t.m in
+  let pi_sum = ref 0. in
+  for st = 0 to s - 1 do
+    pi_sum := !pi_sum +. acc.pi0.(st)
+  done;
+  let pi_sum = !pi_sum in
+  let pi' =
+    if pi_sum > 0. then Array.init s (fun st -> acc.pi0.(st) /. pi_sum)
+    else Array.copy t.pi
+  in
   let a' = Array.make (s * s) 0. in
   for st = 0 to s - 1 do
     let off = st * s in
-    let g = Ba.get ws.gamma_sum st in
+    let g = acc.gamma_sum.(st) in
     if g <= 0. then Array.blit t.a off a' off s
     else begin
       let inv = 1. /. g in
       for k = 0 to s - 1 do
-        a'.(off + k) <- Ba.get ws.xi (off + k) *. inv
+        a'.(off + k) <- acc.xi.(off + k) *. inv
       done;
       floor_normalize a' off s
     end
@@ -204,7 +291,7 @@ let em_step ~(ws : workspace) ~update_b (t : model) obs =
         let off = st * m in
         let sum = ref 0. in
         for j = 0 to m - 1 do
-          let v = Ba.get ws.count_obs (off + j) +. Ba.get ws.count_loss (off + j) in
+          let v = acc.count_obs.(off + j) +. acc.count_loss.(off + j) in
           b'.(off + j) <- v;
           sum := !sum +. v
         done;
@@ -217,30 +304,37 @@ let em_step ~(ws : workspace) ~update_b (t : model) obs =
     Array.init m (fun j ->
         let lost = ref 0. and seen = ref 0. in
         for st = 0 to s - 1 do
-          let l = Ba.get ws.count_loss ((st * m) + j) in
+          let l = acc.count_loss.((st * m) + j) in
           lost := !lost +. l;
-          seen := !seen +. Ba.get ws.count_obs ((st * m) + j) +. l
+          seen := !seen +. acc.count_obs.((st * m) + j) +. l
         done;
         if !seen <= 0. then t.c.(j) else clamp_c (!lost /. !seen))
   in
   { t with pi = pi'; a = a'; b = b'; c = c' }
 
+let em_step ~(ws : workspace) ~update_b (t : model) obs =
+  check_obs "Em.em_step" obs;
+  let s = t.s and m = t.m in
+  ignore (run_sweep ws t obs);
+  Kernel.accumulate ws.k t ~tt:(Array.length obs);
+  if Array.length ws.scratch.xi < s * s || Array.length ws.scratch.count_obs < s * m
+  then ws.scratch <- acc_create ~s:ws.k.cap_s ~m:ws.k.cap_m;
+  acc_clear ws.scratch ~s ~m;
+  acc_add ws.k ws.scratch ~s ~m;
+  m_step ~update_b ws.scratch t
+
 (* Streaming EM over decayed sufficient statistics (the fleet layer's
    per-path recursion).  A [stats] value accumulates the E-step
    statistics of every appended batch, scaled by a forgetting factor
    between batches; the M-step then re-estimates the model from the
-   decayed totals exactly as [em_step] does from one batch's totals.
-   [append] runs one serial forward–backward sweep over the new batch
-   only, so the per-epoch cost is O(batch), not O(history). *)
+   decayed totals with the same [m_step] [em_step] uses.  [append]
+   runs one serial forward–backward sweep over the new batch only, so
+   the per-epoch cost is O(batch), not O(history). *)
 module Incremental = struct
   type stats = {
     s : int;
     m : int;
-    xi : float array; (* s*s decayed transition statistics *)
-    gamma_sum : float array; (* s, transition denominators *)
-    count_obs : float array; (* s*m *)
-    count_loss : float array; (* s*m *)
-    pi0 : float array; (* s, decayed batch-start posteriors *)
+    acc : acc; (* decayed totals *)
     fend : float array; (* s, filtered distribution at the last instant *)
     mutable primed : bool; (* [fend] holds a real distribution *)
     mutable weight : float;
@@ -254,11 +348,7 @@ module Incremental = struct
     {
       s;
       m;
-      xi = Array.make (s * s) 0.;
-      gamma_sum = Array.make s 0.;
-      count_obs = Array.make (s * m) 0.;
-      count_loss = Array.make (s * m) 0.;
-      pi0 = Array.make s 0.;
+      acc = acc_create ~s ~m;
       fend = Array.make s 0.;
       primed = false;
       weight = 0.;
@@ -267,11 +357,7 @@ module Incremental = struct
     }
 
   let reset st =
-    Array.fill st.xi 0 (st.s * st.s) 0.;
-    Array.fill st.gamma_sum 0 st.s 0.;
-    Array.fill st.count_obs 0 (st.s * st.m) 0.;
-    Array.fill st.count_loss 0 (st.s * st.m) 0.;
-    Array.fill st.pi0 0 st.s 0.;
+    acc_clear st.acc ~s:st.s ~m:st.m;
     Array.fill st.fend 0 st.s 0.;
     st.primed <- false;
     st.weight <- 0.;
@@ -288,11 +374,11 @@ module Incremental = struct
   let decay st ~lambda =
     if Float.is_nan lambda || lambda < 0. || lambda > 1. then
       invalid_arg "Em.Incremental.decay: lambda must be in [0, 1]";
-    scale_into st.xi lambda;
-    scale_into st.gamma_sum lambda;
-    scale_into st.count_obs lambda;
-    scale_into st.count_loss lambda;
-    scale_into st.pi0 lambda;
+    scale_into st.acc.xi lambda;
+    scale_into st.acc.gamma_sum lambda;
+    scale_into st.acc.count_obs lambda;
+    scale_into st.acc.count_loss lambda;
+    scale_into st.acc.pi0 lambda;
     st.weight <- st.weight *. lambda;
     st.log_likelihood <- st.log_likelihood *. lambda
 
@@ -303,7 +389,7 @@ module Incremental = struct
   let append ~(ws : workspace) ?(carry = true) st (t : model) obs =
     dims_check "Em.Incremental.append" st t;
     check_obs "Em.Incremental.append" obs;
-    let s = st.s and m = st.m in
+    let s = st.s in
     let tt = Array.length obs in
     Obs.Trace.span_begin "em.append" tt;
     (* Seed the batch from the carried filtered distribution propagated
@@ -335,30 +421,11 @@ module Incremental = struct
           Obs.Trace.span_end "em.append";
           raise e
     in
+    let ws = ws.k in
     Kernel.accumulate ws t ~tt;
-    for i = 0 to (s * s) - 1 do
-      st.xi.(i) <- st.xi.(i) +. Ba.get ws.xi i
-    done;
-    for i = 0 to s - 1 do
-      st.gamma_sum.(i) <- st.gamma_sum.(i) +. Ba.get ws.gamma_sum i
-    done;
-    for i = 0 to (s * m) - 1 do
-      st.count_obs.(i) <- st.count_obs.(i) +. Ba.get ws.count_obs i;
-      st.count_loss.(i) <- st.count_loss.(i) +. Ba.get ws.count_loss i
-    done;
-    (* Batch-start posterior (the [em_step] pi target), restricted to
-       the states active at the batch's first instant; and the filtered
-       end, the normalized alpha row of the last instant.  Only active
-       slots of an alpha row are written by the sweep, so both extracts
-       mask by the instant's active set. *)
-    let r0 = ws.cls.(0) in
-    let base0 = r0 * s in
-    for idx = 0 to ws.act_len.(r0) - 1 do
-      let state = ws.act.(base0 + idx) in
-      st.pi0.(state) <-
-        st.pi0.(state)
-        +. Float.max 0. (Ba.get ws.alpha state *. Ba.get ws.beta state)
-    done;
+    acc_add ws st.acc ~s ~m:st.m;
+    (* The filtered end: the normalized alpha row of the last instant,
+       masked by that instant's active set. *)
     Array.fill st.fend 0 s 0.;
     let rl = ws.cls.(tt - 1) in
     let basel = rl * s and rowl = (tt - 1) * s in
@@ -373,67 +440,17 @@ module Incremental = struct
     Obs.Trace.span_end "em.append";
     ll
 
-  (* Mirror of [em_step]'s M-step, reading the decayed accumulators:
-     with [lambda = 1] and a single appended batch the two produce
-     bit-identical models. *)
   let m_step ?(update_b = false) st (t : model) =
     dims_check "Em.Incremental.m_step" st t;
     if st.batches = 0 then
       invalid_arg "Em.Incremental.m_step: no appended batch";
-    let s = st.s and m = st.m in
-    let pi_sum = Array.fold_left ( +. ) 0. st.pi0 in
-    let pi' =
-      if pi_sum > 0. then Array.map (fun p -> p /. pi_sum) st.pi0
-      else Array.copy t.pi
-    in
-    let a' = Array.make (s * s) 0. in
-    for state = 0 to s - 1 do
-      let off = state * s in
-      let g = st.gamma_sum.(state) in
-      if g <= 0. then Array.blit t.a off a' off s
-      else begin
-        let inv = 1. /. g in
-        for k = 0 to s - 1 do
-          a'.(off + k) <- st.xi.(off + k) *. inv
-        done;
-        floor_normalize a' off s
-      end
-    done;
-    let b' =
-      if not update_b then t.b
-      else begin
-        let b' = Array.make (s * m) 0. in
-        for state = 0 to s - 1 do
-          let off = state * m in
-          let sum = ref 0. in
-          for j = 0 to m - 1 do
-            let v = st.count_obs.(off + j) +. st.count_loss.(off + j) in
-            b'.(off + j) <- v;
-            sum := !sum +. v
-          done;
-          if !sum <= 0. then Array.blit t.b off b' off m
-          else floor_normalize b' off m
-        done;
-        b'
-      end
-    in
-    let c' =
-      Array.init m (fun j ->
-          let lost = ref 0. and seen = ref 0. in
-          for state = 0 to s - 1 do
-            let l = st.count_loss.((state * m) + j) in
-            lost := !lost +. l;
-            seen := !seen +. st.count_obs.((state * m) + j) +. l
-          done;
-          if !seen <= 0. then t.c.(j) else clamp_c (!lost /. !seen))
-    in
-    { t with pi = pi'; a = a'; b = b'; c = c' }
+    m_step ~update_b st.acc t
 
   let loss_mass st =
     Array.init st.m (fun j ->
         let acc = ref 0. in
         for state = 0 to st.s - 1 do
-          acc := !acc +. st.count_loss.((state * st.m) + j)
+          acc := !acc +. st.acc.count_loss.((state * st.m) + j)
         done;
         !acc)
 
@@ -441,10 +458,10 @@ module Incremental = struct
   let weight st = st.weight
   let log_likelihood st = st.log_likelihood
   let batches st = st.batches
-  let xi st = Array.copy st.xi
-  let gamma_sum st = Array.copy st.gamma_sum
-  let count_obs st = Array.copy st.count_obs
-  let count_loss st = Array.copy st.count_loss
+  let xi st = Array.copy st.acc.xi
+  let gamma_sum st = Array.copy st.acc.gamma_sum
+  let count_obs st = Array.copy st.acc.count_obs
+  let count_loss st = Array.copy st.acc.count_loss
 end
 
 let max_abs_diff u v =
@@ -476,11 +493,6 @@ let fit_from ~ws ?(eps = 1e-3) ?(max_iter = 300) ~update_b t0 obs =
           raise e
     in
     Obs.Span.stop m_sweep t0_ns;
-    (* lint: allow R2 lock-free read of the shared trace hook *)
-    (match Atomic.get iteration_trace with
-    | None -> ()
-    | Some hook ->
-        hook ~iteration:(iter + 1) ~log_likelihood:(log_likelihood ~ws t' obs));
     let change = param_change t t' in
     if change <= eps || iter + 1 >= max_iter then begin
       let stats =
@@ -534,3 +546,50 @@ let fit_restarts ?eps ?max_iter ?(domains = 1) ~restarts ~update_b ~init obs =
   match !best with
   | Some (model, stats) -> (model, { stats with skipped_restarts = !skipped })
   | None -> failwith "Em.fit_restarts: every restart hit a zero-likelihood degeneracy"
+
+(* Nearest-surviving-neighbour attribution of losses to symbols: the
+   empirical analogue of the posterior the EM will compute. *)
+let neighbor_attribution ~m obs =
+  let tt = Array.length obs in
+  let seen = Array.make m 1. and lost = Array.make m 0.5 in
+  let nearest t0 =
+    let rec scan d =
+      if d > tt then None
+      else
+        let back = t0 - d and fwd = t0 + d in
+        let pick t = if t >= 0 && t < tt then obs.(t) else None in
+        match pick back with
+        | Some j -> Some j
+        | None -> ( match pick fwd with Some j -> Some j | None -> scan (d + 1))
+    in
+    scan 1
+  in
+  Array.iteri
+    (fun t o ->
+      match o with
+      | Some j -> seen.(j) <- seen.(j) +. 1.
+      | None -> (
+          match nearest t with
+          | Some j -> lost.(j) <- lost.(j) +. 1.
+          | None -> ()))
+    obs;
+  (seen, lost)
+
+let fit_informed ?eps ?max_iter ?(restarts = 2) ?(domains = 1) ~who ~rng ~update_b ~init
+    obs =
+  if restarts <= 0 then invalid_arg (who ^ ": restarts must be positive");
+  (* Every starting point is the data-driven informed initialization
+     with independent jitter, and the best converged attempt wins.
+     Purely random initializations are deliberately not raced by
+     likelihood: the model families admit degenerate optima in which a
+     rarely-observed symbol absorbs all the losses (its loss
+     probability is driven toward 1 at negligible cost), and those
+     optima can dominate the likelihood while being statistically
+     meaningless.  Informed starts are anchored by the neighbour
+     attribution, so comparing them by likelihood is safe.
+     Each restart draws from its own pre-split RNG, so the winner is
+     identical whether the restarts run serially or across domains. *)
+  let rngs = Array.init restarts (fun _ -> Stats.Rng.split rng) in
+  fit_restarts ?eps ?max_iter ~domains ~restarts ~update_b
+    ~init:(fun k -> init rngs.(k))
+    obs

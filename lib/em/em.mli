@@ -66,7 +66,8 @@ exception Zero_likelihood of int
 
 type workspace
 (** Reusable scratch buffers ([alpha], [beta], [scale], [xi],
-    expected-count accumulators, active-state lists).  Buffers grow on
+    expected-count accumulators, active-state lists, and the statistics
+    {!em_step} hands its M-step).  Buffers grow on
     demand and are retained between calls, so a fit of [iters]
     iterations performs no per-iteration [O(T * s)] allocation.  A
     workspace must not be shared across concurrent fits. *)
@@ -93,14 +94,26 @@ val virtual_delay_pmf : ws:workspace -> model -> observation array -> float arra
     probes, averaged over all loss instants.  Requires at least one
     loss ([Invalid_argument] otherwise). *)
 
+val viterbi :
+  who:string -> ws:workspace -> model -> observation array -> int array * float
+(** Most likely state sequence given the observations (losses handled
+    through the missing-value emission) and its log probability, by
+    log-space dynamic programming over the kernel's emission table.
+    [who] names the caller in the [Invalid_argument] raised on an empty
+    sequence. *)
+
 val em_step :
   ws:workspace -> update_b:bool -> model -> observation array -> model
-(** One EM iteration.  When [update_b] is false the emission matrix [b]
-    is shared, not re-estimated (the MMHD case, where [b] is
-    structural).  Re-estimated parameter blocks are floored away from
-    zero (transitions and any re-estimated [b] at 1e-12 before row
+(** One EM iteration: a forward–backward sweep, its accumulated
+    statistics, then the M-step {!Incremental.m_step} also runs.  When
+    [update_b] is false the emission matrix [b] is shared, not
+    re-estimated (the MMHD case, where [b] is structural).
+    Re-estimated parameter blocks are floored away from zero
+    (transitions and any re-estimated [b] at 1e-12 before row
     normalization, [c] clamped to [1e-9, 1 - 1e-9]) so that a symbol's
-    emission probability cannot collapse to exactly zero during EM. *)
+    emission probability cannot collapse to exactly zero during EM.
+    The statistics go to scratch kept in [ws], so an iteration
+    allocates only the new model. *)
 
 (** Streaming EM over decayed sufficient statistics — the per-path
     recursion of the fleet layer ([lib/fleet]).  A {!Incremental.stats}
@@ -152,11 +165,10 @@ module Incremental : sig
       statistics are untouched in both cases). *)
 
   val m_step : ?update_b:bool -> stats -> model -> model
-  (** Re-estimate the model from the decayed totals: the exact mirror
-      of {!em_step}'s M-step (same zero-row fallbacks to the current
-      parameters, same floors), so with [lambda = 1] and a single
-      appended batch the result is bit-identical to
-      [em_step model batch].  [update_b] defaults to [false] (the MMHD
+  (** Re-estimate the model from the decayed totals with {!em_step}'s
+      own M-step (same zero-row fallbacks to the current parameters,
+      same floors), so with [lambda = 1] and a single appended batch the
+      result is bit-identical to [em_step model batch].  [update_b] defaults to [false] (the MMHD
       case).  Raises [Invalid_argument] before the first {!append}. *)
 
   val loss_mass : stats -> float array
@@ -190,15 +202,6 @@ module Incremental : sig
   val count_loss : stats -> float array
 end
 
-val set_iteration_trace :
-  (iteration:int -> log_likelihood:float -> unit) option -> unit
-(** Install (or remove, with [None]) a process-wide per-iteration hook:
-    after every EM sweep, {!fit_from} calls it with the 1-based
-    iteration number and the log-likelihood of the {e updated} model.
-    Costs one extra forward pass per iteration while installed; the
-    hook may fire concurrently from several domains during
-    {!fit_restarts}. *)
-
 val fit_from :
   ws:workspace ->
   ?eps:float ->
@@ -230,3 +233,31 @@ val fit_restarts :
     is skipped; [Failure] is raised only if every restart degenerates.
     [init] must be safe to call from any domain (per-index pre-split
     RNGs satisfy this). *)
+
+val neighbor_attribution : m:int -> observation array -> float array * float array
+(** [(seen, lost)]: per-symbol counts of observed probes (plus 1) and
+    of losses attributed to the symbol of their nearest surviving
+    neighbour (plus 0.5) — the empirical analogue of the posterior the
+    EM computes.  Both model families seed their loss probabilities [c]
+    from it, so EM starts near solutions that explain losses with the
+    symbols actually observed around them. *)
+
+val fit_informed :
+  ?eps:float ->
+  ?max_iter:int ->
+  ?restarts:int ->
+  ?domains:int ->
+  who:string ->
+  rng:Stats.Rng.t ->
+  update_b:bool ->
+  init:(Stats.Rng.t -> model) ->
+  observation array ->
+  model * fit_stats
+(** The informed-restart fit behind [Hmm.fit] and [Mmhd.fit]:
+    {!fit_restarts} over [restarts] (default 2) starting points
+    [init r], each [r] split from [rng] up front so the winner is
+    bit-identical for any [domains] (default 1).  [init] should be the
+    model family's jittered data-driven initializer; purely random
+    starts are not raced (see the implementation comment on degenerate
+    optima).  [who] names the caller in the [Invalid_argument] raised
+    on non-positive [restarts]. *)

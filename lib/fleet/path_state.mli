@@ -50,8 +50,8 @@ val config :
     included. *)
 
 val states : config -> int
-(** Flattened state count [n * m] — the workspace-cache key
-    ({!Workspace_cache.get}). *)
+(** Flattened state count [n * m]: the [s] of the path's MMHD and of
+    its {!Em.Incremental.stats}. *)
 
 type t
 
@@ -69,7 +69,7 @@ val update : ws:Em.workspace -> ?epoch:int -> t -> Em.observation array -> bool
     {!Em.Zero_likelihood} degeneracy resets the path to its untested
     state (counted in [dcl_fleet_path_resets_total] and {!resets})
     instead of propagating.  [ws] is the calling domain's workspace
-    ({!Workspace_cache.get}).  Each non-dropped batch appends an entry
+    ({!Em.domain_ws}).  Each non-dropped batch appends an entry
     to the path's {!timeline}, stamped with [epoch] (the scheduler's
     fleet epoch) when given, the path's own update count otherwise. *)
 

@@ -11,7 +11,8 @@
    still touches nothing shared.
 
    Determinism contract (DESIGN.md §11-12): each item touches only its
-   own path's state and the evaluating domain's cached workspace; every
+   own path's state and the evaluating domain's workspace
+   ([Em.domain_ws]), which holds sweep scratch but no statistics; every
    path draws from its own RNG pre-split at creation; and conclusion
    transitions are collected into per-item slots and emitted after the
    pool drains, in ascending path index.  The pooled tick is therefore
@@ -99,7 +100,6 @@ type gating = {
 }
 
 type t = {
-  config : Path_state.config;
   domains : int;
   on_transition : (transition -> unit) option;
   paths : Path_state.t array;
@@ -156,7 +156,6 @@ let create ?(domains = 1) ?on_transition ?gate ~rng ~paths config =
     invalid_arg "Fleet.Scheduler.create: domains must be positive";
   Obs.Gauge.set g_paths (float_of_int paths);
   {
-    config;
     domains;
     on_transition;
     paths =
@@ -322,7 +321,6 @@ let drain_pending t pidx =
       Array.concat (List.rev newest_first)
 
 let tick t =
-  let s = Path_state.states t.config and m = t.config.Path_state.m in
   let n_active = ref 0 in
   for pidx = 0 to Array.length t.paths - 1 do
     match t.pending.(pidx) with
@@ -346,7 +344,7 @@ let tick t =
         let batch = drain_pending t pidx in
         let was = Path_state.conclusion p in
         let changed =
-          Path_state.update ~ws:(Workspace_cache.get ~s ~m) ~epoch:t.epoch p batch
+          Path_state.update ~ws:(Em.domain_ws ()) ~epoch:t.epoch p batch
         in
         if Obs.enabled () then Obs.Counter.add m_observations (Array.length batch);
         t.slots.(i) <-

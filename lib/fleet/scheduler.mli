@@ -23,8 +23,9 @@
 
     {b Determinism contract.}  A pooled tick ([domains > 1]) is
     bit-identical to the serial one: each item writes only its own
-    path's state and uses only the evaluating domain's cached
-    workspace ({!Workspace_cache}); each path draws from its own RNG
+    path's state and uses only the evaluating domain's workspace
+    ({!Em.domain_ws}, sweep scratch that carries nothing between
+    paths); each path draws from its own RNG
     pre-split at {!create}; and transitions are buffered per item and
     emitted after the pool drains in ascending path index, so the
     event order observers see is a pure function of the pushed

@@ -30,8 +30,6 @@ type fit_stats = Em.fit_stats = {
       (** restarts discarded as degenerate by {!fit}; [0] from {!fit_from} *)
 }
 
-val pp_fit_stats : Format.formatter -> fit_stats -> unit
-
 val init_random : Stats.Rng.t -> n:int -> m:int -> loss_fraction:float -> t
 (** Random starting point: stochastic [pi], [a], [b] bounded away from
     zero, and [c.(j)] set near [loss_fraction] (the empirical loss rate
@@ -74,7 +72,7 @@ val fit :
     paper's threshold) or [max_iter] (default 300).  [restarts] (default 2)
     independently-jittered {!init_informed} starting points are raced
     and the best converged fit wins; purely random starting points are
-    not used (see the implementation comment on degenerate optima).
+    not used (see {!Em.fit_informed}).
     With [domains > 1] the restarts run on that many concurrent
     domains of the persistent pool ({!Stats.Pool}; domains are spawned
     once per process and their EM workspaces stay warm across calls);

@@ -56,13 +56,6 @@ let count t = t.count
 
 let kind_char = function Enqueue -> '+' | Dequeue -> '-' | Drop -> 'd' | Receive -> 'r'
 
-let kind_of_char = function
-  | '+' -> Enqueue
-  | '-' -> Dequeue
-  | 'd' -> Drop
-  | 'r' -> Receive
-  | c -> failwith (Printf.sprintf "Tracefile: unknown event %c" c)
-
 let save t file =
   let oc = open_out file in
   Fun.protect
@@ -75,35 +68,64 @@ let save t file =
             e.src e.dst e.seq e.packet_id)
         (List.rev t.events_rev))
 
+(* Parse failures name the file and the 1-based line; every numeric
+   field must parse fully and be finite, and node ids (written as
+   floats, "3.0") must be integral. *)
 let load file =
   let ic = open_in file in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
+      let lineno = ref 0 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg -> failwith (Printf.sprintf "%s:%d: Tracefile.load: %s" file !lineno msg))
+          fmt
+      in
+      let num what s =
+        match float_of_string_opt s with
+        | Some x when Float.is_finite x -> x
+        | Some _ -> fail "non-finite %s %S" what s
+        | None -> fail "bad %s %S" what s
+      in
+      let int what s =
+        match int_of_string_opt s with Some i -> i | None -> fail "bad %s %S" what s
+      in
+      let node what s =
+        let x = num what s in
+        if Float.is_integer x then int_of_float x else fail "bad %s %S" what s
+      in
+      let kind = function
+        | "+" -> Enqueue
+        | "-" -> Dequeue
+        | "d" -> Drop
+        | "r" -> Receive
+        | ev -> fail "bad event %S" ev
+      in
       let out = ref [] in
       (try
          while true do
            let line = input_line ic in
+           incr lineno;
            match String.split_on_char ' ' line with
            | [ ev; time; from_node; to_node; ptype; size; _flags; flow; src; dst; seq; pid ]
              ->
-               let node_of s = int_of_float (float_of_string s) in
                out :=
                  {
-                   kind = kind_of_char ev.[0];
-                   time = float_of_string time;
-                   from_node = int_of_string from_node;
-                   to_node = int_of_string to_node;
+                   kind = kind ev;
+                   time = num "time" time;
+                   from_node = int "from node" from_node;
+                   to_node = int "to node" to_node;
                    packet_type = ptype;
-                   size = int_of_string size;
-                   flow = int_of_string flow;
-                   src = node_of src;
-                   dst = node_of dst;
-                   seq = int_of_string seq;
-                   packet_id = int_of_string pid;
+                   size = int "size" size;
+                   flow = int "flow" flow;
+                   src = node "src" src;
+                   dst = node "dst" dst;
+                   seq = int "seq" seq;
+                   packet_id = int "packet id" pid;
                  }
                  :: !out
-           | _ -> failwith "Tracefile.load: malformed line"
+           | _ -> fail "malformed line"
          done
        with End_of_file -> ());
       Array.of_list (List.rev !out))

@@ -53,7 +53,9 @@ val save : t -> string -> unit
 
 val load : string -> event array
 (** Parse a file written by {!save} (or by ns-2, for the fields
-    above). *)
+    above).  Raises [Failure "FILE:LINE: Tracefile.load: ..."] on a
+    malformed line, an unknown event, or a numeric field that does not
+    parse fully or is not finite (node ids must also be integral). *)
 
 val drops_per_flow : event array -> (int * int) list
 (** (flow id, drop count) pairs, ascending by flow id — the kind of

@@ -140,11 +140,6 @@ module Histogram = struct
       10.; 60.;
     |]
 
-  let linear_buckets ~lo ~width ~n =
-    if n <= 0 then invalid_arg "Obs.Histogram.linear_buckets: n <= 0";
-    if width <= 0. then invalid_arg "Obs.Histogram.linear_buckets: width <= 0";
-    Array.init n (fun i -> lo +. (width *. float_of_int i))
-
   let make ?(labels = []) ?(help = "") ?(buckets = default_latency_buckets) name =
     let nb = Array.length buckets in
     if nb = 0 then invalid_arg "Obs.Histogram.make: empty bucket list";
@@ -257,12 +252,6 @@ module Span = struct
   let stop h t0 =
     if t0 <> 0 && Atomic.get flag then
       Histogram.observe h (float_of_int (now_ns_ext () - t0) *. 1e-9)
-
-  let time h f =
-    let t0 = start () in
-    let r = f () in
-    stop h t0;
-    r
 end
 
 (* --- Export ------------------------------------------------------------- *)
@@ -565,9 +554,6 @@ module Trace = struct
      an optional argument would box a [Some] at every call site even
      when tracing is off, breaking the zero-allocation contract. *)
   let span_begin name arg = if Atomic.get tflag then emit B name "" arg (now_ns_ext ())
-
-  let span_begin_d name detail arg =
-    if Atomic.get tflag then emit B name detail arg (now_ns_ext ())
 
   let span_begin_at name arg ts = if Atomic.get tflag then emit B name "" arg ts
   let span_end name = if Atomic.get tflag then emit E name "" 0 (now_ns_ext ())

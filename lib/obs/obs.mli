@@ -83,12 +83,6 @@ module Histogram : sig
   (** Log-ish spacing from 1 µs to 60 s, suited to everything from a
       single EM sweep to a full pipeline stage. *)
 
-  val linear_buckets : lo:float -> width:float -> n:int -> float array
-  (** [n] strictly increasing upper bounds [lo], [lo + width], ... —
-      for small-integer-valued observations (restarts per fit, records
-      per window) where the latency defaults are useless.  Raises
-      [Invalid_argument] unless [n] and [width] are positive. *)
-
   val make :
     ?labels:(string * string) list ->
     ?help:string ->
@@ -144,11 +138,6 @@ module Span : sig
   (** [stop h t0] observes the elapsed seconds since [t0] into [h]; a
       no-op when disabled or when [t0 = 0] (the span started while
       disabled). *)
-
-  val time : histogram -> (unit -> 'a) -> 'a
-  (** [time h f] runs [f] inside a span.  Allocates a closure at the
-      call site; prefer {!start}/{!stop} on allocation-sensitive
-      paths. *)
 end
 
 (** {1 Export} *)
@@ -225,7 +214,6 @@ module Trace : sig
       {!Span.now_ns} for spans whose start was captured earlier. *)
 
   val span_begin : string -> int -> unit
-  val span_begin_d : string -> string -> int -> unit
   val span_begin_at : string -> int -> int -> unit
   val span_end : string -> unit
   val span_end_at : string -> int -> unit

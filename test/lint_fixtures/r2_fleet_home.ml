@@ -1,6 +1,5 @@
-(* lint-fixture: lib/fleet/workspace_cache.ml *)
-(* The fleet layer is a sanctioned concurrency home: it owns the
-   per-domain EM workspace cache (Domain.DLS) and the epoch fan-out
-   over the pool, so none of these produce R2 diagnostics. *)
+(* lint-fixture: lib/fleet/scheduler.ml *)
+(* The fleet layer is a sanctioned concurrency home: it owns the epoch
+   fan-out over the pool, so none of these produce R2 diagnostics. *)
 let key = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 let cache () = Domain.DLS.get key

@@ -35,7 +35,7 @@ let test_r2_concurrency () =
   check_diags "lib/em/ is not a concurrency home" [ (1, "R2") ]
     (lint ~path:"lib/em/em.ml" "let k = Domain.DLS.new_key (fun () -> 0)\n");
   check_diags "sanctioned under lib/fleet/" []
-    (lint ~path:"lib/fleet/workspace_cache.ml"
+    (lint ~path:"lib/fleet/scheduler.ml"
        "let k = Domain.DLS.new_key (fun () -> 0)\n");
   check_diags "sanctioned under lib/sketch/" []
     (lint ~path:"lib/sketch/front.ml"

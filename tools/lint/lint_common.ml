@@ -331,9 +331,8 @@ let concurrency_home rel =
   | _ -> (
       match segments rel with
       | "lib" :: "obs" :: _ -> true
-      (* The fleet layer owns per-domain workspace caching (Domain.DLS)
-         and pool fan-out, so it is a legitimate home for domain
-         primitives. *)
+      (* The fleet layer owns the pool fan-out over paths, so it is a
+         legitimate home for domain primitives. *)
       | "lib" :: "fleet" :: _ -> true
       (* The sketch triage layer sits on the fleet's push path and may
          reach for the same per-domain primitives. *)
