@@ -77,7 +77,7 @@ let source_conv =
 
 let build_source source rng ~paths ~m ~congested_fraction ~seed =
   match source with
-  | "synth" -> Fleet.Source.synthetic ~congested_fraction ~m ~rng ~paths ()
+  | "synth" -> Ok (Fleet.Source.synthetic ~congested_fraction ~m ~rng ~paths ())
   | "sim" ->
       (* A strongly-dominant run of the paper topology; 60 s of probing
          keeps startup short while leaving thousands of symbols to
@@ -85,8 +85,8 @@ let build_source source rng ~paths ~m ~congested_fraction ~seed =
       let bw3 = List.hd Scenarios.Presets.strongly_dcl_sweep in
       let config = Scenarios.Presets.strongly_dcl ~seed ~duration:60. ~bw3 () in
       let outcome = Scenarios.Paper_topology.run config in
-      Fleet.Source.of_trace ~m ~paths outcome.Scenarios.Paper_topology.trace
-  | file -> Fleet.Source.of_trace ~m ~paths (Probe.Trace.load file)
+      Ok (Fleet.Source.of_trace ~m ~paths outcome.Scenarios.Paper_topology.trace)
+  | file -> Result.map (Fleet.Source.of_trace ~m ~paths) (Probe.Trace.load file)
 
 let conclusion_name = function
   | None -> "untested"
@@ -107,187 +107,193 @@ let run paths epochs epoch_len lambda n m domains source congested_fraction seed
      collection, so --listen implies it. *)
   if listen <> None then Obs.set_enabled true;
   let rng = Stats.Rng.create seed in
-  let src = build_source source rng ~paths ~m ~congested_fraction ~seed in
-  let config =
-    Fleet.Path_state.config ~n ~lambda ~scheme:(Fleet.Source.scheme src) ()
-  in
-  let transitions = ref 0 in
-  let on_transition (tr : Fleet.Scheduler.transition) =
-    incr transitions;
-    if verbose then
-      Printf.printf "epoch %3d path %6d: %s -> %s\n" tr.Fleet.Scheduler.epoch
-        tr.Fleet.Scheduler.path
-        (conclusion_name tr.Fleet.Scheduler.was)
-        (conclusion_name tr.Fleet.Scheduler.now)
-  in
-  let gate =
-    if gate then
-      Some
-        (Sketch.Gate.config ~loss_threshold:gate_loss ~drift_threshold:gate_drift
-           ~promote_after:gate_h ~demote_after:gate_demote ())
-    else None
-  in
-  let sched =
-    Fleet.Scheduler.create ~domains ~on_transition ?gate ~rng ~paths config
-  in
-  let admin =
-    Option.map
-      (fun port ->
-        let fast path =
-          (* Answered on the server domain: these only read the metrics
-             registry's atomics.  Everything else (fleet state, trace
-             rings) defers to the driver via serve_pending. *)
-          match path with
-          | "/healthz" -> Some ("text/plain", "ok\n")
-          | "/metrics" -> Some ("text/plain; version=0.0.4", Obs.prometheus ())
-          | _ -> None
+  match build_source source rng ~paths ~m ~congested_fraction ~seed with
+  | Error msg ->
+      prerr_endline msg;
+      1
+  | Ok src ->
+      let config =
+        Fleet.Path_state.config ~n ~lambda ~scheme:(Fleet.Source.scheme src) ()
+      in
+      let transitions = ref 0 in
+      let on_transition (tr : Fleet.Scheduler.transition) =
+        incr transitions;
+        if verbose then
+          Printf.printf "epoch %3d path %6d: %s -> %s\n" tr.Fleet.Scheduler.epoch
+            tr.Fleet.Scheduler.path
+            (conclusion_name tr.Fleet.Scheduler.was)
+            (conclusion_name tr.Fleet.Scheduler.now)
+      in
+      let gate =
+        if gate then
+          Some
+            (Sketch.Gate.config ~loss_threshold:gate_loss ~drift_threshold:gate_drift
+               ~promote_after:gate_h ~demote_after:gate_demote ())
+        else None
+      in
+      let sched =
+        Fleet.Scheduler.create ~domains ~on_transition ?gate ~rng ~paths config
+      in
+      let admin =
+        Option.map
+          (fun port ->
+            let fast path =
+              (* Answered on the server domain: these only read the metrics
+                 registry's atomics.  Everything else (fleet state, trace
+                 rings) defers to the driver via serve_pending. *)
+              match path with
+              | "/healthz" -> Some ("text/plain", "ok\n")
+              | "/metrics" -> Some ("text/plain; version=0.0.4", Obs.prometheus ())
+              | _ -> None
+            in
+            let a = Obs.Admin.start ~port ~fast () in
+            Printf.printf "admin: listening on http://127.0.0.1:%d\n%!"
+              (Obs.Admin.port a);
+            a)
+          listen
+      in
+      Fun.protect ~finally:(fun () -> Option.iter Obs.Admin.stop admin) @@ fun () ->
+      let path_json p =
+        let ps = Fleet.Scheduler.path sched p in
+        let gate_json =
+          match Fleet.Scheduler.gate_view sched p with
+          | None -> "null"
+          | Some gv ->
+              Printf.sprintf
+                "{\"promoted\":%b,\"loss_ewma\":%s,\"drift\":%s,\"loss_estimate\":%d}"
+                gv.Fleet.Scheduler.promoted_path
+                (jfloat gv.Fleet.Scheduler.loss_ewma)
+                (jfloat gv.Fleet.Scheduler.drift)
+                gv.Fleet.Scheduler.loss_estimate
         in
-        let a = Obs.Admin.start ~port ~fast () in
-        Printf.printf "admin: listening on http://127.0.0.1:%d\n%!"
-          (Obs.Admin.port a);
-        a)
-      listen
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Obs.Admin.stop admin) @@ fun () ->
-  let path_json p =
-    let ps = Fleet.Scheduler.path sched p in
-    let gate_json =
-      match Fleet.Scheduler.gate_view sched p with
-      | None -> "null"
-      | Some gv ->
-          Printf.sprintf
-            "{\"promoted\":%b,\"loss_ewma\":%s,\"drift\":%s,\"loss_estimate\":%d}"
-            gv.Fleet.Scheduler.promoted_path
-            (jfloat gv.Fleet.Scheduler.loss_ewma)
-            (jfloat gv.Fleet.Scheduler.drift)
-            gv.Fleet.Scheduler.loss_estimate
-    in
-    Printf.sprintf
-      "{\"path\":%d,\"conclusion\":\"%s\",\"bound\":%s,\"weight\":%s,\"epochs\":%d,\"observations\":%d,\"resets\":%d,\"gate\":%s,\"timeline\":%s}\n"
-      p
-      (conclusion_name (Fleet.Path_state.conclusion ps))
-      (match Fleet.Path_state.bound ps with Some b -> jfloat b | None -> "null")
-      (jfloat (Fleet.Path_state.weight ps))
-      (Fleet.Path_state.epochs ps)
-      (Fleet.Path_state.observations ps)
-      (Fleet.Path_state.resets ps)
-      gate_json
-      (Fleet.Timeline.to_json (Fleet.Path_state.timeline ps))
-  in
-  let summary_json () =
-    let counts = Hashtbl.create 4 in
-    for p = 0 to paths - 1 do
-      let key = conclusion_name (Fleet.Scheduler.conclusion sched p) in
-      Hashtbl.replace counts key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-    done;
-    let count k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
-    Printf.sprintf
-      "{\"paths\":%d,\"epoch\":%d,\"promoted\":%d,\"strongly_dominant\":%d,\"weakly_dominant\":%d,\"no_dominant\":%d,\"untested\":%d}\n"
-      paths (Fleet.Scheduler.epoch sched)
-      (Fleet.Scheduler.promoted_count sched)
-      (count "strongly-dominant") (count "weakly-dominant")
-      (count "no-dominant") (count "untested")
-  in
-  let handle path =
-    if path = "/paths" then Some ("application/json", summary_json ())
-    else if path = "/trace" then Some ("application/json", Obs.Trace.chrome_json ())
-    else if String.length path > 7 && String.sub path 0 7 = "/paths/" then
-      match int_of_string_opt (String.sub path 7 (String.length path - 7)) with
-      | Some p when p >= 0 && p < paths -> Some ("application/json", path_json p)
-      | _ -> None
-    else None
-  in
-  let serve () =
-    match admin with
-    | Some a -> ignore (Obs.Admin.serve_pending a ~handle : int)
-    | None -> ()
-  in
-  let start = Obs.Span.now_ns () in
-  for e = 1 to epochs do
-    for p = 0 to paths - 1 do
-      Fleet.Scheduler.push sched ~path:p
-        (Fleet.Source.pull src ~path:p ~len:epoch_len)
-    done;
-    ignore (Fleet.Scheduler.tick sched : int);
-    serve ();
-    (* Per-epoch flush: a crashed or killed run still leaves a metrics
-       snapshot behind (the write is atomic, so scrapers never see a
-       torn file).  Stdout dumps stay exit-only. *)
-    match metrics with
-    | Some d when d <> "-" && e mod metrics_interval = 0 -> Obs.write d
-    | _ -> ()
-  done;
-  let elapsed = float_of_int (Obs.Span.now_ns () - start) *. 1e-9 in
-  let counts = Hashtbl.create 4 in
-  let resets = ref 0 in
-  for p = 0 to paths - 1 do
-    let key = conclusion_name (Fleet.Scheduler.conclusion sched p) in
-    Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key));
-    resets := !resets + Fleet.Path_state.resets (Fleet.Scheduler.path sched p)
-  done;
-  Printf.printf "fleet: %d paths, %d epochs of %d observations, lambda %.2f, %d domain%s\n"
-    paths epochs epoch_len lambda domains
-    (if domains = 1 then "" else "s");
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt counts key with
-      | Some c -> Printf.printf "  %-18s %d\n" key c
-      | None -> ())
-    [ "strongly-dominant"; "weakly-dominant"; "no-dominant"; "untested" ];
-  Printf.printf "transitions: %d, model resets: %d\n" !transitions !resets;
-  (match Fleet.Scheduler.gate_stats sched with
-  | None -> ()
-  | Some gs ->
-      Printf.printf
-        "gate: %d promoted (%d promotions, %d demotions), %d observations \
-         absorbed sketch-only\n"
-        gs.Fleet.Scheduler.promoted gs.Fleet.Scheduler.promotions
-        gs.Fleet.Scheduler.demotions gs.Fleet.Scheduler.sketch_only_observations);
-  (* Against synthetic ground truth, score agreement over decided
-     paths and recall over the truly congested ones — the number the
-     gate must not cost. *)
-  (match Fleet.Source.ground_truth src 0 with
-  | None -> ()
-  | Some _ ->
-      let agree = ref 0 and decided = ref 0 in
-      let dominant = ref 0 and recalled = ref 0 in
-      for p = 0 to paths - 1 do
-        (match (Fleet.Scheduler.conclusion sched p, Fleet.Source.ground_truth src p) with
-        | Some concl, Some truth ->
-            incr decided;
-            if (concl <> Dcl.Identify.No_dominant) = truth then incr agree
-        | _ -> ());
-        match Fleet.Source.ground_truth src p with
-        | Some true ->
-            incr dominant;
-            (match Fleet.Scheduler.conclusion sched p with
-            | Some Dcl.Identify.Strongly_dominant
-            | Some Dcl.Identify.Weakly_dominant ->
-                incr recalled
-            | _ -> ())
+        Printf.sprintf
+          "{\"path\":%d,\"conclusion\":\"%s\",\"bound\":%s,\"weight\":%s,\"epochs\":%d,\"observations\":%d,\"resets\":%d,\"gate\":%s,\"timeline\":%s}\n"
+          p
+          (conclusion_name (Fleet.Path_state.conclusion ps))
+          (match Fleet.Path_state.bound ps with Some b -> jfloat b | None -> "null")
+          (jfloat (Fleet.Path_state.weight ps))
+          (Fleet.Path_state.epochs ps)
+          (Fleet.Path_state.observations ps)
+          (Fleet.Path_state.resets ps)
+          gate_json
+          (Fleet.Timeline.to_json (Fleet.Path_state.timeline ps))
+      in
+      let summary_json () =
+        let counts = Hashtbl.create 4 in
+        for p = 0 to paths - 1 do
+          let key = conclusion_name (Fleet.Scheduler.conclusion sched p) in
+          Hashtbl.replace counts key
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+        done;
+        let count k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
+        Printf.sprintf
+          "{\"paths\":%d,\"epoch\":%d,\"promoted\":%d,\"strongly_dominant\":%d,\"weakly_dominant\":%d,\"no_dominant\":%d,\"untested\":%d}\n"
+          paths (Fleet.Scheduler.epoch sched)
+          (Fleet.Scheduler.promoted_count sched)
+          (count "strongly-dominant") (count "weakly-dominant")
+          (count "no-dominant") (count "untested")
+      in
+      let handle path =
+        if path = "/paths" then Some ("application/json", summary_json ())
+        else if path = "/trace" then Some ("application/json", Obs.Trace.chrome_json ())
+        else if String.length path > 7 && String.sub path 0 7 = "/paths/" then
+          match int_of_string_opt (String.sub path 7 (String.length path - 7)) with
+          | Some p when p >= 0 && p < paths -> Some ("application/json", path_json p)
+          | _ -> None
+        else None
+      in
+      let serve () =
+        match admin with
+        | Some a -> ignore (Obs.Admin.serve_pending a ~handle : int)
+        | None -> ()
+      in
+      let start = Obs.Span.now_ns () in
+      for e = 1 to epochs do
+        for p = 0 to paths - 1 do
+          Fleet.Scheduler.push sched ~path:p
+            (Fleet.Source.pull src ~path:p ~len:epoch_len)
+        done;
+        ignore (Fleet.Scheduler.tick sched : int);
+        serve ();
+        (* Per-epoch flush: a crashed or killed run still leaves a metrics
+           snapshot behind (the write is atomic, so scrapers never see a
+           torn file).  Stdout dumps stay exit-only. *)
+        match metrics with
+        | Some d when d <> "-" && e mod metrics_interval = 0 -> Obs.write d
         | _ -> ()
       done;
-      if !decided > 0 then
-        Printf.printf "ground truth agreement: %d/%d (%.1f%%)\n" !agree !decided
-          (100. *. float_of_int !agree /. float_of_int !decided);
-      if !dominant > 0 then
-        Printf.printf "dominant-path recall: %d/%d (%.1f%%)\n" !recalled !dominant
-          (100. *. float_of_int !recalled /. float_of_int !dominant));
-  Printf.printf "%.3f s wall, %.0f path-updates/s\n" elapsed
-    (float_of_int (paths * epochs) /. elapsed);
-  (* Keep the endpoint alive for scrapers that arrive after the run
-     body finishes (CI smoke tests, a human with a browser). *)
-  (match admin with
-  | Some _ when linger > 0. ->
-      Printf.printf "admin: lingering %.1f s\n%!" linger;
-      let deadline = Obs.Span.now_ns () + int_of_float (linger *. 1e9) in
-      while Obs.Span.now_ns () < deadline do
-        serve ();
-        Unix.sleepf 0.05
-      done
-  | _ -> ());
-  0
+      let elapsed = float_of_int (Obs.Span.now_ns () - start) *. 1e-9 in
+      let counts = Hashtbl.create 4 in
+      let resets = ref 0 in
+      for p = 0 to paths - 1 do
+        let key = conclusion_name (Fleet.Scheduler.conclusion sched p) in
+        Hashtbl.replace counts key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts key));
+        resets := !resets + Fleet.Path_state.resets (Fleet.Scheduler.path sched p)
+      done;
+      Printf.printf
+        "fleet: %d paths, %d epochs of %d observations, lambda %.2f, %d domain%s\n"
+        paths epochs epoch_len lambda domains
+        (if domains = 1 then "" else "s");
+      List.iter
+        (fun key ->
+          match Hashtbl.find_opt counts key with
+          | Some c -> Printf.printf "  %-18s %d\n" key c
+          | None -> ())
+        [ "strongly-dominant"; "weakly-dominant"; "no-dominant"; "untested" ];
+      Printf.printf "transitions: %d, model resets: %d\n" !transitions !resets;
+      (match Fleet.Scheduler.gate_stats sched with
+      | None -> ()
+      | Some gs ->
+          Printf.printf
+            "gate: %d promoted (%d promotions, %d demotions), %d observations \
+             absorbed sketch-only\n"
+            gs.Fleet.Scheduler.promoted gs.Fleet.Scheduler.promotions
+            gs.Fleet.Scheduler.demotions gs.Fleet.Scheduler.sketch_only_observations);
+      (* Against synthetic ground truth, score agreement over decided
+         paths and recall over the truly congested ones — the number the
+         gate must not cost. *)
+      (match Fleet.Source.ground_truth src 0 with
+      | None -> ()
+      | Some _ ->
+          let agree = ref 0 and decided = ref 0 in
+          let dominant = ref 0 and recalled = ref 0 in
+          for p = 0 to paths - 1 do
+            (match (Fleet.Scheduler.conclusion sched p, Fleet.Source.ground_truth src p) with
+            | Some concl, Some truth ->
+                incr decided;
+                if (concl <> Dcl.Identify.No_dominant) = truth then incr agree
+            | _ -> ());
+            match Fleet.Source.ground_truth src p with
+            | Some true ->
+                incr dominant;
+                (match Fleet.Scheduler.conclusion sched p with
+                | Some Dcl.Identify.Strongly_dominant
+                | Some Dcl.Identify.Weakly_dominant ->
+                    incr recalled
+                | _ -> ())
+            | _ -> ()
+          done;
+          if !decided > 0 then
+            Printf.printf "ground truth agreement: %d/%d (%.1f%%)\n" !agree !decided
+              (100. *. float_of_int !agree /. float_of_int !decided);
+          if !dominant > 0 then
+            Printf.printf "dominant-path recall: %d/%d (%.1f%%)\n" !recalled !dominant
+              (100. *. float_of_int !recalled /. float_of_int !dominant));
+      Printf.printf "%.3f s wall, %.0f path-updates/s\n" elapsed
+        (float_of_int (paths * epochs) /. elapsed);
+      (* Keep the endpoint alive for scrapers that arrive after the run
+         body finishes (CI smoke tests, a human with a browser). *)
+      (match admin with
+      | Some _ when linger > 0. ->
+          Printf.printf "admin: lingering %.1f s\n%!" linger;
+          let deadline = Obs.Span.now_ns () + int_of_float (linger *. 1e9) in
+          while Obs.Span.now_ns () < deadline do
+            serve ();
+            Unix.sleepf 0.05
+          done
+      | _ -> ());
+      0
 
 let paths_arg =
   Arg.(

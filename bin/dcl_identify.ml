@@ -15,69 +15,74 @@ let models =
 
 let run file model n m beta eps prop_delay seed fine_bound domains metrics =
   Obs_cli.with_metrics metrics @@ fun () ->
-  let trace = Probe.Trace.load file in
-  Printf.printf "trace: %d probes over %.0f s, loss rate %.3f%%\n" (Probe.Trace.length trace)
-    (Probe.Trace.duration trace)
-    (100. *. Probe.Trace.loss_rate trace);
-  (* The method assumes stationary loss/delay characteristics
-     (Section III); warn when the trace drifts.  Only the expected
-     too-few-probes rejection is silent — any other failure of the
-     check is itself worth a warning, not a swallow. *)
-  (if Probe.Trace.length trace >= 8 then
-     match Dcl.Stationarity.check trace with
-     | report ->
-         if not report.Dcl.Stationarity.stationary then
-           Format.printf "warning: %a@." Dcl.Stationarity.pp_report report
-     | exception Invalid_argument msg
-       when msg = "Stationarity.check: trace too short" ->
-         ()
-     | exception Invalid_argument msg ->
-         Format.printf "warning: stationarity check failed: %s@." msg);
-  if not (Dcl.Identify.identifiable trace) then begin
-    prerr_endline
-      "trace is not identifiable: it needs at least one loss, one surviving probe, and \
-       a positive delay spread";
-    1
-  end
-  else begin
-    let params =
-      {
-        Dcl.Identify.default_params with
-        model;
-        n;
-        m;
-        beta;
-        eps;
-        domains;
-        prop_delay =
-          (match prop_delay with
-          | Some p -> Dcl.Discretize.Known p
-          | None -> Dcl.Discretize.From_trace);
-      }
-    in
-    let rng = Stats.Rng.create seed in
-    let result = Dcl.Identify.run ~params ~rng trace in
-    Format.printf "%a@." Dcl.Identify.pp_result result;
-    Format.printf "inferred virtual queuing delay distribution: %a@." Dcl.Vqd.pp
-      result.Dcl.Identify.vqd;
-    if fine_bound && result.Dcl.Identify.conclusion <> Dcl.Identify.No_dominant then begin
-      let fine = { params with Dcl.Identify.m = 40 } in
-      let vqd40, _ = Dcl.Identify.fit_vqd ~params:fine ~rng trace in
-      Printf.printf "fine-grained (M=40) component bound on Q_max: %.1f ms\n"
-        (1000. *. Dcl.Bound.component_bound vqd40)
-    end;
-    (* If the trace carries simulator ground truth, report it. *)
-    if Array.length (Probe.Trace.truth_virtual_delays trace) > 0 then begin
-      let hops = trace.Probe.Trace.hop_count in
-      Format.printf "ground truth (from simulation): %a@." Dcl.Truth.pp_regime
-        (Dcl.Truth.classify trace ~hop_count:hops);
-      let truth = Dcl.Vqd.of_trace_truth result.Dcl.Identify.scheme trace in
-      Format.printf "true virtual queuing delay distribution:     %a@." Dcl.Vqd.pp truth;
-      Printf.printf "total-variation distance model vs truth: %.3f\n"
-        (Dcl.Vqd.tv_distance truth result.Dcl.Identify.vqd)
-    end;
-    0
-  end
+  match Probe.Trace.load file with
+  | Error msg ->
+      prerr_endline msg;
+      1
+  | Ok trace ->
+      Printf.printf "trace: %d probes over %.0f s, loss rate %.3f%%\n"
+        (Probe.Trace.length trace)
+        (Probe.Trace.duration trace)
+        (100. *. Probe.Trace.loss_rate trace);
+      (* The method assumes stationary loss/delay characteristics
+         (Section III); warn when the trace drifts.  Only the expected
+         too-few-probes rejection is silent — any other failure of the
+         check is itself worth a warning, not a swallow. *)
+      (if Probe.Trace.length trace >= 8 then
+         match Dcl.Stationarity.check trace with
+         | report ->
+             if not report.Dcl.Stationarity.stationary then
+               Format.printf "warning: %a@." Dcl.Stationarity.pp_report report
+         | exception Invalid_argument msg
+           when msg = "Stationarity.check: trace too short" ->
+             ()
+         | exception Invalid_argument msg ->
+             Format.printf "warning: stationarity check failed: %s@." msg);
+      if not (Dcl.Identify.identifiable trace) then begin
+        prerr_endline
+          "trace is not identifiable: it needs at least one loss, one surviving probe, and \
+           a positive delay spread";
+        1
+      end
+      else begin
+        let params =
+          {
+            Dcl.Identify.default_params with
+            model;
+            n;
+            m;
+            beta;
+            eps;
+            domains;
+            prop_delay =
+              (match prop_delay with
+              | Some p -> Dcl.Discretize.Known p
+              | None -> Dcl.Discretize.From_trace);
+          }
+        in
+        let rng = Stats.Rng.create seed in
+        let result = Dcl.Identify.run ~params ~rng trace in
+        Format.printf "%a@." Dcl.Identify.pp_result result;
+        Format.printf "inferred virtual queuing delay distribution: %a@." Dcl.Vqd.pp
+          result.Dcl.Identify.vqd;
+        if fine_bound && result.Dcl.Identify.conclusion <> Dcl.Identify.No_dominant then begin
+          let fine = { params with Dcl.Identify.m = 40 } in
+          let vqd40, _ = Dcl.Identify.fit_vqd ~params:fine ~rng trace in
+          Printf.printf "fine-grained (M=40) component bound on Q_max: %.1f ms\n"
+            (1000. *. Dcl.Bound.component_bound vqd40)
+        end;
+        (* If the trace carries simulator ground truth, report it. *)
+        if Array.length (Probe.Trace.truth_virtual_delays trace) > 0 then begin
+          let hops = trace.Probe.Trace.hop_count in
+          Format.printf "ground truth (from simulation): %a@." Dcl.Truth.pp_regime
+            (Dcl.Truth.classify trace ~hop_count:hops);
+          let truth = Dcl.Vqd.of_trace_truth result.Dcl.Identify.scheme trace in
+          Format.printf "true virtual queuing delay distribution:     %a@." Dcl.Vqd.pp truth;
+          Printf.printf "total-variation distance model vs truth: %.3f\n"
+            (Dcl.Vqd.tv_distance truth result.Dcl.Identify.vqd)
+        end;
+        0
+      end
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Probe trace file.")

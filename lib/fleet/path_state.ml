@@ -86,7 +86,6 @@ let observations t = t.observations
 let resets t = t.resets
 let weight t = Em.Incremental.weight t.stats
 let last_log_likelihood t = t.last_log_likelihood
-let stats t = t.stats
 let timeline t = t.timeline
 
 (* Catch-up decay for a path whose epochs went by without updates (a

@@ -76,10 +76,9 @@ val update : ws:Em.workspace -> ?epoch:int -> t -> Em.observation array -> bool
 val coast : t -> factor:float -> unit
 (** Apply the decay the path missed while it was not being updated
     (e.g. demoted to sketch-only tracking): multiply the sufficient
-    statistics by [factor] (= [lambda^k] for [k] skipped epochs, via
-    {!Sketch.Estimators.Decay_table}), so re-promotion resumes from
-    warm but correctly aged statistics.  A no-op before the first
-    appended batch.  Raises [Invalid_argument] unless [factor] is in
+    statistics by [factor] (= [lambda^k] for [k] skipped epochs), so
+    re-promotion resumes from warm but correctly aged statistics.  A
+    no-op before the first appended batch.  Raises [Invalid_argument] unless [factor] is in
     [\[0, 1\]]. *)
 
 val conclusion : t -> Dcl.Identify.conclusion option
@@ -102,9 +101,6 @@ val resets : t -> int
 val last_log_likelihood : t -> float
 (** Log-likelihood of the most recent appended batch; [nan] before the
     first. *)
-
-val stats : t -> Em.Incremental.stats
-(** The underlying accumulators (for tests and introspection). *)
 
 val timeline : t -> Timeline.t
 (** The path's bounded diagnosis history (verdict updates, gate

@@ -3,12 +3,11 @@
    persistent Stats.Pool, one item per path.
 
    Optionally gated by a sketch triage front end (Sketch.Gate): quiet
-   paths are tracked only by O(1) streaming estimators — a loss EWMA, a
-   Robbins-Monro delay-quantile tracker and a count-min sketch over the
-   loss stream — and only paths the gate promotes hold pending batches
-   and run full inference.  All sketch state is updated at push time on
-   the driver's domain, in the caller's push order, so the pooled tick
-   still touches nothing shared.
+   paths are tracked only by O(1) per-path streaming state — a loss
+   EWMA, a Robbins-Monro delay-quantile tracker and a decayed loss
+   count — and only paths the gate promotes hold pending batches and
+   run full inference.  All of it is updated at push time on the
+   driver's domain, so the pooled tick still touches nothing shared.
 
    Determinism contract (DESIGN.md §11-12): each item touches only its
    own path's state and the evaluating domain's workspace
@@ -18,10 +17,9 @@
    pool drains, in ascending path index.  The pooled tick is therefore
    bit-identical to the serial one — scheduling chooses which domain
    runs a path, never what the path computes or the order observers
-   see results.  Gating adds one caller obligation: because the shared
-   count-min sketch folds every push, gate decisions are a function of
-   the epoch's push order, so drivers must push paths in a fixed
-   (ascending) order for cross-run reproducibility. *)
+   see results.  Gating keeps every signal per path, so pushes to
+   different paths never interact and the order in which a driver
+   pushes paths within an epoch does not matter. *)
 
 let h_epoch =
   Obs.Histogram.make ~help:"Wall time of one fleet epoch tick"
@@ -78,21 +76,19 @@ type gate_stats = {
   sketch_only_observations : int;
 }
 
-(* Gate runtime: per-path estimators plus the shared count-min sketch
-   and the two quantized decay tables (one for coasting loss EWMAs over
-   skipped epochs, one for aging a re-promoted path's EM statistics).
+(* Gate runtime: per-path estimators and loss counts, plus the
+   forgetting factor that ages a re-promoted path's EM statistics.
    Sized by the full path count; the EM side — pending batches, pool
    items, workspaces — is sized by the *promoted* count. *)
 type gating = {
   g_config : Sketch.Gate.config;
-  g_cms : Sketch.Count_min.t;
+  g_lambda : float;
+  g_losses : int array; (* losses seen, halved every epoch *)
   g_loss : Sketch.Estimators.Ewma.t array;
   g_quant : Sketch.Estimators.Quantile.t array;
   g_gates : Sketch.Gate.t array;
   g_last_eval : int array; (* epoch of the path's last gate evaluation *)
   g_last_em : int array; (* epoch of the path's last full-inference update *)
-  g_ewma_decay : Sketch.Estimators.Decay_table.t; (* (1 - alpha)^k *)
-  g_stat_decay : Sketch.Estimators.Decay_table.t; (* lambda^k *)
   mutable g_promoted : int;
   mutable g_promotions : int;
   mutable g_demotions : int;
@@ -130,20 +126,16 @@ let make_gating config ~paths g_config =
   let m = config.Path_state.m in
   {
     g_config;
-    (* Four rows at ~4 cells per path bound the collision inflation
-       well under one loss event at fleet scale. *)
-    g_cms = Sketch.Count_min.create ~width:(4 * paths) ~seed:0x5ce7c4 ();
+    g_lambda = config.Path_state.lambda;
+    g_losses = Array.make paths 0;
     g_loss = Array.init paths (fun _ -> Sketch.Estimators.Ewma.make ~alpha:ewma_alpha);
     g_quant =
       Array.init paths (fun _ ->
           Sketch.Estimators.Quantile.make ~p:quantile_p ~lo:0.
-            ~hi:(float_of_int (m - 1)) ());
+            ~hi:(float_of_int (m - 1)));
     g_gates = Array.init paths (fun _ -> Sketch.Gate.create ());
     g_last_eval = Array.make paths (-1);
     g_last_em = Array.make paths 0;
-    g_ewma_decay = Sketch.Estimators.Decay_table.make ~factor:(1. -. ewma_alpha) ();
-    g_stat_decay =
-      Sketch.Estimators.Decay_table.make ~factor:config.Path_state.lambda ();
     g_promoted = 0;
     g_promotions = 0;
     g_demotions = 0;
@@ -207,17 +199,17 @@ let gate_view t i =
         promoted_path = Sketch.Gate.promoted g.g_gates.(i);
         loss_ewma = Sketch.Estimators.Ewma.value g.g_loss.(i);
         drift = Sketch.Estimators.Quantile.elevation g.g_quant.(i);
-        loss_estimate = Sketch.Count_min.query g.g_cms i;
+        loss_estimate = g.g_losses.(i);
       })
     t.gating
 
 (* The sketch pass over one pushed batch: fold every observation into
-   the path's estimators (and the shared count-min sketch), then — once
-   per epoch, at the path's first push — run the gate.  Promotion ages
-   the path's dormant EM statistics by lambda^skipped through the
-   quantized table so re-promotion is warm but correct; demotion leaves
-   the path's model and conclusion in place (the verdict stays visible,
-   the statistics merely stop updating until the gate re-promotes). *)
+   the path's estimators and loss count, then — once per epoch, at the
+   path's first push — run the gate.  Promotion ages the path's dormant
+   EM statistics by lambda^skipped so re-promotion is warm but correct;
+   demotion leaves the path's model and conclusion in place (the
+   verdict stays visible, the statistics merely stop updating until
+   the gate re-promotes). *)
 let gated_push t g ~path:pidx batch =
   let len = Array.length batch in
   let losses = ref 0 in
@@ -227,30 +219,29 @@ let gated_push t g ~path:pidx batch =
     | None -> incr losses
     | Some y -> Sketch.Estimators.Quantile.update quant (float_of_int y)
   done;
-  if !losses > 0 then Sketch.Count_min.add g.g_cms pidx !losses;
+  g.g_losses.(pidx) <- g.g_losses.(pidx) + !losses;
   let ewma = g.g_loss.(pidx) in
   (* Coast the EWMA over epochs the path was not pushed at all, so a
      sparsely probed path's stale loss estimate decays like everyone
      else's. *)
   let missed = t.epoch - g.g_last_eval.(pidx) - 1 in
   if g.g_last_eval.(pidx) >= 0 && missed > 0 then
-    Sketch.Estimators.Ewma.coast ewma g.g_ewma_decay missed;
+    Sketch.Estimators.Ewma.coast ewma missed;
   Sketch.Estimators.Ewma.update ewma (float_of_int !losses /. float_of_int len);
   if g.g_last_eval.(pidx) < t.epoch then begin
     g.g_last_eval.(pidx) <- t.epoch;
-    (* The loss signal is the EWMA masked by the count-min estimate:
-       the sketch only ever overestimates, so a zero estimate proves a
-       loss-free decayed window and can never hide a real loser. *)
+    (* The loss signal is the EWMA masked by the decayed loss count:
+       a zero count proves a loss-free decayed window, so an EWMA tail
+       from an old burst cannot re-promote the path. *)
     let loss =
-      if Sketch.Count_min.query g.g_cms pidx = 0 then 0.
+      if g.g_losses.(pidx) = 0 then 0.
       else Sketch.Estimators.Ewma.value ewma
     in
     let drift = Sketch.Estimators.Quantile.elevation quant in
     let p = t.paths.(pidx) in
     let settled = Path_state.conclusion p = Some Dcl.Identify.No_dominant in
-    (* The cause refines the suspect boolean for the forensic record;
-       feeding [cause <> None] to the gate keeps its semantics
-       bit-identical to the plain [suspect] call. *)
+    (* The cause is both the gate's suspect input and the forensic
+       record of which signal crossed. *)
     let cause = Sketch.Gate.suspect_cause g.g_config ~loss ~drift in
     let streak_before = Sketch.Gate.streak g.g_gates.(pidx) in
     match
@@ -277,8 +268,7 @@ let gated_push t g ~path:pidx batch =
         Obs.Trace.instant_d "gate.promote" why pidx;
         let skipped = t.epoch - g.g_last_em.(pidx) - 1 in
         if skipped > 0 then
-          Path_state.coast p
-            ~factor:(Sketch.Estimators.Decay_table.pow g.g_stat_decay skipped)
+          Path_state.coast p ~factor:(Float.pow g.g_lambda (float_of_int skipped))
     | Sketch.Gate.Demote ->
         g.g_promoted <- g.g_promoted - 1;
         g.g_demotions <- g.g_demotions + 1;
@@ -355,10 +345,12 @@ let tick t =
   (match t.gating with
   | None -> ()
   | Some g ->
-      (* Age the shared loss sketch once per epoch, mirroring the
-         per-path EWMA decay, and record who ran full inference (for
-         warm re-promotion's catch-up aging). *)
-      Sketch.Count_min.halve g.g_cms;
+      (* Age the loss counts once per epoch, mirroring the per-path
+         EWMA decay, and record who ran full inference (for warm
+         re-promotion's catch-up aging). *)
+      for i = 0 to Array.length g.g_losses - 1 do
+        g.g_losses.(i) <- g.g_losses.(i) asr 1
+      done;
       for i = 0 to n - 1 do
         g.g_last_em.(t.active.(i)) <- t.epoch
       done;
@@ -423,7 +415,7 @@ let fingerprint t =
         mixi (Sketch.Gate.streak g.g_gates.(i));
         mixf (Sketch.Estimators.Ewma.value g.g_loss.(i));
         mixf (Sketch.Estimators.Quantile.value g.g_quant.(i));
-        mixi (Sketch.Count_min.query g.g_cms i)
+        mixi g.g_losses.(i)
       done;
       mixi g.g_promoted;
       mixi g.g_promotions;

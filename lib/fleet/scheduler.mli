@@ -8,9 +8,9 @@
     — across {!Stats.Pool}, then emits conclusion transitions.
 
     {b Sketch gating.}  With [?gate] set, a triage front end tracks
-    every path with O(1)-per-observation streaming estimators — a loss
-    EWMA, a Robbins-Monro delay-quantile tracker and a shared
-    count-min sketch over the loss stream ({!Sketch}) — and only paths
+    every path with O(1)-per-observation streaming state — a loss
+    EWMA, a Robbins-Monro delay-quantile tracker ({!Sketch.Estimators})
+    and an exact loss count halved every epoch — and only paths
     the gate promotes ({!Sketch.Gate.step}) accumulate pending batches
     and run full inference at {!tick}.  Quiet paths cost no EM work,
     hold no pending memory, and the pool fan-out is sized by the
@@ -30,11 +30,11 @@
     emitted after the pool drains in ascending path index, so the
     event order observers see is a pure function of the pushed
     observations.  The pool schedule chooses {e where} a path runs,
-    never what it computes.  Gating preserves the contract — all
+    never what it computes.  Gating preserves the contract: all
     sketch state updates happen at {!push} time on the driver's
-    domain — but adds one caller obligation: the shared count-min
-    sketch folds every push, so drivers must push paths in a fixed
-    (ascending) order for cross-run reproducibility. *)
+    domain, and every gate signal is per path, so pushes to different
+    paths never interact and the order in which paths are pushed
+    within an epoch does not change any result. *)
 
 type transition = {
   path : int;
@@ -72,8 +72,8 @@ val push : t -> path:int -> Em.observation array -> unit
 val tick : t -> int
 (** Run one epoch over every path with pending observations; returns
     how many paths were updated.  Ticks with nothing pending still
-    advance the epoch counter (and, when gated, still age the shared
-    loss sketch). *)
+    advance the epoch counter (and, when gated, still halve every
+    path's loss count). *)
 
 val path_count : t -> int
 val epoch : t -> int
@@ -109,8 +109,8 @@ type gate_view = {
   loss_ewma : float;  (** per-epoch loss-fraction EWMA *)
   drift : float;  (** delay-quantile elevation in [\[0, 1\]] *)
   loss_estimate : int;
-      (** count-min estimate of the path's decayed loss count (only
-          ever an overestimate) *)
+      (** the path's decayed loss count: losses pushed, halved (floor)
+          at every tick; zero proves a loss-free decayed window *)
 }
 
 val gate_view : t -> int -> gate_view option

@@ -68,67 +68,76 @@ let save t file =
             e.src e.dst e.seq e.packet_id)
         (List.rev t.events_rev))
 
+exception Malformed of string
+
 (* Parse failures name the file and the 1-based line; every numeric
    field must parse fully and be finite, and node ids (written as
    floats, "3.0") must be integral. *)
+let parse file ic =
+  let lineno = ref 0 in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        raise (Malformed (Printf.sprintf "%s:%d: Tracefile.load: %s" file !lineno msg)))
+      fmt
+  in
+  let num what s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x -> x
+    | Some _ -> fail "non-finite %s %S" what s
+    | None -> fail "bad %s %S" what s
+  in
+  let int what s =
+    match int_of_string_opt s with Some i -> i | None -> fail "bad %s %S" what s
+  in
+  let node what s =
+    let x = num what s in
+    if Float.is_integer x then int_of_float x else fail "bad %s %S" what s
+  in
+  let kind = function
+    | "+" -> Enqueue
+    | "-" -> Dequeue
+    | "d" -> Drop
+    | "r" -> Receive
+    | ev -> fail "bad event %S" ev
+  in
+  let out = ref [] in
+  (try
+     while true do
+       let line = input_line ic in
+       incr lineno;
+       match String.split_on_char ' ' line with
+       | [ ev; time; from_node; to_node; ptype; size; _flags; flow; src; dst; seq; pid ]
+         ->
+           out :=
+             {
+               kind = kind ev;
+               time = num "time" time;
+               from_node = int "from node" from_node;
+               to_node = int "to node" to_node;
+               packet_type = ptype;
+               size = int "size" size;
+               flow = int "flow" flow;
+               src = node "src" src;
+               dst = node "dst" dst;
+               seq = int "seq" seq;
+               packet_id = int "packet id" pid;
+             }
+             :: !out
+       | _ -> fail "malformed line"
+     done
+   with End_of_file -> ());
+  Array.of_list (List.rev !out)
+
 let load file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lineno = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg -> failwith (Printf.sprintf "%s:%d: Tracefile.load: %s" file !lineno msg))
-          fmt
-      in
-      let num what s =
-        match float_of_string_opt s with
-        | Some x when Float.is_finite x -> x
-        | Some _ -> fail "non-finite %s %S" what s
-        | None -> fail "bad %s %S" what s
-      in
-      let int what s =
-        match int_of_string_opt s with Some i -> i | None -> fail "bad %s %S" what s
-      in
-      let node what s =
-        let x = num what s in
-        if Float.is_integer x then int_of_float x else fail "bad %s %S" what s
-      in
-      let kind = function
-        | "+" -> Enqueue
-        | "-" -> Dequeue
-        | "d" -> Drop
-        | "r" -> Receive
-        | ev -> fail "bad event %S" ev
-      in
-      let out = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           match String.split_on_char ' ' line with
-           | [ ev; time; from_node; to_node; ptype; size; _flags; flow; src; dst; seq; pid ]
-             ->
-               out :=
-                 {
-                   kind = kind ev;
-                   time = num "time" time;
-                   from_node = int "from node" from_node;
-                   to_node = int "to node" to_node;
-                   packet_type = ptype;
-                   size = int "size" size;
-                   flow = int "flow" flow;
-                   src = node "src" src;
-                   dst = node "dst" dst;
-                   seq = int "seq" seq;
-                   packet_id = int "packet id" pid;
-                 }
-                 :: !out
-           | _ -> fail "malformed line"
-         done
-       with End_of_file -> ());
-      Array.of_list (List.rev !out))
+  match open_in file with
+  | exception Sys_error msg -> Error msg
+  | ic -> (
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      match parse file ic with
+      | events -> Ok events
+      | exception Malformed msg -> Error msg
+      | exception Sys_error msg -> Error (Printf.sprintf "%s: Tracefile.load: %s" file msg))
 
 let drops_per_flow events =
   let tbl = Hashtbl.create 16 in

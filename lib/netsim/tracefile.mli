@@ -51,11 +51,12 @@ val count : t -> int
 val save : t -> string -> unit
 (** Write the ns-2-format trace file. *)
 
-val load : string -> event array
+val load : string -> (event array, string) result
 (** Parse a file written by {!save} (or by ns-2, for the fields
-    above).  Raises [Failure "FILE:LINE: Tracefile.load: ..."] on a
-    malformed line, an unknown event, or a numeric field that does not
-    parse fully or is not finite (node ids must also be integral). *)
+    above).  [Error "FILE:LINE: Tracefile.load: ..."] on a malformed
+    line, an unknown event, or a numeric field that does not parse
+    fully or is not finite (node ids must also be integral); [Error]
+    with the system message when the file cannot be opened or read. *)
 
 val drops_per_flow : event array -> (int * int) list
 (** (flow id, drop count) pairs, ascending by flow id — the kind of

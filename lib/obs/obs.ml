@@ -127,7 +127,6 @@ module Gauge = struct
       (function Kgauge g -> Some g | _ -> None)
 
   let set g x = if Atomic.get flag then Atomic.set g.g_cell x
-  let add g x = if Atomic.get flag then atomic_add_float g.g_cell x
   let set_max g x = if Atomic.get flag then atomic_max_float g.g_cell x
   let value g = Atomic.get g.g_cell
 end
@@ -511,11 +510,6 @@ module Trace = struct
   let set_capacity n =
     if n <= 0 then invalid_arg "Obs.Trace.set_capacity: capacity must be positive";
     Atomic.set rings (Some (alloc (round_pow2 n)))
-
-  let capacity () =
-    match Atomic.get rings with
-    | Some rs -> Array.length rs.(0).slots
-    | None -> default_capacity
 
   let enabled () = Atomic.get tflag
 

@@ -65,7 +65,6 @@ module Gauge : sig
 
   val make : ?labels:(string * string) list -> ?help:string -> string -> gauge
   val set : gauge -> float -> unit
-  val add : gauge -> float -> unit
 
   val set_max : gauge -> float -> unit
   (** Raise the gauge to [v] if [v] is larger — high-water marks. *)
@@ -198,9 +197,6 @@ module Trace : sig
       (rounded up to a power of two; default 4096).  Discards recorded
       events; call while no other domain is emitting.  Raises
       [Invalid_argument] unless [n > 0]. *)
-
-  val capacity : unit -> int
-  (** Current per-shard ring capacity. *)
 
   val clear : unit -> unit
   (** Reset every shard's cursor; recorded events are forgotten. *)

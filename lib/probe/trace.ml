@@ -118,66 +118,75 @@ let save t file =
           output_char oc '\n')
         t.records)
 
+exception Malformed of string
+
 (* Parse failures name the file and the 1-based line; every numeric
    field must be finite (one NaN delay would poison the discretization
    and every EM accumulator downstream). *)
+let parse file ic =
+  let lineno = ref 0 in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        raise (Malformed (Printf.sprintf "%s:%d: Trace.load: %s" file !lineno msg)))
+      fmt
+  in
+  let next_line () =
+    incr lineno;
+    input_line ic
+  in
+  let num what s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x -> x
+    | Some _ -> fail "non-finite %s %S" what s
+    | None -> fail "bad %s %S" what s
+  in
+  let int what s =
+    match int_of_string_opt s with Some i -> i | None -> fail "bad %s %S" what s
+  in
+  let interval, base_delay, hop_count =
+    match String.split_on_char ' ' (next_line ()) with
+    | [ "dcltrace"; "1"; i; b; h ] ->
+        (num "interval" i, num "base delay" b, int "hop count" h)
+    | _ -> fail "bad header"
+    | exception End_of_file -> fail "missing header"
+  in
+  if interval <= 0. then fail "interval must be positive";
+  let records = ref [] in
+  (try
+     while true do
+       let line = next_line () in
+       if String.length line > 0 then begin
+         let fields = String.split_on_char ' ' line in
+         match fields with
+         | send :: obs :: rest ->
+             let send_time = num "send time" send in
+             let obs = if obs = "L" then Lost else Delay (num "delay" obs) in
+             let truth =
+               match rest with
+               | "T" :: vqd :: hop :: qs ->
+                   Some
+                     {
+                       virtual_queuing_delay = num "virtual delay" vqd;
+                       loss_hop = (if hop = "-" then None else Some (int "loss hop" hop));
+                       hop_queuing = Array.of_list (List.map (num "hop queuing") qs);
+                     }
+               | [] -> None
+               | _ -> fail "bad record"
+             in
+             records := { send_time; obs; truth } :: !records
+         | _ -> fail "bad record"
+       end
+     done
+   with End_of_file -> ());
+  create ~records:(Array.of_list (List.rev !records)) ~interval ~base_delay ~hop_count
+
 let load file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lineno = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg -> failwith (Printf.sprintf "%s:%d: Trace.load: %s" file !lineno msg))
-          fmt
-      in
-      let next_line () =
-        incr lineno;
-        input_line ic
-      in
-      let num what s =
-        match float_of_string_opt s with
-        | Some x when Float.is_finite x -> x
-        | Some _ -> fail "non-finite %s %S" what s
-        | None -> fail "bad %s %S" what s
-      in
-      let int what s =
-        match int_of_string_opt s with Some i -> i | None -> fail "bad %s %S" what s
-      in
-      let interval, base_delay, hop_count =
-        match String.split_on_char ' ' (next_line ()) with
-        | [ "dcltrace"; "1"; i; b; h ] ->
-            (num "interval" i, num "base delay" b, int "hop count" h)
-        | _ -> fail "bad header"
-        | exception End_of_file -> fail "missing header"
-      in
-      if interval <= 0. then fail "interval must be positive";
-      let records = ref [] in
-      (try
-         while true do
-           let line = next_line () in
-           if String.length line > 0 then begin
-             let fields = String.split_on_char ' ' line in
-             match fields with
-             | send :: obs :: rest ->
-                 let send_time = num "send time" send in
-                 let obs = if obs = "L" then Lost else Delay (num "delay" obs) in
-                 let truth =
-                   match rest with
-                   | "T" :: vqd :: hop :: qs ->
-                       Some
-                         {
-                           virtual_queuing_delay = num "virtual delay" vqd;
-                           loss_hop = (if hop = "-" then None else Some (int "loss hop" hop));
-                           hop_queuing = Array.of_list (List.map (num "hop queuing") qs);
-                         }
-                   | [] -> None
-                   | _ -> fail "bad record"
-                 in
-                 records := { send_time; obs; truth } :: !records
-             | _ -> fail "bad record"
-           end
-         done
-       with End_of_file -> ());
-      create ~records:(Array.of_list (List.rev !records)) ~interval ~base_delay ~hop_count)
+  match open_in file with
+  | exception Sys_error msg -> Error msg
+  | ic -> (
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      match parse file ic with
+      | t -> Ok t
+      | exception Malformed msg -> Error msg
+      | exception Sys_error msg -> Error (Printf.sprintf "%s: Trace.load: %s" file msg))

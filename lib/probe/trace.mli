@@ -61,7 +61,8 @@ val save : t -> string -> unit
 (** Write the trace to a text file (one record per line; ground truth
     retained when present). *)
 
-val load : string -> t
-(** Inverse of {!save}.  Raises [Failure "FILE:LINE: Trace.load: ..."]
-    (1-based [LINE]) on a malformed header or record, a non-finite
-    numeric field, or a non-positive interval. *)
+val load : string -> (t, string) result
+(** Inverse of {!save}.  [Error "FILE:LINE: Trace.load: ..."] (1-based
+    [LINE]) on a malformed header or record, a non-finite numeric
+    field, or a non-positive interval; [Error] with the system message
+    when the file cannot be opened or read. *)

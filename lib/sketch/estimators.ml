@@ -1,46 +1,16 @@
 (* Streaming per-path estimators for the triage front end: a loss-rate
-   EWMA, a Robbins-Monro delay-quantile tracker, and the quantized
-   lookup tables that replace their nonlinear ops with O(1) indexing —
-   the data-plane trick AHAB uses for rate estimation (precompute the
-   nonlinear function over a quantized domain, look it up per update).
+   EWMA and a Robbins-Monro delay-quantile tracker, each a few words of
+   exact scalar state per path.
 
-   Two nonlinear ops are table-quantized here:
-
-   - [Decay_table]: [factor^k] for coasting an estimator (or a demoted
-     path's sufficient statistics) over k skipped epochs, instead of a
-     [**] per path per epoch;
-   - [Quantile]'s step schedule: the Robbins-Monro 1/n gain, quantized
-     to powers of two of the observation count, so an update costs one
-     table load instead of a division. *)
-
-module Decay_table = struct
-  type t = { factor : float; pows : float array }
-
-  let make ?(max_pow = 64) ~factor () =
-    if Stats.Float_cmp.lt factor 0. || Stats.Float_cmp.gt factor 1. then
-      invalid_arg "Sketch.Estimators.Decay_table.make: factor must be in [0, 1]";
-    if max_pow < 1 then
-      invalid_arg "Sketch.Estimators.Decay_table.make: max_pow must be positive";
-    let pows = Array.make (max_pow + 1) 1. in
-    for k = 1 to max_pow do
-      pows.(k) <- pows.(k - 1) *. factor
-    done;
-    { factor; pows }
-
-  let factor t = t.factor
-  let max_pow t = Array.length t.pows - 1
-
-  let pow t k =
-    if k < 0 then invalid_arg "Sketch.Estimators.Decay_table.pow: negative power";
-    t.pows.(min k (Array.length t.pows - 1))
-end
+   The Robbins-Monro 1/n gain is quantized to powers of two of the
+   observation count, so an update computes its step with one exact
+   [ldexp] instead of a division. *)
 
 module Ewma = struct
   (* Written as [(1 - alpha) * v + alpha * x] (not [v + alpha * (x - v)])
-     so that an x = 0 update is bitwise [v * (1 - alpha)] — the same
-     per-step factor Decay_table accumulates, which is what makes
-     coasting k epochs agree with k explicit zero updates up to
-     multiplication order. *)
+     so that an x = 0 update is bitwise [v * (1 - alpha)]: coasting k
+     epochs by [(1 - alpha)^k] then agrees with k explicit zero updates
+     up to rounding. *)
   type t = {
     alpha : float;
     one_minus : float;
@@ -60,59 +30,53 @@ module Ewma = struct
       t.primed <- true
     end
 
-  let coast t table k =
+  let coast t k =
     if k < 0 then invalid_arg "Sketch.Estimators.Ewma.coast: negative epochs";
-    if k > 0 && t.primed then t.value <- t.value *. Decay_table.pow table k
+    if k > 0 && t.primed then
+      t.value <- t.value *. Float.pow t.one_minus (float_of_int k)
 
   let value t = t.value
   let primed t = t.primed
 end
 
 module Quantile = struct
+  (* Gain schedule: [step0] through the 16-observation warm-up, then
+     halved at every count doubling, down through [levels] steps. *)
+  let levels = 16
+
   type t = {
     p : float;
     lo : float;
     hi : float;
-    steps : float array; (* Robbins-Monro gains, quantized by log2 count *)
+    step0 : float;
     mutable q : float;
     mutable count : int;
   }
 
-  let make ?(levels = 16) ?step0 ~p ~lo ~hi () =
+  let make ~p ~lo ~hi =
     if Stats.Float_cmp.leq p 0. || Stats.Float_cmp.geq p 1. then
       invalid_arg "Sketch.Estimators.Quantile.make: p must be in (0, 1)";
     if Stats.Float_cmp.geq lo hi then
       invalid_arg "Sketch.Estimators.Quantile.make: lo must be below hi";
-    if levels < 1 then
-      invalid_arg "Sketch.Estimators.Quantile.make: levels must be positive";
-    let step0 = match step0 with Some s -> s | None -> (hi -. lo) /. 4. in
-    if Stats.Float_cmp.leq step0 0. then
-      invalid_arg "Sketch.Estimators.Quantile.make: step0 must be positive";
-    {
-      p;
-      lo;
-      hi;
-      steps = Array.init levels (fun k -> step0 /. float_of_int (1 lsl k));
-      q = lo;
-      count = 0;
-    }
+    { p; lo; hi; step0 = (hi -. lo) /. 4.; q = lo; count = 0 }
 
-  (* Gain level: halve the step every doubling of the count past a
-     16-observation warm-up.  [bits] is the integer log2, so the whole
-     schedule is int ops plus one table load. *)
+  (* Gain level: the integer log2 of [count / 16], capped at the last
+     level — int ops only. *)
   let level t =
     let n = t.count lsr 4 in
     let k = ref 0 in
     while n lsr !k > 0 do
       incr k
     done;
-    min !k (Array.length t.steps - 1)
+    min !k (levels - 1)
 
   let update t y =
     t.count <- t.count + 1;
     if t.count = 1 then t.q <- Float.max t.lo (Float.min t.hi y)
     else begin
-      let step = t.steps.(level t) in
+      (* Scaling by 2^-level is exact, so this is bitwise
+         [step0 / 2^level]. *)
+      let step = Float.ldexp t.step0 (-level t) in
       let dir = if Stats.Float_cmp.gt y t.q then t.p else t.p -. 1. in
       t.q <- Float.max t.lo (Float.min t.hi (t.q +. (step *. dir)))
     end

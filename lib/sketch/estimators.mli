@@ -1,33 +1,9 @@
-(** Streaming per-path estimators for the triage front end, with
-    quantized lookup tables replacing their nonlinear ops (the AHAB
-    data-plane idiom: precompute the nonlinearity over a quantized
-    domain, index it in O(1) per update).
+(** Streaming per-path estimators for the triage front end.
 
     Everything here is single-writer scalar state — one value per
     monitored path, updated from the driver domain at push time — and
     fully deterministic: the same update sequence reproduces the same
     estimate bitwise. *)
-
-(** Precomputed powers [factor^k]: coasting an estimator (or a demoted
-    path's decayed sufficient statistics) over [k] skipped epochs is
-    one table load and one multiply instead of a [**]. *)
-module Decay_table : sig
-  type t
-
-  val make : ?max_pow:int -> factor:float -> unit -> t
-  (** Table of [factor^0 .. factor^max_pow] (default 64), accumulated
-      by successive multiplication — the same products [k] single
-      decays produce.  Raises [Invalid_argument] unless
-      [factor] is in [\[0, 1\]] and [max_pow >= 1]. *)
-
-  val pow : t -> int -> float
-  (** [pow t k] is [factor^k], clamped at [max_pow] (past it the
-      coasted signal is indistinguishable from zero).  Raises
-      [Invalid_argument] on a negative [k]. *)
-
-  val factor : t -> float
-  val max_pow : t -> int
-end
 
 (** Exponentially weighted moving average, e.g. of a path's per-batch
     loss fraction. *)
@@ -40,15 +16,13 @@ module Ewma : sig
 
   val update : t -> float -> unit
   (** [value <- (1 - alpha) * value + alpha * x] — written in that
-      form so an [x = 0] update is bitwise [value * (1 - alpha)],
-      matching {!Decay_table}'s per-step factor. *)
+      form so an [x = 0] update is bitwise [value * (1 - alpha)]. *)
 
-  val coast : t -> Decay_table.t -> int -> unit
-  (** [coast t table k] applies [k] missed zero-updates in one multiply
-      through the table: equal to [k] explicit [update t 0.] calls up
-      to multiplication order (the table accumulates left-to-right).
-      A no-op before the first update.  Raises [Invalid_argument] on
-      negative [k]. *)
+  val coast : t -> int -> unit
+  (** [coast t k] applies [k] missed zero-updates in one multiply by
+      [(1 - alpha)^k]: equal to [k] explicit [update t 0.] calls up to
+      rounding, for every [k].  A no-op before the first update.
+      Raises [Invalid_argument] on negative [k]. *)
 
   val value : t -> float
   (** [0.] before the first update. *)
@@ -57,23 +31,21 @@ module Ewma : sig
 end
 
 (** Robbins-Monro p-quantile tracker: one float of state, one
-    comparison and one table-quantized gain per observation.
+    comparison and one power-of-two gain per observation.
 
     [q <- q + step_n * (p - 1{y <= q})] converges to the p-quantile of
     a stationary input; the gain [step_n] follows the 1/n schedule
-    quantized to powers of two of the count (a 16-entry lookup table),
-    so no division runs per update.  Monotone by construction: an
-    observation above the estimate can only raise it, one below can
-    only lower it. *)
+    quantized to powers of two of the count, so no division runs per
+    update.  Monotone by construction: an observation above the
+    estimate can only raise it, one below can only lower it. *)
 module Quantile : sig
   type t
 
-  val make : ?levels:int -> ?step0:float -> p:float -> lo:float -> hi:float -> unit -> t
+  val make : p:float -> lo:float -> hi:float -> t
   (** Track the [p]-quantile (in (0, 1)) of inputs clamped to
-      [\[lo, hi\]].  [step0] (default [(hi - lo) / 4]) is the warm-up
-      gain, halved at every count doubling past 16 observations down
-      through [levels] (default 16) table entries.  Raises
-      [Invalid_argument] on out-of-range parameters. *)
+      [\[lo, hi\]].  The gain starts at [(hi - lo) / 4] and halves at
+      every count doubling past 16 observations, through 16 levels.
+      Raises [Invalid_argument] on out-of-range parameters. *)
 
   val update : t -> float -> unit
 

@@ -34,10 +34,6 @@ let config ?(loss_threshold = 0.2) ?(drift_threshold = 0.75) ?(promote_after = 2
   then invalid_arg "Sketch.Gate.config: demote_margin must be in [0, 1]";
   { loss_threshold; drift_threshold; promote_after; demote_after; demote_margin }
 
-let suspect cfg ~loss ~drift =
-  Stats.Float_cmp.geq loss cfg.loss_threshold
-  || Stats.Float_cmp.geq drift cfg.drift_threshold
-
 type cause = Loss | Drift | Both
 
 (* Static strings so forensic consumers (trace events, timelines) can

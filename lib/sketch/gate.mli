@@ -6,8 +6,9 @@
     Each epoch the owner feeds the machine three booleans distilled
     from the path's sketches and model:
 
-    - [suspect]: a promotion signal crossed its threshold ({!suspect}
-      over the loss EWMA and delay-quantile elevation);
+    - [suspect]: a promotion signal crossed its threshold
+      ({!suspect_cause} over the loss EWMA and delay-quantile
+      elevation is [Some _]);
     - [calm]: every signal sits below [demote_margin] times its
       threshold — the hysteresis band that stops border-line paths
       from flapping;
@@ -41,19 +42,16 @@ val config :
     [promote_after = 2], [demote_after = 4], [demote_margin = 0.8].
     Raises [Invalid_argument] on out-of-range values. *)
 
-val suspect : config -> loss:float -> drift:float -> bool
-(** Either signal at or above its promotion threshold. *)
-
 type cause = Loss | Drift | Both
-(** Which signal(s) crossed: the forensic refinement of {!suspect}. *)
+(** Which signal(s) reached their promotion threshold. *)
 
 val cause_name : cause -> string
 (** Static display name: ["loss-ewma"], ["drift"],
     ["loss-ewma+drift"].  Never allocates. *)
 
 val suspect_cause : config -> loss:float -> drift:float -> cause option
-(** [Some c] exactly when {!suspect} holds, refined by which
-    threshold(s) were crossed. *)
+(** [Some c] when either signal is at or above its promotion threshold
+    (the epoch is suspect), naming which; [None] otherwise. *)
 
 val calm : config -> loss:float -> drift:float -> bool
 (** Both signals strictly below their margin-shrunk thresholds. *)

@@ -62,6 +62,3 @@ val set_capacity : int -> unit
     concurrent path in tests and benches on small machines, a
     pessimization otherwise.  Lowering it does not retire workers
     already spawned. *)
-
-val inside_job : unit -> bool
-(** Whether the calling domain is currently evaluating a pool item. *)

@@ -567,7 +567,7 @@ let test_tracefile_events_and_roundtrip () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Tracefile.save tf file;
-      let loaded = Tracefile.load file in
+      let loaded = Result.get_ok (Tracefile.load file) in
       Alcotest.(check int) "loaded count" (Array.length events) (Array.length loaded);
       Array.iteri
         (fun i e ->
@@ -601,9 +601,13 @@ let check_tracefile_rejects name contents ~line ~reason =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Out_channel.with_open_text file (fun oc -> output_string oc contents);
-      Alcotest.check_raises name
-        (Failure (Printf.sprintf "%s:%d: Tracefile.load: %s" file line reason))
-        (fun () -> ignore (Tracefile.load file)))
+      match Tracefile.load file with
+      | Ok _ -> Alcotest.failf "%s: malformed trace loaded" name
+      | Error msg ->
+          Alcotest.(check string)
+            name
+            (Printf.sprintf "%s:%d: Tracefile.load: %s" file line reason)
+            msg)
 
 let test_tracefile_load_rejects_bad_input () =
   let good = "+ 0.100000 0 1 cbr 1000 ---- 9 0.0 1.0 0 0\n" in

@@ -177,7 +177,8 @@ let conclusion_tag = function
   | Some Dcl.Identify.Weakly_dominant -> "w"
   | Some Dcl.Identify.No_dominant -> "n"
 
-let run_fleet ?gate ~domains ~paths ~epochs ~epoch_len ~seed () =
+let run_fleet ?gate ?(descending = false) ~domains ~paths ~epochs ~epoch_len ~seed
+    () =
   let log = Buffer.create 128 in
   let rng = Stats.Rng.create seed in
   let src = Fleet.Source.synthetic ~rng ~paths () in
@@ -192,9 +193,12 @@ let run_fleet ?gate ~domains ~paths ~epochs ~epoch_len ~seed () =
     Fleet.Scheduler.create ~domains ~on_transition ?gate ~rng ~paths config
   in
   for _ = 1 to epochs do
-    for p = 0 to paths - 1 do
-      Fleet.Scheduler.push sched ~path:p
-        (Fleet.Source.pull src ~path:p ~len:epoch_len)
+    let batches =
+      Array.init paths (fun p -> Fleet.Source.pull src ~path:p ~len:epoch_len)
+    in
+    for k = 0 to paths - 1 do
+      let p = if descending then paths - 1 - k else k in
+      Fleet.Scheduler.push sched ~path:p batches.(p)
     done;
     ignore (Fleet.Scheduler.tick sched : int)
   done;
@@ -239,6 +243,21 @@ let test_gated_pool_determinism () =
         (Printf.sprintf "gated transition log at %d domains" domains)
         log1 log)
     [ 2; 4; 8 ]
+
+let test_gated_push_order_irrelevant () =
+  (* Every gate signal is per path, so the order in which a driver
+     pushes paths within an epoch cannot change any decision. *)
+  let run descending =
+    run_fleet
+      ~gate:(Sketch.Gate.config ~loss_threshold:0.05 ~promote_after:1 ())
+      ~descending ~domains:1 ~paths:48 ~epochs:6 ~epoch_len:24 ~seed:1234 ()
+  in
+  let sched, fp_asc, log_asc = run false in
+  let _, fp_desc, log_desc = run true in
+  Alcotest.(check bool) "gated fleet promotes some paths" true
+    (Fleet.Scheduler.promoted_count sched > 0);
+  Alcotest.(check string) "fingerprint" fp_asc fp_desc;
+  Alcotest.(check string) "transition log" log_asc log_desc
 
 let test_fleet_reruns_identically () =
   (* Same seed, same everything: the whole fleet is a pure function of
@@ -396,32 +415,37 @@ let test_gate_promotes_congested_within_h () =
 
 let test_gate_loss_signal_masked_by_cms () =
   (* A loss-free path's loss signal must read exactly zero through the
-     count-min mask, whatever the EWMA holds. *)
-  let sched = gated_sched ~paths:1 () in
+     loss-count mask, whatever the EWMA holds; a lossy neighbour's
+     count is its own exact losses, floor-halved at every tick. *)
+  let sched = gated_sched ~paths:2 () in
   Fleet.Scheduler.push sched ~path:0 (cold_batch 32);
+  Fleet.Scheduler.push sched ~path:1 (hot_batch 24);
   ignore (Fleet.Scheduler.tick sched : int);
-  let v = Option.get (Fleet.Scheduler.gate_view sched 0) in
-  Alcotest.(check int) "no losses estimated" 0 v.Fleet.Scheduler.loss_estimate;
-  check_float "loss ewma zero" 0. v.Fleet.Scheduler.loss_ewma
+  let v p = Option.get (Fleet.Scheduler.gate_view sched p) in
+  Alcotest.(check int) "no losses estimated" 0 (v 0).Fleet.Scheduler.loss_estimate;
+  check_float "loss ewma zero" 0. (v 0).Fleet.Scheduler.loss_ewma;
+  Alcotest.(check int) "8 losses halved once" 4 (v 1).Fleet.Scheduler.loss_estimate;
+  ignore (Fleet.Scheduler.tick sched : int);
+  Alcotest.(check int) "halved again" 2 (v 1).Fleet.Scheduler.loss_estimate
+
+(* A lossy no-DCL-shaped stream.  The loss mass must split ~2:1
+   between the bottom and top symbols: the majority share at the
+   bottom pins d-star to the first symbol, and F at 2 d-star ~ 2/3
+   then rejects both the SDCL (0.995) and WDCL (0.935) thresholds.  An
+   even 50/50 split would backfire: the VQD median lands mid-alphabet
+   and 2 d-star walks off the end of the m=5 scheme, where F saturates
+   to 1 and trivially accepts. *)
+let mixed_batch len =
+  Array.init len (fun i ->
+      match i mod 16 with
+      | 2 | 5 | 11 -> None (* two losses amid the 0s, one amid the 4s *)
+      | k when k < 8 -> Some 0
+      | _ -> Some 4)
 
 let test_gate_demotes_settled_quiet_path () =
-  (* Promote on a lossy no-DCL-shaped stream, let the EM settle on
-     no-dominant, then go cold: the gate must demote after the
-     configured streak while keeping the path's statistics and verdict
-     warm.  The loss mass must split ~2:1 between the bottom and top
-     symbols: the majority share at the bottom pins d-star to the
-     first symbol, and F at 2 d-star ~ 2/3 then rejects both the SDCL
-     (0.995) and WDCL (0.935) thresholds.  An even 50/50 split would
-     backfire: the VQD median lands mid-alphabet and 2 d-star walks
-     off the end of the m=5 scheme, where F saturates to 1 and
-     trivially accepts. *)
-  let mixed_batch len =
-    Array.init len (fun i ->
-        match i mod 16 with
-        | 2 | 5 | 11 -> None (* two losses amid the 0s, one amid the 4s *)
-        | k when k < 8 -> Some 0
-        | _ -> Some 4)
-  in
+  (* Promote on [mixed_batch], let the EM settle on no-dominant, then
+     go cold: the gate must demote after the configured streak while
+     keeping the path's statistics and verdict warm. *)
   let sched =
     gated_sched
       ~gate:(Sketch.Gate.config ~promote_after:1 ~demote_after:3 ())
@@ -446,6 +470,62 @@ let test_gate_demotes_settled_quiet_path () =
     (Stats.Float_cmp.gt (Fleet.Path_state.weight p) 0.);
   Alcotest.(check bool) "no-dominant verdict kept" true
     (Fleet.Scheduler.conclusion sched 0 = Some Dcl.Identify.No_dominant)
+
+let test_repromotion_ages_past_64 () =
+  (* A path demoted for more than 64 epochs must re-enter full
+     inference with its statistics aged by lambda^skipped, however many
+     epochs it skipped. *)
+  let sched =
+    gated_sched
+      ~gate:(Sketch.Gate.config ~promote_after:1 ~demote_after:3 ())
+      ~paths:1 ()
+  in
+  let lambda = (Fleet.Path_state.config ~scheme:scheme5 ()).Fleet.Path_state.lambda in
+  let p = Fleet.Scheduler.path sched 0 in
+  let promoted () =
+    (Option.get (Fleet.Scheduler.gate_view sched 0)).Fleet.Scheduler.promoted_path
+  in
+  (* Scheduler epoch of the path's last full-inference update. *)
+  let last_em = ref (-1) in
+  let step batch =
+    let e = Fleet.Scheduler.epoch sched and before = Fleet.Path_state.epochs p in
+    Fleet.Scheduler.push sched ~path:0 batch;
+    ignore (Fleet.Scheduler.tick sched : int);
+    if Fleet.Path_state.epochs p > before then last_em := e
+  in
+  for _ = 1 to 6 do
+    step (mixed_batch 48)
+  done;
+  let budget = ref 30 in
+  while promoted () && !budget > 0 do
+    step (cold_batch 48);
+    decr budget
+  done;
+  Alcotest.(check bool) "demoted" false (promoted ());
+  let w_demote = Fleet.Path_state.weight p and dormant_since = !last_em in
+  for _ = 1 to 70 do
+    step (cold_batch 48)
+  done;
+  Alcotest.(check bool) "stays quiet while cold" false (promoted ());
+  check_float "dormant statistics untouched" w_demote (Fleet.Path_state.weight p);
+  (* All-loss batches lift the loss EWMA past its threshold within two
+     epochs; the promotion-epoch batch is the first to reach EM. *)
+  let len = 48 in
+  let budget = ref 4 in
+  while (not (promoted ())) && !budget > 0 do
+    step (Array.make len None);
+    decr budget
+  done;
+  Alcotest.(check bool) "re-promoted" true (promoted ());
+  let promoted_at = Fleet.Scheduler.epoch sched - 1 in
+  Alcotest.(check int) "promotion-epoch batch ran EM" promoted_at !last_em;
+  let skipped = promoted_at - dormant_since - 1 in
+  Alcotest.(check bool) "dormant past 64 epochs" true (skipped > 64);
+  (* Catch-up aging, then the promotion epoch's own decay and append. *)
+  check_float "weight = w_demote * lambda^skipped * lambda + len"
+    ((w_demote *. Float.pow lambda (float_of_int skipped) *. lambda)
+    +. float_of_int len)
+    (Fleet.Path_state.weight p)
 
 (* --- workspace reuse ----------------------------------------------------- *)
 
@@ -642,6 +722,8 @@ let () =
           Alcotest.test_case "gated serial = pooled at 2/4/8" `Quick
             test_gated_pool_determinism;
           Alcotest.test_case "rerun identical" `Quick test_fleet_reruns_identically;
+          Alcotest.test_case "gated push order irrelevant" `Quick
+            test_gated_push_order_irrelevant;
         ] );
       ( "transitions",
         [ Alcotest.test_case "consistent stream" `Quick test_transitions_consistent ] );
@@ -659,6 +741,8 @@ let () =
             test_gate_loss_signal_masked_by_cms;
           Alcotest.test_case "demotes settled quiet path" `Quick
             test_gate_demotes_settled_quiet_path;
+          Alcotest.test_case "re-promotion ages by lambda^k past 64" `Quick
+            test_repromotion_ages_past_64;
         ] );
       ( "workspace-reuse",
         [

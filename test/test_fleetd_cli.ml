@@ -1,9 +1,10 @@
 (* End-end CLI validation for dcl-fleetd: out-of-range or malformed
    arguments must be rejected at the cmdliner layer with the standard
    cli-error exit code (124) and never reach the library (where they
-   would surface as an Invalid_argument backtrace or a confusing
-   trace-file load error).  Runs the installed executable as a
-   subprocess; dune provides it via the stanza's deps. *)
+   would surface as an Invalid_argument backtrace), and a trace file
+   that exists but does not parse must be reported by name and line
+   with exit code 1.  Runs the installed executable as a subprocess;
+   dune provides it via the stanza's deps. *)
 
 let exe = Filename.concat (Filename.concat ".." "bin") "dcl_fleetd.exe"
 
@@ -107,6 +108,22 @@ let read_file path =
   close_in ic;
   s
 
+let test_malformed_trace_source () =
+  let trace = Filename.temp_file "fleetd_bad" ".trace" in
+  let err = Filename.temp_file "fleetd_cli" ".err" in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ trace; err ])
+  @@ fun () ->
+  Out_channel.with_open_text trace (fun oc -> output_string oc "not a trace\n");
+  let code =
+    Sys.command
+      (Filename.quote_command exe (tiny @ [ "--source"; trace ])
+         ~stdout:Filename.null ~stderr:err)
+  in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check bool) "stderr names FILE:1:" true
+    (contains (read_file err) (trace ^ ":1:"))
+
 (* The daemon announces "admin: listening on http://127.0.0.1:PORT". *)
 let parse_port out =
   let marker = "http://127.0.0.1:" in
@@ -206,6 +223,8 @@ let () =
           Alcotest.test_case "source keyword" `Quick test_source_validation;
           Alcotest.test_case "gate parameters" `Quick test_gate_validation;
           Alcotest.test_case "admin flags" `Quick test_admin_validation;
+          Alcotest.test_case "malformed trace source" `Quick
+            test_malformed_trace_source;
         ] );
       ( "accepted",
         [ Alcotest.test_case "valid invocations" `Quick test_valid_runs ] );

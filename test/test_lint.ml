@@ -37,7 +37,7 @@ let test_r2_concurrency () =
   check_diags "sanctioned under lib/fleet/" []
     (lint ~path:"lib/fleet/scheduler.ml"
        "let k = Domain.DLS.new_key (fun () -> 0)\n");
-  check_diags "sanctioned under lib/sketch/" []
+  check_diags "lib/sketch/ is not a concurrency home" [ (1, "R2") ]
     (lint ~path:"lib/sketch/front.ml"
        "let k = Domain.DLS.new_key (fun () -> 0)\n");
   check_diags "other em modules are not a concurrency home" [ (1, "R2") ]

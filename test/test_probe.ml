@@ -158,7 +158,7 @@ let test_trace_save_load_roundtrip () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Probe.Trace.save t file;
-      let t' = Probe.Trace.load file in
+      let t' = Result.get_ok (Probe.Trace.load file) in
       Alcotest.(check int) "length" (Probe.Trace.length t) (Probe.Trace.length t');
       check_float "interval" t.Probe.Trace.interval t'.Probe.Trace.interval;
       check_close 1e-8 "base" t.Probe.Trace.base_delay t'.Probe.Trace.base_delay;
@@ -188,9 +188,13 @@ let check_load_rejects name contents ~line ~reason =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Out_channel.with_open_text file (fun oc -> output_string oc contents);
-      Alcotest.check_raises name
-        (Failure (Printf.sprintf "%s:%d: Trace.load: %s" file line reason))
-        (fun () -> ignore (Probe.Trace.load file)))
+      match Probe.Trace.load file with
+      | Ok _ -> Alcotest.failf "%s: malformed trace loaded" name
+      | Error msg ->
+          Alcotest.(check string)
+            name
+            (Printf.sprintf "%s:%d: Trace.load: %s" file line reason)
+            msg)
 
 let test_trace_load_rejects_bad_input () =
   let header = "dcltrace 1 0.020000000 0.010000000 1\n" in
@@ -230,7 +234,7 @@ let prop_trace_roundtrip =
         ~finally:(fun () -> Sys.remove file)
         (fun () ->
           Probe.Trace.save t file;
-          let t' = Probe.Trace.load file in
+          let t' = Result.get_ok (Probe.Trace.load file) in
           Probe.Trace.length t = Probe.Trace.length t'
           && Probe.Trace.losses t = Probe.Trace.losses t'))
 

@@ -1,119 +1,24 @@
-(* Tests for the sketch triage layer: count-min overestimation (the
-   bound the gate's loss masking relies on), decay-table/EWMA coasting
-   identities, Robbins-Monro quantile-tracker monotonicity and
-   convergence, and the promotion/demotion hysteresis machine. *)
+(* Tests for the sketch triage layer: the EWMA coasting identity,
+   Robbins-Monro quantile-tracker monotonicity and convergence, the
+   per-signal suspect causes, and the promotion/demotion hysteresis
+   machine. *)
 
 let check_float = Alcotest.(check (float 1e-12))
 
-(* --- count-min sketch --------------------------------------------------- *)
-
-(* The guarantee everything downstream leans on: for every key,
-   query >= true count — with halving applied to the truth as floor
-   division at the same points, since floor((a+b)/2) >= floor(a/2) +
-   floor(b/2) preserves the bound.  A zero estimate therefore proves a
-   loss-free window. *)
-let prop_cms_overestimates_only =
-  QCheck.Test.make ~name:"count-min only ever overestimates" ~count:100
-    QCheck.(pair small_int (small_list (pair (int_bound 63) (int_bound 9))))
-    (fun (seed, ops) ->
-      let cms = Sketch.Count_min.create ~width:16 ~seed () in
-      let truth = Array.make 64 0 in
-      List.iteri
-        (fun i (key, n) ->
-          Sketch.Count_min.add cms key n;
-          truth.(key) <- truth.(key) + n;
-          (* Interleave halvings so the decayed bound is exercised. *)
-          if i mod 5 = 4 then begin
-            Sketch.Count_min.halve cms;
-            Array.iteri (fun k v -> truth.(k) <- v / 2) truth
-          end)
-        ops;
-      Array.for_all
-        (fun k -> Sketch.Count_min.query cms k >= truth.(k))
-        (Array.init 64 (fun k -> k)))
-
-let test_cms_exact_when_sparse () =
-  (* With far more cells than keys the estimate is almost surely exact;
-     this pins the plumbing (row indexing, min over rows). *)
-  let cms = Sketch.Count_min.create ~width:1024 ~seed:42 () in
-  Sketch.Count_min.add cms 7 3;
-  Sketch.Count_min.add cms 7 2;
-  Sketch.Count_min.add cms 900 1;
-  Alcotest.(check int) "key 7" 5 (Sketch.Count_min.query cms 7);
-  Alcotest.(check int) "key 900" 1 (Sketch.Count_min.query cms 900);
-  Alcotest.(check int) "untouched key" 0 (Sketch.Count_min.query cms 3);
-  Sketch.Count_min.halve cms;
-  Alcotest.(check int) "halved (floor)" 2 (Sketch.Count_min.query cms 7);
-  Sketch.Count_min.clear cms;
-  Alcotest.(check int) "cleared" 0 (Sketch.Count_min.query cms 7)
-
-let test_cms_deterministic () =
-  let run () =
-    let cms = Sketch.Count_min.create ~width:32 ~seed:0xBEEF () in
-    for k = 0 to 99 do
-      Sketch.Count_min.add cms k (k mod 7)
-    done;
-    Array.init 100 (fun k -> Sketch.Count_min.query cms k)
-  in
-  Alcotest.(check (array int)) "equal seeds replay bitwise" (run ()) (run ())
-
-let test_cms_validation () =
-  Alcotest.check_raises "width zero"
-    (Invalid_argument "Sketch.Count_min.create: width must be positive")
-    (fun () -> ignore (Sketch.Count_min.create ~width:0 ~seed:1 ()));
-  Alcotest.check_raises "rows zero"
-    (Invalid_argument "Sketch.Count_min.create: rows must be positive")
-    (fun () -> ignore (Sketch.Count_min.create ~rows:0 ~width:8 ~seed:1 ()));
-  let cms = Sketch.Count_min.create ~width:5 ~seed:1 () in
-  Alcotest.(check int) "width rounds up to a power of two" 8
-    (Sketch.Count_min.width cms);
-  Alcotest.check_raises "negative add"
-    (Invalid_argument "Sketch.Count_min.add: count must be non-negative")
-    (fun () -> Sketch.Count_min.add cms 0 (-1))
-
-(* --- decay table -------------------------------------------------------- *)
-
-let test_decay_table_matches_iterated_product () =
-  let t = Sketch.Estimators.Decay_table.make ~factor:0.9 () in
-  let acc = ref 1. in
-  for k = 0 to 64 do
-    (* Bitwise, not approximate: the table is built by the same
-       left-to-right multiplication a per-epoch decay loop performs. *)
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "0.9^%d" k)
-      !acc
-      (Sketch.Estimators.Decay_table.pow t k);
-    acc := !acc *. 0.9
-  done;
-  check_float "clamps past max_pow"
-    (Sketch.Estimators.Decay_table.pow t 64)
-    (Sketch.Estimators.Decay_table.pow t 1000)
-
-let test_decay_table_validation () =
-  Alcotest.check_raises "factor above one"
-    (Invalid_argument "Sketch.Estimators.Decay_table.make: factor must be in [0, 1]")
-    (fun () ->
-      ignore (Sketch.Estimators.Decay_table.make ~factor:1.5 ()));
-  let t = Sketch.Estimators.Decay_table.make ~factor:0.5 () in
-  Alcotest.check_raises "negative power"
-    (Invalid_argument "Sketch.Estimators.Decay_table.pow: negative power")
-    (fun () -> ignore (Sketch.Estimators.Decay_table.pow t (-1) : float))
-
 (* --- loss EWMA ---------------------------------------------------------- *)
 
-(* Coasting k epochs through the table is the same as k explicit
-   zero-updates, up to float multiplication order. *)
+(* Coasting k epochs is the same as k explicit zero-updates, up to
+   rounding — for every k, including long quiet spells. *)
 let prop_ewma_coast_equals_zero_updates =
   QCheck.Test.make ~name:"ewma coast = k zero-updates" ~count:200
-    QCheck.(pair (float_range 0.01 1.) (int_range 0 64))
+    QCheck.(pair (float_range 0.01 1.) (int_range 0 200))
     (fun (x0, k) ->
       let alpha = 0.15 in
-      let table = Sketch.Estimators.Decay_table.make ~factor:(1. -. alpha) () in
       let a = Sketch.Estimators.Ewma.make ~alpha in
       let b = Sketch.Estimators.Ewma.make ~alpha in
       Sketch.Estimators.Ewma.update a x0;
       Sketch.Estimators.Ewma.update b x0;
-      Sketch.Estimators.Ewma.coast a table k;
+      Sketch.Estimators.Ewma.coast a k;
       for _ = 1 to k do
         Sketch.Estimators.Ewma.update b 0.
       done;
@@ -133,16 +38,18 @@ let test_ewma_priming_and_convergence () =
   Alcotest.(check (float 1e-6)) "converges to the constant input" 0.3
     (Sketch.Estimators.Ewma.value e);
   (* Coasting an unprimed EWMA stays a no-op. *)
-  let table = Sketch.Estimators.Decay_table.make ~factor:0.8 () in
   let fresh = Sketch.Estimators.Ewma.make ~alpha:0.2 in
-  Sketch.Estimators.Ewma.coast fresh table 5;
+  Sketch.Estimators.Ewma.coast fresh 5;
   Alcotest.(check bool) "coast does not prime" false
     (Sketch.Estimators.Ewma.primed fresh)
 
 let test_ewma_validation () =
   Alcotest.check_raises "alpha zero"
     (Invalid_argument "Sketch.Estimators.Ewma.make: alpha must be in (0, 1]")
-    (fun () -> ignore (Sketch.Estimators.Ewma.make ~alpha:0.))
+    (fun () -> ignore (Sketch.Estimators.Ewma.make ~alpha:0.));
+  Alcotest.check_raises "negative coast"
+    (Invalid_argument "Sketch.Estimators.Ewma.coast: negative epochs")
+    (fun () -> Sketch.Estimators.Ewma.coast (Sketch.Estimators.Ewma.make ~alpha:0.5) (-1))
 
 (* --- quantile tracker --------------------------------------------------- *)
 
@@ -154,7 +61,7 @@ let prop_quantile_update_monotone =
     ~count:300
     QCheck.(pair (small_list (float_range 0. 4.)) (float_range 0. 4.))
     (fun (warm, y) ->
-      let q = Sketch.Estimators.Quantile.make ~p:0.75 ~lo:0. ~hi:4. () in
+      let q = Sketch.Estimators.Quantile.make ~p:0.75 ~lo:0. ~hi:4. in
       List.iter (Sketch.Estimators.Quantile.update q) warm;
       let before = Sketch.Estimators.Quantile.value q in
       Sketch.Estimators.Quantile.update q y;
@@ -174,7 +81,7 @@ let prop_quantile_update_monotone =
 let test_quantile_converges () =
   (* Uniform draws over the symbol range: the p75 of uniform [0, 4] is
      3; the tracker should land nearby with the 1/n-quantized gains. *)
-  let q = Sketch.Estimators.Quantile.make ~p:0.75 ~lo:0. ~hi:4. () in
+  let q = Sketch.Estimators.Quantile.make ~p:0.75 ~lo:0. ~hi:4. in
   let rng = Stats.Rng.create 1234 in
   for _ = 1 to 5000 do
     Sketch.Estimators.Quantile.update q (4. *. Stats.Rng.float rng)
@@ -189,7 +96,7 @@ let test_quantile_concentrated_input () =
      the tracker's steady-state oscillation (ties step downward by
      step * (1 - p), ~0.008 at this count), and elevation reads the
      symbol's height — the drift signal the gate thresholds. *)
-  let q = Sketch.Estimators.Quantile.make ~p:0.75 ~lo:0. ~hi:4. () in
+  let q = Sketch.Estimators.Quantile.make ~p:0.75 ~lo:0. ~hi:4. in
   for _ = 1 to 500 do
     Sketch.Estimators.Quantile.update q 4.
   done;
@@ -199,7 +106,7 @@ let test_quantile_concentrated_input () =
     (Sketch.Estimators.Quantile.elevation q)
 
 let test_quantile_clamps () =
-  let q = Sketch.Estimators.Quantile.make ~p:0.5 ~lo:0. ~hi:4. () in
+  let q = Sketch.Estimators.Quantile.make ~p:0.5 ~lo:0. ~hi:4. in
   Sketch.Estimators.Quantile.update q 100.;
   Alcotest.(check bool) "primed value clamped" true
     (Stats.Float_cmp.leq (Sketch.Estimators.Quantile.value q) 4.);
@@ -213,11 +120,11 @@ let test_quantile_validation () =
   Alcotest.check_raises "p at the boundary"
     (Invalid_argument "Sketch.Estimators.Quantile.make: p must be in (0, 1)")
     (fun () ->
-      ignore (Sketch.Estimators.Quantile.make ~p:1. ~lo:0. ~hi:1. ()));
+      ignore (Sketch.Estimators.Quantile.make ~p:1. ~lo:0. ~hi:1.));
   Alcotest.check_raises "empty range"
     (Invalid_argument "Sketch.Estimators.Quantile.make: lo must be below hi")
     (fun () ->
-      ignore (Sketch.Estimators.Quantile.make ~p:0.5 ~lo:1. ~hi:1. ()))
+      ignore (Sketch.Estimators.Quantile.make ~p:0.5 ~lo:1. ~hi:1.))
 
 (* --- gate hysteresis ---------------------------------------------------- *)
 
@@ -271,16 +178,36 @@ let test_gate_signal_thresholds () =
     Sketch.Gate.config ~loss_threshold:0.2 ~drift_threshold:0.75
       ~demote_margin:0.8 ()
   in
+  let suspect ~loss ~drift = Sketch.Gate.suspect_cause cfg ~loss ~drift <> None in
   Alcotest.(check bool) "loss at threshold is suspect" true
-    (Sketch.Gate.suspect cfg ~loss:0.2 ~drift:0.);
+    (suspect ~loss:0.2 ~drift:0.);
   Alcotest.(check bool) "drift at threshold is suspect" true
-    (Sketch.Gate.suspect cfg ~loss:0. ~drift:0.75);
+    (suspect ~loss:0. ~drift:0.75);
   Alcotest.(check bool) "both below is not suspect" false
-    (Sketch.Gate.suspect cfg ~loss:0.19 ~drift:0.74);
+    (suspect ~loss:0.19 ~drift:0.74);
   Alcotest.(check bool) "inside the margin band is not calm" false
     (Sketch.Gate.calm cfg ~loss:0.17 ~drift:0.);
   Alcotest.(check bool) "below both margins is calm" true
     (Sketch.Gate.calm cfg ~loss:0.15 ~drift:0.5)
+
+let test_suspect_cause_per_signal () =
+  let cfg = Sketch.Gate.config ~loss_threshold:0.2 ~drift_threshold:0.75 () in
+  let check name expected ~loss ~drift =
+    Alcotest.(check bool) name true
+      (Sketch.Gate.suspect_cause cfg ~loss ~drift = expected)
+  in
+  check "loss alone at its threshold" (Some Sketch.Gate.Loss) ~loss:0.2 ~drift:0.74;
+  check "drift alone at its threshold" (Some Sketch.Gate.Drift) ~loss:0.19
+    ~drift:0.75;
+  check "both at their thresholds" (Some Sketch.Gate.Both) ~loss:0.2 ~drift:0.75;
+  check "both just below" None ~loss:0.19 ~drift:0.74;
+  List.iter
+    (fun (c, name) -> Alcotest.(check string) name name (Sketch.Gate.cause_name c))
+    [
+      (Sketch.Gate.Loss, "loss-ewma");
+      (Sketch.Gate.Drift, "drift");
+      (Sketch.Gate.Both, "loss-ewma+drift");
+    ]
 
 let test_gate_config_validation () =
   Alcotest.check_raises "promote_after zero"
@@ -293,19 +220,6 @@ let test_gate_config_validation () =
 let () =
   Alcotest.run "sketch"
     [
-      ( "count-min",
-        [
-          QCheck_alcotest.to_alcotest prop_cms_overestimates_only;
-          Alcotest.test_case "exact when sparse" `Quick test_cms_exact_when_sparse;
-          Alcotest.test_case "deterministic" `Quick test_cms_deterministic;
-          Alcotest.test_case "validation" `Quick test_cms_validation;
-        ] );
-      ( "decay-table",
-        [
-          Alcotest.test_case "iterated product" `Quick
-            test_decay_table_matches_iterated_product;
-          Alcotest.test_case "validation" `Quick test_decay_table_validation;
-        ] );
       ( "ewma",
         [
           QCheck_alcotest.to_alcotest prop_ewma_coast_equals_zero_updates;
@@ -333,5 +247,10 @@ let () =
             test_gate_demotion_needs_calm_and_settled;
           Alcotest.test_case "signal thresholds" `Quick test_gate_signal_thresholds;
           Alcotest.test_case "config validation" `Quick test_gate_config_validation;
+        ] );
+      ( "gate-causes",
+        [
+          Alcotest.test_case "suspect cause per signal" `Quick
+            test_suspect_cause_per_signal;
         ] );
     ]

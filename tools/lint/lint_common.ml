@@ -40,7 +40,7 @@ let rule_help =
     ("R1", "Random.* and wall-clock seeding only in lib/stats/rng.ml");
     ( "R2",
       "Domain/Mutex/Condition/Atomic only in pool.ml, par.ml, lib/obs/, \
-       lib/fleet/, lib/sketch/" );
+       lib/fleet/" );
     ("R3", "no =, <>, compare on floats; no hand-rolled abs_float epsilon");
     ("R4", "no exit / printf / prerr in lib/");
     ( "R5",
@@ -334,9 +334,6 @@ let concurrency_home rel =
       (* The fleet layer owns the pool fan-out over paths, so it is a
          legitimate home for domain primitives. *)
       | "lib" :: "fleet" :: _ -> true
-      (* The sketch triage layer sits on the fleet's push path and may
-         reach for the same per-domain primitives. *)
-      | "lib" :: "sketch" :: _ -> true
       | _ -> false)
 
 (* R7 ownership discipline applies where the concurrent actors live:

@@ -211,7 +211,7 @@ let check_ident ctx ~loc name =
   if concurrency_banned name && not (concurrency_home ctx.x_rel) then
     report ctx ~loc ~rule:"R2"
       (name
-     ^ " outside lib/stats/pool.ml, lib/stats/par.ml, lib/obs/, lib/fleet/ or lib/sketch/; route parallelism through Stats.Pool");
+     ^ " outside lib/stats/pool.ml, lib/stats/par.ml, lib/obs/ or lib/fleet/; route parallelism through Stats.Pool");
   if in_lib ctx.x_rel && io_banned name then
     report ctx ~loc ~rule:"R4"
       (name ^ " in library code; binaries own process control and stdout");
