@@ -48,17 +48,17 @@ let synth_obs ~seed ~n ~m ~t =
   obs.(1) <- Some 0;
   obs
 
-let model_fingerprint (m : Mmhd.t) =
-  (* Order-sensitive fold over every parameter: any bitwise difference
-     between two fitted models changes the fingerprint. *)
+let model_fingerprint (model : Em.model) =
+  (* Order-sensitive fold over every fitted parameter: any bitwise
+     difference between two fitted models changes the fingerprint. *)
   let h = ref 0L in
   let mix x =
     h := Int64.add (Int64.mul !h 1000003L) (Int64.bits_of_float x)
   in
-  Array.iter mix m.Mmhd.pi;
-  Array.iter (Array.iter mix) m.Mmhd.a;
-  Array.iter mix m.Mmhd.c;
-  Int64.to_string !h
+  Array.iter mix model.Em.pi;
+  Array.iter mix model.Em.a;
+  Array.iter mix model.Em.c;
+  !h
 
 (* Pooled domain counts measured per case; the derived
    recommended_domain_count is the first of these whose aggregate
@@ -86,7 +86,7 @@ let run_case ~smoke ~t ~n buf first =
   in
   let (_, serial_s) = time_of (fun () -> fit ~domains:1) in
   let check_winner what model =
-    if model_fingerprint model_serial <> model_fingerprint model then begin
+    if not (Int64.equal (model_fingerprint model_serial) (model_fingerprint model)) then begin
       Printf.eprintf "FATAL: %s winner differs from serial winner (T=%d n=%d)\n"
         what t n;
       exit 1
@@ -111,8 +111,8 @@ let run_case ~smoke ~t ~n buf first =
     \     \"winner_identical_to_serial\": true}"
     t n m restarts max_iter serial_s pool2_s pool4_s (serial_s /. pool4_s)
     alloc_serial
-    (alloc_serial /. float_of_int (t * stats_serial.Mmhd.iterations * restarts))
-    stats_serial.Mmhd.iterations stats_serial.Mmhd.log_likelihood;
+    (alloc_serial /. float_of_int (t * stats_serial.Em.iterations * restarts))
+    stats_serial.Em.iterations stats_serial.Em.log_likelihood;
   { serial = serial_s; pooled }
 
 let geomean = function
@@ -173,7 +173,7 @@ let run_obs ~smoke =
   ignore (fit ());
   let _, alloc_disabled_after = alloc_of fit in
   let trace_overhead = (traced_s /. disabled_s) -. 1. in
-  let obs_iters = t * stats.Mmhd.iterations * restarts in
+  let obs_iters = t * stats.Em.iterations * restarts in
   let disabled_per_obs_iter = alloc_disabled /. float_of_int obs_iters in
   let disabled_after_per_obs_iter =
     alloc_disabled_after /. float_of_int obs_iters
@@ -188,25 +188,15 @@ let run_obs ~smoke =
   let window = t / 4 in
   let stride = window / 2 in
   let n_windows = ((t - window) / stride) + 1 in
-  let em_fingerprint (model : Em.model) =
-    let h = ref 0L in
-    let mix x = h := Int64.add (Int64.mul !h 1000003L) (Int64.bits_of_float x) in
-    Array.iter mix model.Em.pi;
-    Array.iter mix model.Em.a;
-    Array.iter mix model.Em.c;
-    !h
-  in
   let fit_windows ~fresh_ws =
     let warm = Em.workspace () in
     let h = ref 0L in
     for w = 0 to n_windows - 1 do
       let win = Array.sub obs (w * stride) window in
-      let t0 =
-        Mmhd.to_em (Mmhd.init_informed (Stats.Rng.create (1000 + w)) ~n ~m win)
-      in
+      let t0 = Mmhd.init_informed (Stats.Rng.create (1000 + w)) ~n ~m win in
       let ws = if fresh_ws then Em.workspace () else warm in
       let model, _ = Em.fit_from ~ws ~eps:1e-3 ~max_iter ~update_b:false t0 win in
-      h := Int64.add (Int64.mul !h 1000003L) (em_fingerprint model)
+      h := Int64.add (Int64.mul !h 1000003L) (model_fingerprint model)
     done;
     !h
   in
@@ -240,7 +230,7 @@ let run_obs ~smoke =
     \  \"warm_ws_saved_bytes_per_window\": %.0f,\n\
     \  \"warm_ws_identical_to_fresh\": true,\n\
     \  \"note\": \"one serial MMHD fit timed with Obs collection off and on (min of %d repeats each); every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) enabled and metrics off: trace_overhead_ratio bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure the Online.scan sliding-window pattern: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what scan's per-domain domain_ws gives every window) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
-    t n m restarts max_iter stats.Mmhd.iterations disabled_s enabled_s overhead
+    t n m restarts max_iter stats.Em.iterations disabled_s enabled_s overhead
     alloc_disabled alloc_enabled disabled_per_obs_iter traced_s trace_overhead
     trace_events disabled_after_per_obs_iter n_windows window
     alloc_warm alloc_fresh saved_per_window repeats;

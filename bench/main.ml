@@ -633,21 +633,18 @@ let ablation scale =
 let speed _scale =
   section "Speed - Bechamel microbenchmarks";
   let synthetic_obs len =
-    let reference : Mmhd.t =
-      {
-        n = 1;
-        m = 5;
-        pi = [| 0.6; 0.2; 0.1; 0.07; 0.03 |];
-        a =
+    let reference =
+      Mmhd.make ~n:1 ~m:5
+        ~pi:[| 0.6; 0.2; 0.1; 0.07; 0.03 |]
+        ~a:
           [|
-            [| 0.8; 0.15; 0.03; 0.01; 0.01 |];
-            [| 0.3; 0.5; 0.15; 0.04; 0.01 |];
-            [| 0.1; 0.3; 0.4; 0.15; 0.05 |];
-            [| 0.05; 0.15; 0.3; 0.4; 0.1 |];
-            [| 0.02; 0.08; 0.2; 0.3; 0.4 |];
-          |];
-        c = [| 0.; 0.01; 0.02; 0.2; 0.4 |];
-      }
+            0.8; 0.15; 0.03; 0.01; 0.01;
+            0.3; 0.5; 0.15; 0.04; 0.01;
+            0.1; 0.3; 0.4; 0.15; 0.05;
+            0.05; 0.15; 0.3; 0.4; 0.1;
+            0.02; 0.08; 0.2; 0.3; 0.4;
+          |]
+        ~c:[| 0.; 0.01; 0.02; 0.2; 0.4 |]
     in
     fst (Mmhd.simulate (Stats.Rng.create 3) reference ~len)
   in
@@ -667,7 +664,7 @@ let speed _scale =
         Test.make ~name:"mmhd-loglik-5k"
           (Staged.stage
              (let model = Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:5 obs in
-              fun () -> ignore (Mmhd.log_likelihood model obs)));
+              fun () -> ignore (Em.log_likelihood ~ws:(Em.domain_ws ()) model obs)));
         Test.make ~name:"sim-strongly-10s"
           (Staged.stage (fun () ->
                ignore

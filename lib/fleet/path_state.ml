@@ -135,9 +135,7 @@ let update ~ws ?epoch t batch =
              delay arrives.  Once a model exists, all-loss batches are
              handled by the missing-value emission. *)
           if Array.exists (fun o -> o <> None) batch then
-            Some
-              (Mmhd.to_em
-                 (Mmhd.init_informed t.rng ~n:t.config.n ~m:t.config.m batch))
+            Some (Mmhd.init_informed t.rng ~n:t.config.n ~m:t.config.m batch)
           else None
     in
     match model with

@@ -1,24 +1,19 @@
-(** Small dense-matrix helpers for the EM implementations.  Matrices
-    are [float array array] in row-major layout; no aliasing tricks. *)
+(** Small dense-matrix helpers for the EM model initializers.  A
+    matrix is a row-major [float array]: entry [(i, j)] of a matrix
+    with [cols] columns is [v.(i * cols + j)]. *)
 
-val make : int -> int -> float -> float array array
-val copy : float array array -> float array array
-val dims : float array array -> int * int
-
-val row_normalize : float array array -> unit
+val row_normalize : cols:int -> float array -> unit
 (** Make every row a stochastic vector in place.  Rows summing to zero
-    are replaced by the uniform distribution (the EM M-step can produce
-    such rows for states never visited). *)
+    are replaced by the uniform distribution. *)
 
-val max_abs_diff : float array array -> float array array -> float
-(** Largest entrywise absolute difference.  Requires equal dims. *)
+val max_abs_diff : float array -> float array -> float
+(** Largest entrywise absolute difference.  Requires equal lengths. *)
 
-val max_abs_diff_vec : float array -> float array -> float
+val random_stochastic : Rng.t -> int -> int -> float array
+(** [random_stochastic rng r c]: a random [r]-by-[c] row-stochastic
+    matrix with entries bounded away from 0 — the paper initializes
+    the MMHD transition matrix randomly. *)
 
-val random_stochastic : Rng.t -> int -> int -> float array array
-(** Random row-stochastic matrix with entries bounded away from 0 —
-    the paper initializes the MMHD transition matrix randomly. *)
-
-val is_stochastic : ?eps:float -> float array array -> bool
-(** All entries non-negative and every row sums to 1 within [eps]
-    (default 1e-6). *)
+val is_stochastic : ?eps:float -> cols:int -> float array -> bool
+(** [cols > 0], the length is a multiple of [cols], all entries are
+    non-negative and every row sums to 1 within [eps] (default 1e-6). *)

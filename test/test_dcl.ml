@@ -255,21 +255,18 @@ let test_truth_shares_and_delay_condition () =
    midpoints of the symbols, losses carry truth with Y = the hidden
    symbol's value. *)
 let synthetic_trace ~len seed =
-  let reference : Mmhd.t =
-    {
-      n = 1;
-      m = 5;
-      pi = [| 0.55; 0.25; 0.15; 0.04; 0.01 |];
-      a =
+  let reference =
+    Mmhd.make ~n:1 ~m:5
+      ~pi:[| 0.55; 0.25; 0.15; 0.04; 0.01 |]
+      ~a:
         [|
-          [| 0.80; 0.15; 0.04; 0.008; 0.002 |];
-          [| 0.30; 0.50; 0.15; 0.04; 0.01 |];
-          [| 0.10; 0.25; 0.50; 0.12; 0.03 |];
-          [| 0.05; 0.10; 0.30; 0.45; 0.10 |];
-          [| 0.02; 0.08; 0.20; 0.30; 0.40 |];
-        |];
-      c = [| 0.; 0.005; 0.02; 0.3; 0.4 |];
-    }
+          0.80; 0.15; 0.04; 0.008; 0.002;
+          0.30; 0.50; 0.15; 0.04; 0.01;
+          0.10; 0.25; 0.50; 0.12; 0.03;
+          0.05; 0.10; 0.30; 0.45; 0.10;
+          0.02; 0.08; 0.20; 0.30; 0.40;
+        |]
+      ~c:[| 0.; 0.005; 0.02; 0.3; 0.4 |]
   in
   let rng = Stats.Rng.create seed in
   let obs, path = Mmhd.simulate rng reference ~len in
@@ -282,7 +279,7 @@ let synthetic_trace ~len seed =
     Array.mapi
       (fun t o ->
         let send_time = 0.02 *. float_of_int t in
-        let y = Mmhd.symbol_of reference path.(t) in
+        let y = path.(t) mod reference.Em.m in
         let delay =
           base +. (width *. (float_of_int y +. Stats.Sampler.uniform jrng ~lo:0.02 ~hi:0.98))
         in

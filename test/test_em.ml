@@ -25,9 +25,6 @@ let hmm_obs ~seed ~len =
 let check_same_floats name a b =
   Alcotest.(check (array (float 0.))) name a b
 
-let check_same_matrix name a b =
-  Array.iteri (fun i row -> check_same_floats (Printf.sprintf "%s row %d" name i) row b.(i)) a
-
 let test_mmhd_parallel_determinism () =
   let obs = mmhd_obs ~seed:11 ~len:1500 in
   let fit domains =
@@ -35,11 +32,11 @@ let test_mmhd_parallel_determinism () =
   in
   let serial, s_stats = fit 1 in
   let parallel, p_stats = fit 4 in
-  check_same_floats "pi" serial.Mmhd.pi parallel.Mmhd.pi;
-  check_same_matrix "a" serial.Mmhd.a parallel.Mmhd.a;
-  check_same_floats "c" serial.Mmhd.c parallel.Mmhd.c;
-  check_float "log-likelihood" s_stats.Mmhd.log_likelihood p_stats.Mmhd.log_likelihood;
-  Alcotest.(check int) "iterations" s_stats.Mmhd.iterations p_stats.Mmhd.iterations
+  check_same_floats "pi" serial.Em.pi parallel.Em.pi;
+  check_same_floats "a" serial.Em.a parallel.Em.a;
+  check_same_floats "c" serial.Em.c parallel.Em.c;
+  check_float "log-likelihood" s_stats.Em.log_likelihood p_stats.Em.log_likelihood;
+  Alcotest.(check int) "iterations" s_stats.Em.iterations p_stats.Em.iterations
 
 let test_hmm_parallel_determinism () =
   let obs = hmm_obs ~seed:13 ~len:1500 in
@@ -48,11 +45,11 @@ let test_hmm_parallel_determinism () =
   in
   let serial, s_stats = fit 1 in
   let parallel, p_stats = fit 4 in
-  check_same_floats "pi" serial.Hmm.pi parallel.Hmm.pi;
-  check_same_matrix "a" serial.Hmm.a parallel.Hmm.a;
-  check_same_matrix "b" serial.Hmm.b parallel.Hmm.b;
-  check_same_floats "c" serial.Hmm.c parallel.Hmm.c;
-  check_float "log-likelihood" s_stats.Hmm.log_likelihood p_stats.Hmm.log_likelihood
+  check_same_floats "pi" serial.Em.pi parallel.Em.pi;
+  check_same_floats "a" serial.Em.a parallel.Em.a;
+  check_same_floats "b" serial.Em.b parallel.Em.b;
+  check_same_floats "c" serial.Em.c parallel.Em.c;
+  check_float "log-likelihood" s_stats.Em.log_likelihood p_stats.Em.log_likelihood
 
 let test_more_domains_than_restarts () =
   (* domains beyond the restart count must not change the result. *)
@@ -60,7 +57,7 @@ let test_more_domains_than_restarts () =
   let fit domains =
     fst (Mmhd.fit ~max_iter:10 ~restarts:2 ~domains ~rng:(Stats.Rng.create 3) ~n:2 ~m:4 obs)
   in
-  check_same_floats "pi" (fit 1).Mmhd.pi (fit 8).Mmhd.pi
+  check_same_floats "pi" (fit 1).Em.pi (fit 8).Em.pi
 
 (* --- degenerate restarts are skipped, not fatal ------------------------ *)
 
@@ -139,6 +136,18 @@ let test_zero_likelihood_carries_time () =
   | _ -> Alcotest.fail "expected Zero_likelihood"
   | exception Em.Zero_likelihood t -> Alcotest.(check int) "failing time" 2 t
 
+(* A symbol outside [0, m) is rejected with its time index, not read
+   as the loss class (symbol m) or past the emission table (-1). *)
+let test_out_of_range_symbols () =
+  let ws = Em.workspace () in
+  let model = Mmhd.init_random (Stats.Rng.create 4) ~n:2 ~m:3 ~loss_fraction:0.1 in
+  Alcotest.check_raises "symbol m"
+    (Invalid_argument "Em: symbol 3 at time 2 is outside [0, 3)") (fun () ->
+      ignore (Em.log_likelihood ~ws model [| Some 0; Some 1; Some 3; Some 2 |]));
+  Alcotest.check_raises "symbol -1"
+    (Invalid_argument "Em: symbol -1 at time 1 is outside [0, 3)") (fun () ->
+      ignore (Em.log_likelihood ~ws model [| Some 0; Some (-1); None |]))
+
 let test_em_floors_keep_fit_alive () =
   (* Starting EM from a model already carrying hard zeros in re-estimated
      blocks must not abort: the M-step floors keep later iterations
@@ -173,18 +182,7 @@ let test_workspace_reuse_across_sizes () =
   let small_obs = [| Some 0; None; Some 1; Some 1; Some 0; None; Some 1 |] in
   let shared = Em.workspace () in
   let big = Mmhd.init_informed (Stats.Rng.create 9) ~n:3 ~m:4 big_obs in
-  let big_em : Em.model =
-    let s = 12 in
-    {
-      Em.s;
-      m = 4;
-      pi = Array.copy big.Mmhd.pi;
-      a = Array.init (s * s) (fun k -> big.Mmhd.a.(k / s).(k mod s));
-      b = Array.init (s * 4) (fun k -> if k mod 4 = k / 4 mod 4 then 1. else 0.);
-      c = Array.copy big.Mmhd.c;
-    }
-  in
-  ignore (Em.em_step ~ws:shared ~update_b:false big_em big_obs);
+  ignore (Em.em_step ~ws:shared ~update_b:false big big_obs);
   let fresh = Em.workspace () in
   let ll_shared = Em.log_likelihood ~ws:shared sane_model small_obs in
   let ll_fresh = Em.log_likelihood ~ws:fresh sane_model small_obs in
@@ -227,6 +225,7 @@ let () =
             test_zero_likelihood_carries_time;
           Alcotest.test_case "floors keep fit alive" `Quick
             test_em_floors_keep_fit_alive;
+          Alcotest.test_case "out-of-range symbols" `Quick test_out_of_range_symbols;
         ] );
       ( "workspace",
         [

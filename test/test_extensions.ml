@@ -8,39 +8,38 @@ let check_close eps = Alcotest.(check (float eps))
 
 (* --- Viterbi ------------------------------------------------------------- *)
 
-let hmm_ref : Hmm.t =
+let hmm_ref : Em.model =
   {
-    n = 2;
+    s = 2;
     m = 3;
     pi = [| 0.7; 0.3 |];
-    a = [| [| 0.9; 0.1 |]; [| 0.2; 0.8 |] |];
-    b = [| [| 0.6; 0.35; 0.05 |]; [| 0.05; 0.15; 0.8 |] |];
+    a = [| 0.9; 0.1; 0.2; 0.8 |];
+    b = [| 0.6; 0.35; 0.05; 0.05; 0.15; 0.8 |];
     c = [| 0.01; 0.05; 0.4 |];
   }
 
-let mmhd_ref : Mmhd.t =
-  {
-    n = 2;
-    m = 2;
-    pi = [| 0.5; 0.2; 0.1; 0.2 |];
-    a =
+let mmhd_ref =
+  Mmhd.make ~n:2 ~m:2 ~pi:[| 0.5; 0.2; 0.1; 0.2 |]
+    ~a:
       [|
-        [| 0.70; 0.20; 0.05; 0.05 |];
-        [| 0.40; 0.40; 0.05; 0.15 |];
-        [| 0.20; 0.05; 0.40; 0.35 |];
-        [| 0.05; 0.05; 0.30; 0.60 |];
-      |];
-    c = [| 0.02; 0.30 |];
-  }
+        0.70; 0.20; 0.05; 0.05;
+        0.40; 0.40; 0.05; 0.15;
+        0.20; 0.05; 0.40; 0.35;
+        0.05; 0.05; 0.30; 0.60;
+      |]
+    ~c:[| 0.02; 0.30 |]
 
-(* Brute-force best path by enumeration for a tiny sequence. *)
-let brute_viterbi_hmm (t : Hmm.t) obs =
+let viterbi t obs = Em.viterbi ~ws:(Em.domain_ws ()) t obs
+
+(* Brute-force best path by enumeration for a tiny sequence.  An MMHD
+   is the same structure with 0/1 emissions, so this checks both. *)
+let brute_viterbi (t : Em.model) obs =
   let emission i = function
-    | Some j -> t.Hmm.b.(i).(j) *. (1. -. t.Hmm.c.(j))
+    | Some j -> t.b.((i * t.m) + j) *. (1. -. t.c.(j))
     | None ->
         let acc = ref 0. in
-        for j = 0 to t.Hmm.m - 1 do
-          acc := !acc +. (t.Hmm.b.(i).(j) *. t.Hmm.c.(j))
+        for j = 0 to t.m - 1 do
+          acc := !acc +. (t.b.((i * t.m) + j) *. t.c.(j))
         done;
         !acc
   in
@@ -51,11 +50,11 @@ let brute_viterbi_hmm (t : Hmm.t) obs =
       if prob > fst !best then best := (prob, Array.of_list (List.rev path))
     end
     else
-      for i = 0 to t.Hmm.n - 1 do
+      for i = 0 to t.s - 1 do
         let step =
           (match path with
-          | [] -> log t.Hmm.pi.(i)
-          | prev :: _ -> log t.Hmm.a.(prev).(i))
+          | [] -> log t.pi.(i)
+          | prev :: _ -> log t.a.((prev * t.s) + i))
           +. log (emission i obs.(time))
         in
         extend (time + 1) (i :: path) (prob +. step)
@@ -66,36 +65,21 @@ let brute_viterbi_hmm (t : Hmm.t) obs =
 
 let test_hmm_viterbi_matches_brute_force () =
   let obs = [| Some 0; Some 2; None; Some 2; Some 0; Some 1 |] in
-  let path, logp = Hmm.viterbi hmm_ref obs in
-  let b_logp, b_path = brute_viterbi_hmm hmm_ref obs in
+  let path, logp = viterbi hmm_ref obs in
+  let b_logp, b_path = brute_viterbi hmm_ref obs in
   check_close 1e-9 "log prob" b_logp logp;
   Alcotest.(check (array int)) "path" b_path path
 
 let test_hmm_viterbi_tracks_regimes () =
   let obs = Array.append (Array.make 8 (Some 0)) (Array.make 8 (Some 2)) in
-  let path, _ = Hmm.viterbi hmm_ref obs in
+  let path, _ = viterbi hmm_ref obs in
   Alcotest.(check int) "starts calm" 0 path.(2);
   Alcotest.(check int) "ends congested" 1 path.(13)
 
-(* The MMHD written as the equivalent HMM: one HMM state per flattened
-   (hidden, symbol) state, emitting its own symbol with probability 1. *)
-let mmhd_as_hmm (t : Mmhd.t) : Hmm.t =
-  let s = Mmhd.states t in
-  {
-    n = s;
-    m = t.m;
-    pi = t.pi;
-    a = t.a;
-    b =
-      Array.init s (fun st ->
-          Array.init t.m (fun j -> if Mmhd.symbol_of t st = j then 1. else 0.));
-    c = t.c;
-  }
-
 let test_mmhd_viterbi_matches_brute_force () =
   let obs = [| Some 0; Some 1; None; Some 1; Some 0; None; Some 0 |] in
-  let path, logp = Mmhd.viterbi mmhd_ref obs in
-  let b_logp, b_path = brute_viterbi_hmm (mmhd_as_hmm mmhd_ref) obs in
+  let path, logp = viterbi mmhd_ref obs in
+  let b_logp, b_path = brute_viterbi mmhd_ref obs in
   check_close 1e-9 "log prob" b_logp logp;
   Alcotest.(check (array int)) "path" b_path path
 
@@ -104,12 +88,12 @@ let test_mmhd_viterbi_consistency () =
      symbol. *)
   let rng = Stats.Rng.create 5 in
   let obs, _ = Mmhd.simulate rng mmhd_ref ~len:500 in
-  let path, logp = Mmhd.viterbi mmhd_ref obs in
+  let path, logp = viterbi mmhd_ref obs in
   Alcotest.(check bool) "finite log prob" true (Float.is_finite logp);
   Array.iteri
     (fun t o ->
       match o with
-      | Some j -> Alcotest.(check int) "symbol consistent" j (Mmhd.symbol_of mmhd_ref path.(t))
+      | Some j -> Alcotest.(check int) "symbol consistent" j (path.(t) mod mmhd_ref.m)
       | None -> ())
     obs
 
@@ -117,8 +101,8 @@ let test_mmhd_viterbi_attributes_loss () =
   (* A loss surrounded by symbol-1 observations decodes to a symbol-1
      state (symbol 1 has the high loss probability). *)
   let obs = [| Some 1; Some 1; None; Some 1 |] in
-  let path, _ = Mmhd.viterbi mmhd_ref obs in
-  Alcotest.(check int) "loss decoded at symbol 1" 1 (Mmhd.symbol_of mmhd_ref path.(2))
+  let path, _ = viterbi mmhd_ref obs in
+  Alcotest.(check int) "loss decoded at symbol 1" 1 (path.(2) mod mmhd_ref.m)
 
 (* --- Generalized delay-factor tests -------------------------------------- *)
 

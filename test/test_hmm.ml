@@ -7,73 +7,65 @@ let check_close eps = Alcotest.(check (float eps))
 (* A small, well-conditioned reference model: 2 hidden states, 3
    symbols.  State 0 emits low symbols and rarely loses; state 1 emits
    the top symbol and loses often. *)
-let reference : Hmm.t =
+let reference : Em.model =
   {
-    n = 2;
+    s = 2;
     m = 3;
     pi = [| 0.7; 0.3 |];
-    a = [| [| 0.9; 0.1 |]; [| 0.2; 0.8 |] |];
-    b = [| [| 0.6; 0.35; 0.05 |]; [| 0.05; 0.15; 0.8 |] |];
+    a = [| 0.9; 0.1; 0.2; 0.8 |];
+    b = [| 0.6; 0.35; 0.05; 0.05; 0.15; 0.8 |];
     c = [| 0.01; 0.05; 0.4 |];
   }
 
+let ws = Em.domain_ws
+
 (* Brute-force likelihood: sum over all hidden state paths. *)
-let brute_force_likelihood (t : Hmm.t) obs =
+let brute_force_likelihood (t : Em.model) obs =
   let emission i = function
-    | Some j -> t.Hmm.b.(i).(j) *. (1. -. t.Hmm.c.(j))
+    | Some j -> t.b.((i * t.m) + j) *. (1. -. t.c.(j))
     | None ->
         let acc = ref 0. in
-        for j = 0 to t.Hmm.m - 1 do
-          acc := !acc +. (t.Hmm.b.(i).(j) *. t.Hmm.c.(j))
+        for j = 0 to t.m - 1 do
+          acc := !acc +. (t.b.((i * t.m) + j) *. t.c.(j))
         done;
         !acc
   in
   let tt = Array.length obs in
-  let rec extend time state prob =
-    if time = tt then prob
-    else
-      let acc = ref 0. in
-      for next = 0 to t.Hmm.n - 1 do
-        acc :=
-          !acc
-          +. extend (time + 1) next (prob *. t.Hmm.a.(state).(next) *. emission next obs.(time + 1 - 1))
-      done;
-      !acc
-  in
-  (* Handle time 0 separately: pi * e(o_0), then extend. *)
   let total = ref 0. in
-  for s0 = 0 to t.Hmm.n - 1 do
-    let p0 = t.Hmm.pi.(s0) *. emission s0 obs.(0) in
+  for s0 = 0 to t.s - 1 do
+    let p0 = t.pi.(s0) *. emission s0 obs.(0) in
     let rec walk time state prob =
       if time = tt - 1 then prob
       else begin
         let acc = ref 0. in
-        for next = 0 to t.Hmm.n - 1 do
-          acc := !acc +. walk (time + 1) next (prob *. t.Hmm.a.(state).(next) *. emission next obs.(time + 1))
+        for next = 0 to t.s - 1 do
+          acc :=
+            !acc
+            +. walk (time + 1) next
+                 (prob *. t.a.((state * t.s) + next) *. emission next obs.(time + 1))
         done;
         !acc
       end
     in
     total := !total +. walk 0 s0 p0
   done;
-  ignore extend;
   !total
 
 let short_obs = [| Some 0; Some 1; None; Some 2; Some 0; None; Some 1 |]
 
 let test_likelihood_vs_brute_force () =
-  let ll = Hmm.log_likelihood reference short_obs in
+  let ll = Em.log_likelihood ~ws:(ws ()) reference short_obs in
   let bf = log (brute_force_likelihood reference short_obs) in
   check_close 1e-9 "scaled forward matches enumeration" bf ll
 
 let test_likelihood_no_losses () =
   let obs = [| Some 0; Some 0; Some 1; Some 2; Some 1 |] in
-  let ll = Hmm.log_likelihood reference obs in
+  let ll = Em.log_likelihood ~ws:(ws ()) reference obs in
   let bf = log (brute_force_likelihood reference obs) in
   check_close 1e-9 "all-observed case" bf ll
 
 let test_posteriors_normalized () =
-  let gamma = Hmm.state_posteriors reference short_obs in
+  let gamma = Em.state_posteriors ~ws:(ws ()) reference short_obs in
   Array.iteri
     (fun t row ->
       let s = Array.fold_left ( +. ) 0. row in
@@ -84,29 +76,35 @@ let test_posterior_tracks_emission () =
   (* A long run of the top symbol should put the posterior firmly on
      hidden state 1. *)
   let obs = Array.make 10 (Some 2) in
-  let gamma = Hmm.state_posteriors reference obs in
+  let gamma = Em.state_posteriors ~ws:(ws ()) reference obs in
   Alcotest.(check bool) "state 1 dominant" true (gamma.(5).(1) > 0.9)
 
-let test_validate_accepts_reference () = Hmm.validate reference
+let test_validate_accepts_reference () = Em.validate reference
 
 let test_validate_rejects_bad () =
-  let bad = { reference with pi = [| 0.5; 0.7 |] } in
+  let rejected (bad : Em.model) =
+    try
+      Em.validate bad;
+      false
+    with Invalid_argument _ -> true
+  in
   Alcotest.(check bool) "bad pi rejected" true
-    (try
-       Hmm.validate bad;
-       false
-     with Invalid_argument _ -> true)
+    (rejected { reference with pi = [| 0.5; 0.7 |] });
+  Alcotest.(check bool) "wrong-length a rejected" true
+    (rejected { reference with a = [| 0.9; 0.1; 0.2 |] });
+  Alcotest.(check bool) "non-stochastic b row rejected" true
+    (rejected { reference with b = [| 0.6; 0.35; 0.05; 0.05; 0.15; 0.7 |] })
 
 let test_init_random_valid () =
   let rng = Stats.Rng.create 3 in
   for _ = 1 to 20 do
-    Hmm.validate (Hmm.init_random rng ~n:3 ~m:4 ~loss_fraction:0.02)
+    Em.validate (Hmm.init_random rng ~n:3 ~m:4 ~loss_fraction:0.02)
   done
 
 let test_init_informed_valid () =
   let rng = Stats.Rng.create 5 in
   let obs = [| Some 0; None; Some 1; Some 1; None; Some 0; Some 2 |] in
-  Hmm.validate (Hmm.init_informed rng ~n:2 ~m:3 obs)
+  Em.validate (Hmm.init_informed rng ~n:2 ~m:3 obs)
 
 let test_simulate_statistics () =
   let rng = Stats.Rng.create 7 in
@@ -123,11 +121,11 @@ let test_em_improves_likelihood () =
   let rng = Stats.Rng.create 9 in
   let obs, _ = Hmm.simulate rng reference ~len:3000 in
   let t0 = Hmm.init_random rng ~n:2 ~m:3 ~loss_fraction:0.1 in
-  let ll0 = Hmm.log_likelihood t0 obs in
+  let ll0 = Em.log_likelihood ~ws:(ws ()) t0 obs in
   let fitted, stats = Hmm.fit_from ~max_iter:30 t0 obs in
   Alcotest.(check bool) "EM improves the likelihood" true
-    (stats.Hmm.log_likelihood > ll0);
-  Hmm.validate fitted
+    (stats.Em.log_likelihood > ll0);
+  Em.validate fitted
 
 let test_em_monotone_steps () =
   (* Likelihood must be non-decreasing across successive single-step
@@ -135,10 +133,10 @@ let test_em_monotone_steps () =
   let rng = Stats.Rng.create 13 in
   let obs, _ = Hmm.simulate rng reference ~len:2000 in
   let model = ref (Hmm.init_random rng ~n:2 ~m:3 ~loss_fraction:0.1) in
-  let last = ref (Hmm.log_likelihood !model obs) in
+  let last = ref (Em.log_likelihood ~ws:(ws ()) !model obs) in
   for step = 1 to 15 do
     let next, _ = Hmm.fit_from ~max_iter:1 !model obs in
-    let ll = Hmm.log_likelihood next obs in
+    let ll = Em.log_likelihood ~ws:(ws ()) next obs in
     if ll < !last -. 1e-6 then Alcotest.failf "likelihood decreased at step %d" step;
     last := ll;
     model := next
@@ -148,41 +146,41 @@ let test_fit_recovers_loss_posterior () =
   let rng = Stats.Rng.create 17 in
   let obs, _ = Hmm.simulate rng reference ~len:30_000 in
   (* (a) MLE consistency: EM started at the truth stays near it. *)
-  let truth_pmf = Hmm.virtual_delay_pmf reference obs in
+  let truth_pmf = Em.virtual_delay_pmf ~ws:(ws ()) reference obs in
   let at_truth, _ = Hmm.fit_from reference obs in
-  let at_truth_pmf = Hmm.virtual_delay_pmf at_truth obs in
+  let at_truth_pmf = Em.virtual_delay_pmf ~ws:(ws ()) at_truth obs in
   check_close 0.05 "EM started at the truth stays near it" 0.
     (Stats.Histogram.total_variation truth_pmf at_truth_pmf);
   (* (b) optimization competitiveness: a data-driven fit reaches a
      likelihood close to the reference model's. *)
   let fitted, stats = Hmm.fit ~rng ~n:2 ~m:3 obs in
-  Hmm.validate fitted;
-  let ref_ll = Hmm.log_likelihood reference obs in
+  Em.validate fitted;
+  let ref_ll = Em.log_likelihood ~ws:(ws ()) reference obs in
   Alcotest.(check bool) "fit within 2% of the truth's likelihood" true
-    (stats.Hmm.log_likelihood > ref_ll +. (0.02 *. ref_ll))
+    (stats.Em.log_likelihood > ref_ll +. (0.02 *. ref_ll))
 
 let test_virtual_pmf_is_distribution () =
-  let pmf = Hmm.virtual_delay_pmf reference short_obs in
+  let pmf = Em.virtual_delay_pmf ~ws:(ws ()) reference short_obs in
   check_close 1e-9 "sums to 1" 1. (Array.fold_left ( +. ) 0. pmf);
   Array.iter (fun p -> Alcotest.(check bool) "non-negative" true (p >= 0.)) pmf
 
 let test_virtual_pmf_requires_loss () =
   Alcotest.check_raises "no loss"
-    (Invalid_argument "Hmm.virtual_delay_pmf: no loss in the sequence") (fun () ->
-      ignore (Hmm.virtual_delay_pmf reference [| Some 0; Some 1 |]))
+    (Invalid_argument "Em.virtual_delay_pmf: no loss in the sequence") (fun () ->
+      ignore (Em.virtual_delay_pmf ~ws:(ws ()) reference [| Some 0; Some 1 |]))
 
 let test_virtual_pmf_favors_lossy_symbol () =
   (* In the reference model symbol 2 has c = 0.4 vs 0.01/0.05: losses
      should be attributed mostly to symbol 2 when the hidden state
      suggests it. *)
   let obs = [| Some 2; Some 2; None; Some 2; Some 2 |] in
-  let pmf = Hmm.virtual_delay_pmf reference obs in
+  let pmf = Em.virtual_delay_pmf ~ws:(ws ()) reference obs in
   Alcotest.(check bool) "symbol 2 dominates" true (pmf.(2) > 0.8)
 
 let test_empty_sequence_rejected () =
   Alcotest.(check bool) "empty rejected" true
     (try
-       ignore (Hmm.log_likelihood reference [||]);
+       ignore (Em.log_likelihood ~ws:(ws ()) reference [||]);
        false
      with Invalid_argument _ -> true)
 
@@ -197,8 +195,8 @@ let test_degenerate_single_state () =
   let rng = Stats.Rng.create 19 in
   let obs, _ = Hmm.simulate rng reference ~len:5000 in
   let fitted, stats = Hmm.fit ~rng ~n:1 ~m:3 obs in
-  Alcotest.(check bool) "converged" true stats.Hmm.converged;
-  Hmm.validate fitted
+  Alcotest.(check bool) "converged" true stats.Em.converged;
+  Em.validate fitted
 
 (* QCheck: likelihood of random small models matches brute force on
    random short observation sequences. *)
@@ -214,7 +212,7 @@ let model_and_obs_gen =
 let prop_likelihood_matches_brute_force =
   QCheck.Test.make ~name:"scaled likelihood = brute force" ~count:100
     (QCheck.make model_and_obs_gen) (fun (model, obs) ->
-      let ll = Hmm.log_likelihood model obs in
+      let ll = Em.log_likelihood ~ws:(ws ()) model obs in
       let bf = log (brute_force_likelihood model obs) in
       abs_float (ll -. bf) < 1e-8)
 

@@ -7,72 +7,76 @@ let check_close eps = Alcotest.(check (float eps))
 (* Reference model: 2 hidden states, 2 symbols (4 states).  Hidden
    dimension 1 corresponds to a "congested" phase in which symbol 1
    dominates and losses are frequent. *)
-let reference : Mmhd.t =
-  {
-    n = 2;
-    m = 2;
+let reference =
+  Mmhd.make ~n:2 ~m:2
     (* states: (0,0) (0,1) (1,0) (1,1) *)
-    pi = [| 0.5; 0.2; 0.1; 0.2 |];
-    a =
+    ~pi:[| 0.5; 0.2; 0.1; 0.2 |]
+    ~a:
       [|
-        [| 0.70; 0.20; 0.05; 0.05 |];
-        [| 0.40; 0.40; 0.05; 0.15 |];
-        [| 0.20; 0.05; 0.40; 0.35 |];
-        [| 0.05; 0.05; 0.30; 0.60 |];
-      |];
-    c = [| 0.02; 0.30 |];
-  }
+        0.70; 0.20; 0.05; 0.05;
+        0.40; 0.40; 0.05; 0.15;
+        0.20; 0.05; 0.40; 0.35;
+        0.05; 0.05; 0.30; 0.60;
+      |]
+    ~c:[| 0.02; 0.30 |]
 
-let brute_force_likelihood (t : Mmhd.t) obs =
-  let s_all = Mmhd.states t in
+let ws = Em.domain_ws
+
+let brute_force_likelihood (t : Em.model) obs =
   let emission s = function
-    | Some j -> if Mmhd.symbol_of t s = j then 1. -. t.Mmhd.c.(j) else 0.
-    | None -> t.Mmhd.c.(Mmhd.symbol_of t s)
+    | Some j -> if s mod t.m = j then 1. -. t.c.(j) else 0.
+    | None -> t.c.(s mod t.m)
   in
   let tt = Array.length obs in
   let total = ref 0. in
-  for s0 = 0 to s_all - 1 do
+  for s0 = 0 to t.s - 1 do
     let rec walk time state prob =
       if prob = 0. then 0.
       else if time = tt - 1 then prob
       else begin
         let acc = ref 0. in
-        for next = 0 to s_all - 1 do
-          acc := !acc +. walk (time + 1) next (prob *. t.Mmhd.a.(state).(next) *. emission next obs.(time + 1))
+        for next = 0 to t.s - 1 do
+          acc :=
+            !acc
+            +. walk (time + 1) next
+                 (prob *. t.a.((state * t.s) + next) *. emission next obs.(time + 1))
         done;
         !acc
       end
     in
-    total := !total +. walk 0 s0 (t.Mmhd.pi.(s0) *. emission s0 obs.(0))
+    total := !total +. walk 0 s0 (t.pi.(s0) *. emission s0 obs.(0))
   done;
   !total
 
 let short_obs = [| Some 0; Some 1; None; Some 1; Some 0; None; Some 0 |]
 
 let test_state_indexing () =
-  Alcotest.(check int) "flatten" 3 (Mmhd.state_of reference ~hidden:1 ~symbol:1);
-  Alcotest.(check int) "symbol" 1 (Mmhd.symbol_of reference 3);
-  Alcotest.(check int) "hidden" 1 (Mmhd.hidden_of reference 3);
-  Alcotest.(check int) "states" 4 (Mmhd.states reference);
-  Alcotest.(check bool) "out of range rejected" true
-    (try
-       ignore (Mmhd.state_of reference ~hidden:2 ~symbol:0);
-       false
-     with Invalid_argument _ -> true)
+  (* State x * m + y emits symbol y: (hidden 1, symbol 1) is state 3. *)
+  Alcotest.(check int) "states" 4 reference.s;
+  Alcotest.(check (array (float 0.))) "state 3 emits symbol 1" [| 0.; 1. |]
+    (Array.sub reference.b (3 * 2) 2);
+  for st = 0 to reference.s - 1 do
+    for j = 0 to reference.m - 1 do
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "b(%d, %d)" st j)
+        (if st mod reference.m = j then 1. else 0.)
+        reference.b.((st * reference.m) + j)
+    done
+  done
 
 let test_likelihood_vs_brute_force () =
   check_close 1e-9 "scaled likelihood"
     (log (brute_force_likelihood reference short_obs))
-    (Mmhd.log_likelihood reference short_obs)
+    (Em.log_likelihood ~ws:(ws ()) reference short_obs)
 
 let test_likelihood_all_observed () =
   let obs = [| Some 0; Some 0; Some 1; Some 1; Some 0 |] in
   check_close 1e-9 "all observed"
     (log (brute_force_likelihood reference obs))
-    (Mmhd.log_likelihood reference obs)
+    (Em.log_likelihood ~ws:(ws ()) reference obs)
 
 let test_posteriors_normalized_and_consistent () =
-  let gamma = Mmhd.state_posteriors reference short_obs in
+  let gamma = Em.state_posteriors ~ws:(ws ()) reference short_obs in
   Array.iteri
     (fun t row ->
       check_close 1e-9 (Printf.sprintf "sums to 1 at %d" t) 1.
@@ -83,29 +87,29 @@ let test_posteriors_normalized_and_consistent () =
       | Some j ->
           Array.iteri
             (fun s g ->
-              if Mmhd.symbol_of reference s <> j && g > 1e-12 then
+              if s mod reference.m <> j && g > 1e-12 then
                 Alcotest.failf "mass on wrong symbol at time %d" t)
             row
       | None -> ())
     gamma
 
-let test_validate_reference () = Mmhd.validate reference
+let test_validate_reference () = Em.validate reference
 
 let test_validate_rejects () =
   let bad = { reference with c = [| 0.5; 1.5 |] } in
   Alcotest.(check bool) "bad c rejected" true
     (try
-       Mmhd.validate bad;
+       Em.validate bad;
        false
      with Invalid_argument _ -> true)
 
 let test_inits_valid () =
   let rng = Stats.Rng.create 3 in
   for _ = 1 to 10 do
-    Mmhd.validate (Mmhd.init_random rng ~n:2 ~m:4 ~loss_fraction:0.05)
+    Em.validate (Mmhd.init_random rng ~n:2 ~m:4 ~loss_fraction:0.05)
   done;
   let obs = [| Some 0; None; Some 2; Some 3; Some 1; None; Some 0 |] in
-  Mmhd.validate (Mmhd.init_informed rng ~n:3 ~m:4 obs)
+  Em.validate (Mmhd.init_informed rng ~n:3 ~m:4 obs)
 
 let test_simulate_consistency () =
   let rng = Stats.Rng.create 5 in
@@ -115,14 +119,14 @@ let test_simulate_consistency () =
     (fun t o ->
       match o with
       | Some j ->
-          Alcotest.(check int) "observation = state symbol" (Mmhd.symbol_of reference path.(t)) j
+          Alcotest.(check int) "observation = state symbol" (path.(t) mod reference.m) j
       | None -> ())
     obs;
   (* Empirical loss rate per symbol should approximate c. *)
   let seen = Array.make 2 0 and lost = Array.make 2 0 in
   Array.iteri
     (fun t o ->
-      let y = Mmhd.symbol_of reference path.(t) in
+      let y = path.(t) mod reference.m in
       match o with
       | Some _ -> seen.(y) <- seen.(y) + 1
       | None -> lost.(y) <- lost.(y) + 1)
@@ -131,25 +135,25 @@ let test_simulate_consistency () =
     (fun j c ->
       let f = float_of_int lost.(j) /. float_of_int (seen.(j) + lost.(j)) in
       check_close 0.03 (Printf.sprintf "c_%d recovered empirically" j) c f)
-    reference.Mmhd.c
+    reference.c
 
 let test_em_improves_likelihood () =
   let rng = Stats.Rng.create 7 in
   let obs, _ = Mmhd.simulate rng reference ~len:3000 in
   let t0 = Mmhd.init_random rng ~n:2 ~m:2 ~loss_fraction:0.1 in
-  let ll0 = Mmhd.log_likelihood t0 obs in
+  let ll0 = Em.log_likelihood ~ws:(ws ()) t0 obs in
   let fitted, stats = Mmhd.fit_from ~max_iter:40 t0 obs in
-  Alcotest.(check bool) "improved" true (stats.Mmhd.log_likelihood > ll0);
-  Mmhd.validate fitted
+  Alcotest.(check bool) "improved" true (stats.Em.log_likelihood > ll0);
+  Em.validate fitted
 
 let test_em_monotone_steps () =
   let rng = Stats.Rng.create 9 in
   let obs, _ = Mmhd.simulate rng reference ~len:2000 in
   let model = ref (Mmhd.init_random rng ~n:2 ~m:2 ~loss_fraction:0.1) in
-  let last = ref (Mmhd.log_likelihood !model obs) in
+  let last = ref (Em.log_likelihood ~ws:(ws ()) !model obs) in
   for step = 1 to 15 do
     let next, _ = Mmhd.fit_from ~max_iter:1 !model obs in
-    let ll = Mmhd.log_likelihood next obs in
+    let ll = Em.log_likelihood ~ws:(ws ()) next obs in
     if ll < !last -. 1e-6 then Alcotest.failf "likelihood decreased at step %d" step;
     last := ll;
     model := next
@@ -159,8 +163,8 @@ let test_fit_recovers_c () =
   let rng = Stats.Rng.create 11 in
   let obs, _ = Mmhd.simulate rng reference ~len:30_000 in
   let fitted, _ = Mmhd.fit ~rng ~n:2 ~m:2 obs in
-  check_close 0.03 "c_0" reference.Mmhd.c.(0) fitted.Mmhd.c.(0);
-  check_close 0.05 "c_1" reference.Mmhd.c.(1) fitted.Mmhd.c.(1)
+  check_close 0.03 "c_0" reference.c.(0) fitted.c.(0);
+  check_close 0.05 "c_1" reference.c.(1) fitted.c.(1)
 
 let test_fit_recovers_loss_posterior () =
   let rng = Stats.Rng.create 13 in
@@ -170,14 +174,14 @@ let test_fit_recovers_loss_posterior () =
   Array.iteri
     (fun t o ->
       if o = None then begin
-        cnt.(Mmhd.symbol_of reference path.(t)) <-
-          cnt.(Mmhd.symbol_of reference path.(t)) +. 1.;
+        cnt.(path.(t) mod reference.m) <-
+          cnt.(path.(t) mod reference.m) +. 1.;
         total := !total +. 1.
       end)
     obs;
   let truth = Array.map (fun x -> x /. !total) cnt in
   let fitted, _ = Mmhd.fit ~rng ~n:2 ~m:2 obs in
-  let pmf = Mmhd.virtual_delay_pmf fitted obs in
+  let pmf = Em.virtual_delay_pmf ~ws:(ws ()) fitted obs in
   check_close 0.04 "TV to hidden truth" 0. (Stats.Histogram.total_variation truth pmf)
 
 let test_markov_degenerate () =
@@ -185,31 +189,31 @@ let test_markov_degenerate () =
   let rng = Stats.Rng.create 15 in
   let obs, _ = Mmhd.simulate rng reference ~len:8000 in
   let fitted, stats = Mmhd.fit ~rng ~n:1 ~m:2 obs in
-  Alcotest.(check bool) "converged" true stats.Mmhd.converged;
-  Mmhd.validate fitted;
-  Alcotest.(check int) "2 states only" 2 (Mmhd.states fitted)
+  Alcotest.(check bool) "converged" true stats.Em.converged;
+  Em.validate fitted;
+  Alcotest.(check int) "2 states only" 2 fitted.s
 
 let test_virtual_pmf_distribution () =
-  let pmf = Mmhd.virtual_delay_pmf reference short_obs in
+  let pmf = Em.virtual_delay_pmf ~ws:(ws ()) reference short_obs in
   check_close 1e-9 "sums to 1" 1. (Array.fold_left ( +. ) 0. pmf);
   Alcotest.(check int) "length m" 2 (Array.length pmf)
 
 let test_virtual_pmf_requires_loss () =
   Alcotest.check_raises "no loss"
-    (Invalid_argument "Mmhd.virtual_delay_pmf: no loss in the sequence") (fun () ->
-      ignore (Mmhd.virtual_delay_pmf reference [| Some 0; Some 1 |]))
+    (Invalid_argument "Em.virtual_delay_pmf: no loss in the sequence") (fun () ->
+      ignore (Em.virtual_delay_pmf ~ws:(ws ()) reference [| Some 0; Some 1 |]))
 
 let test_virtual_pmf_context_sensitivity () =
   (* A loss surrounded by symbol 1 must be attributed mostly to
      symbol 1 (it has both the adjacency and the higher c). *)
   let obs = [| Some 1; Some 1; None; Some 1; Some 1 |] in
-  let pmf = Mmhd.virtual_delay_pmf reference obs in
+  let pmf = Em.virtual_delay_pmf ~ws:(ws ()) reference obs in
   Alcotest.(check bool) "symbol 1 dominates" true (pmf.(1) > 0.8)
 
 let test_empty_rejected () =
   Alcotest.(check bool) "empty rejected" true
     (try
-       ignore (Mmhd.log_likelihood reference [||]);
+       ignore (Em.log_likelihood ~ws:(ws ()) reference [||]);
        false
      with Invalid_argument _ -> true)
 
@@ -226,14 +230,14 @@ let model_and_obs_gen =
 let prop_likelihood_matches_brute_force =
   QCheck.Test.make ~name:"scaled likelihood = brute force" ~count:100
     (QCheck.make model_and_obs_gen) (fun (model, obs) ->
-      abs_float (Mmhd.log_likelihood model obs -. log (brute_force_likelihood model obs))
+      abs_float (Em.log_likelihood ~ws:(ws ()) model obs -. log (brute_force_likelihood model obs))
       < 1e-8)
 
 let prop_virtual_pmf_normalized =
   QCheck.Test.make ~name:"Eq. (5) posterior is a distribution" ~count:100
     (QCheck.make model_and_obs_gen) (fun (model, obs) ->
       QCheck.assume (Array.exists (fun o -> o = None) obs);
-      let pmf = Mmhd.virtual_delay_pmf model obs in
+      let pmf = Em.virtual_delay_pmf ~ws:(ws ()) model obs in
       abs_float (Array.fold_left ( +. ) 0. pmf -. 1.) < 1e-9
       && Array.for_all (fun p -> p >= 0.) pmf)
 

@@ -94,13 +94,11 @@ let test_warm_workspaces_not_contaminated () =
   in
   let pooled, p_stats = fit 4 in
   let serial, s_stats = fit 1 in
-  Alcotest.(check (array (float 0.))) "pi" serial.Mmhd.pi pooled.Mmhd.pi;
-  Array.iteri
-    (fun i row -> Alcotest.(check (array (float 0.))) (Printf.sprintf "a row %d" i) row pooled.Mmhd.a.(i))
-    serial.Mmhd.a;
-  Alcotest.(check (array (float 0.))) "c" serial.Mmhd.c pooled.Mmhd.c;
-  Alcotest.(check (float 1e-12)) "log-likelihood" s_stats.Mmhd.log_likelihood
-    p_stats.Mmhd.log_likelihood
+  Alcotest.(check (array (float 0.))) "pi" serial.Em.pi pooled.Em.pi;
+  Alcotest.(check (array (float 0.))) "a" serial.Em.a pooled.Em.a;
+  Alcotest.(check (array (float 0.))) "c" serial.Em.c pooled.Em.c;
+  Alcotest.(check (float 1e-12)) "log-likelihood" s_stats.Em.log_likelihood
+    p_stats.Em.log_likelihood
 
 let test_nested_map_range_runs_inline () =
   (* Items that themselves call map_range must not deadlock; the inner
