@@ -88,11 +88,17 @@ let build_source source rng ~paths ~m ~congested_fraction ~seed =
       Ok (Fleet.Source.of_trace ~m ~paths outcome.Scenarios.Paper_topology.trace)
   | file -> Result.map (Fleet.Source.of_trace ~m ~paths) (Probe.Trace.load file)
 
-let conclusion_name = function
-  | None -> "untested"
-  | Some Dcl.Identify.Strongly_dominant -> "strongly-dominant"
-  | Some Dcl.Identify.Weakly_dominant -> "weakly-dominant"
-  | Some Dcl.Identify.No_dominant -> "no-dominant"
+(* How many paths hold each conclusion, in report order (untested
+   last), from one pass over the fleet. *)
+let conclusion_counts sched =
+  let counts = Hashtbl.create 4 in
+  for p = 0 to Fleet.Scheduler.path_count sched - 1 do
+    let c = Fleet.Scheduler.conclusion sched p in
+    Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c))
+  done;
+  List.map
+    (fun c -> (c, Option.value ~default:0 (Hashtbl.find_opt counts c)))
+    Dcl.Identify.[ Some Strongly_dominant; Some Weakly_dominant; Some No_dominant; None ]
 
 (* JSON helpers for the admin routes: non-finite floats are not
    representable in JSON and go out as null. *)
@@ -121,8 +127,8 @@ let run paths epochs epoch_len lambda n m domains source congested_fraction seed
         if verbose then
           Printf.printf "epoch %3d path %6d: %s -> %s\n" tr.Fleet.Scheduler.epoch
             tr.Fleet.Scheduler.path
-            (conclusion_name tr.Fleet.Scheduler.was)
-            (conclusion_name tr.Fleet.Scheduler.now)
+            (Dcl.Identify.verdict_name tr.Fleet.Scheduler.was)
+            (Dcl.Identify.verdict_name tr.Fleet.Scheduler.now)
       in
       let gate =
         if gate then
@@ -169,7 +175,7 @@ let run paths epochs epoch_len lambda n m domains source congested_fraction seed
         Printf.sprintf
           "{\"path\":%d,\"conclusion\":\"%s\",\"bound\":%s,\"weight\":%s,\"epochs\":%d,\"observations\":%d,\"resets\":%d,\"gate\":%s,\"timeline\":%s}\n"
           p
-          (conclusion_name (Fleet.Path_state.conclusion ps))
+          (Dcl.Identify.verdict_name (Fleet.Path_state.conclusion ps))
           (match Fleet.Path_state.bound ps with Some b -> jfloat b | None -> "null")
           (jfloat (Fleet.Path_state.weight ps))
           (Fleet.Path_state.epochs ps)
@@ -179,19 +185,16 @@ let run paths epochs epoch_len lambda n m domains source congested_fraction seed
           (Fleet.Timeline.to_json (Fleet.Path_state.timeline ps))
       in
       let summary_json () =
-        let counts = Hashtbl.create 4 in
-        for p = 0 to paths - 1 do
-          let key = conclusion_name (Fleet.Scheduler.conclusion sched p) in
-          Hashtbl.replace counts key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-        done;
-        let count k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
+        let counts = conclusion_counts sched in
+        let count c = List.assoc c counts in
         Printf.sprintf
           "{\"paths\":%d,\"epoch\":%d,\"promoted\":%d,\"strongly_dominant\":%d,\"weakly_dominant\":%d,\"no_dominant\":%d,\"untested\":%d}\n"
           paths (Fleet.Scheduler.epoch sched)
           (Fleet.Scheduler.promoted_count sched)
-          (count "strongly-dominant") (count "weakly-dominant")
-          (count "no-dominant") (count "untested")
+          (count (Some Dcl.Identify.Strongly_dominant))
+          (count (Some Dcl.Identify.Weakly_dominant))
+          (count (Some Dcl.Identify.No_dominant))
+          (count None)
       in
       let handle path =
         if path = "/paths" then Some ("application/json", summary_json ())
@@ -223,12 +226,8 @@ let run paths epochs epoch_len lambda n m domains source congested_fraction seed
         | _ -> ()
       done;
       let elapsed = float_of_int (Obs.Span.now_ns () - start) *. 1e-9 in
-      let counts = Hashtbl.create 4 in
       let resets = ref 0 in
       for p = 0 to paths - 1 do
-        let key = conclusion_name (Fleet.Scheduler.conclusion sched p) in
-        Hashtbl.replace counts key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts key));
         resets := !resets + Fleet.Path_state.resets (Fleet.Scheduler.path sched p)
       done;
       Printf.printf
@@ -236,11 +235,10 @@ let run paths epochs epoch_len lambda n m domains source congested_fraction seed
         paths epochs epoch_len lambda domains
         (if domains = 1 then "" else "s");
       List.iter
-        (fun key ->
-          match Hashtbl.find_opt counts key with
-          | Some c -> Printf.printf "  %-18s %d\n" key c
-          | None -> ())
-        [ "strongly-dominant"; "weakly-dominant"; "no-dominant"; "untested" ];
+        (fun (c, count) ->
+          if count > 0 then
+            Printf.printf "  %-18s %d\n" (Dcl.Identify.verdict_name c) count)
+        (conclusion_counts sched);
       Printf.printf "transitions: %d, model resets: %d\n" !transitions !resets;
       (match Fleet.Scheduler.gate_stats sched with
       | None -> ()

@@ -95,4 +95,10 @@ val identifiable : Probe.Trace.t -> bool
     a positive delay spread. *)
 
 val conclusion_to_string : conclusion -> string
+
+val verdict_name : conclusion option -> string
+(** ["untested"] (no conclusion yet), ["strongly-dominant"],
+    ["weakly-dominant"] or ["no-dominant"] — static strings, kebab-cased
+    for JSON, trace events and the daemon's reports. *)
+
 val pp_result : Format.formatter -> result -> unit

@@ -98,17 +98,11 @@ let scan ?(params = Identify.default_params) ?(domains = 1) ?on_change ~rng
      collected (not from inside [eval]): with [domains > 1] the windows
      finish out of order, and the operator-facing event stream must be
      chronological. *)
-  let concl_detail = function
-    | None -> "untested"
-    | Some Identify.Strongly_dominant -> "strongly-dominant"
-    | Some Identify.Weakly_dominant -> "weakly-dominant"
-    | Some Identify.No_dominant -> "no-dominant"
-  in
   let rec walk i = function
     | a :: (b :: _ as rest) ->
         if b.conclusion <> a.conclusion then begin
           Obs.Counter.incr m_transitions;
-          Obs.Trace.instant_d "online.transition" (concl_detail b.conclusion) i;
+          Obs.Trace.instant_d "online.transition" (Identify.verdict_name b.conclusion) i;
           match on_change with
           | Some f -> f ~at:b.at ~was:a.conclusion ~now:b.conclusion
           | None -> ()

@@ -47,12 +47,6 @@ let entries t =
   done;
   !acc
 
-let verdict_name = function
-  | None -> "untested"
-  | Some Dcl.Identify.Strongly_dominant -> "strongly-dominant"
-  | Some Dcl.Identify.Weakly_dominant -> "weakly-dominant"
-  | Some Dcl.Identify.No_dominant -> "no-dominant"
-
 (* %.6g is plenty for forensic display and keeps the JSON small; NaN
    and infinities (last_log_likelihood before the first batch) are not
    representable in JSON and go out as null. *)
@@ -63,7 +57,8 @@ let entry_to_json = function
   | Update { epoch; verdict; log_likelihood; weight; bound } ->
       Printf.sprintf
         "{\"kind\":\"update\",\"epoch\":%d,\"verdict\":\"%s\",\"log_likelihood\":%s,\"weight\":%s,\"bound\":%s}"
-        epoch (verdict_name verdict)
+        epoch
+        (Dcl.Identify.verdict_name verdict)
         (json_float log_likelihood)
         (json_float weight)
         (match bound with Some b -> json_float b | None -> "null")

@@ -46,10 +46,6 @@ val total : t -> int
 
 val capacity : t -> int
 
-val verdict_name : Dcl.Identify.conclusion option -> string
-(** ["untested"], ["strongly-dominant"], ["weakly-dominant"] or
-    ["no-dominant"] — static strings, kebab-cased for JSON. *)
-
 val to_json : t -> string
 (** [{"total":_,"capacity":_,"entries":[...]}], entries oldest first.
     Non-finite floats (a pre-first-batch log-likelihood) and absent
