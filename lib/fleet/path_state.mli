@@ -71,7 +71,9 @@ val update : ws:Em.workspace -> ?epoch:int -> t -> Em.observation array -> bool
     instead of propagating.  [ws] is the calling domain's workspace
     ({!Em.domain_ws}).  Each non-dropped batch appends an entry
     to the path's {!timeline}, stamped with [epoch] (the scheduler's
-    fleet epoch) when given, the path's own update count otherwise. *)
+    fleet epoch) when given, the path's own update count otherwise.
+    Symbols must lie in [\[0, m)]; {!Scheduler.push} checks this before
+    a batch is queued. *)
 
 val coast : t -> factor:float -> unit
 (** Apply the decay the path missed while it was not being updated
