@@ -179,12 +179,13 @@ let run_obs ~smoke =
     alloc_disabled_after /. float_of_int obs_iters
   in
   let overhead = (enabled_s /. disabled_s) -. 1. in
-  (* --- warm-workspace reuse across sliding windows (the Online.scan
-     pattern: each domain keeps one workspace and every window's fit
-     reuses it).  The workspace only holds scaled forward/backward
-     state — layout, not statistics — so reuse is bit-identical to a
-     fresh workspace per window; asserted here, and the allocation
-     delta is the per-window saving the reuse buys. *)
+  (* --- warm-workspace reuse, the Em.domain_ws pattern: each domain
+     keeps one workspace and every fit it runs reuses it; here, fits
+     over consecutive windows of one sequence.  The workspace only
+     holds scaled forward/backward state — layout, not statistics — so
+     reuse is bit-identical to a fresh workspace per window; asserted
+     here, and the allocation delta is the per-window saving the reuse
+     buys. *)
   let window = t / 4 in
   let stride = window / 2 in
   let n_windows = ((t - window) / stride) + 1 in
@@ -229,7 +230,7 @@ let run_obs ~smoke =
     \  \"fresh_ws_alloc_bytes\": %.0f,\n\
     \  \"warm_ws_saved_bytes_per_window\": %.0f,\n\
     \  \"warm_ws_identical_to_fresh\": true,\n\
-    \  \"note\": \"one serial MMHD fit timed with Obs collection off and on (min of %d repeats each); every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) enabled and metrics off: trace_overhead_ratio bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure the Online.scan sliding-window pattern: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what scan's per-domain domain_ws gives every window) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
+    \  \"note\": \"one serial MMHD fit timed with Obs collection off and on (min of %d repeats each); every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) enabled and metrics off: trace_overhead_ratio bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure Em.domain_ws reuse: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what Em.domain_ws gives every fit a domain runs) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
     t n m restarts max_iter stats.Em.iterations disabled_s enabled_s overhead
     alloc_disabled alloc_enabled disabled_per_obs_iter traced_s trace_overhead
     trace_events disabled_after_per_obs_iter n_windows window

@@ -1,14 +1,28 @@
 (* Continuous monitoring: watch a path's congestion structure change.
 
    For the first half of this run a single link is congested (a
-   dominant congested link exists); halfway through, heavy pulses start
-   on a second, larger-buffered link, and the path stops having a
-   dominant congested link.  A sliding-window identification
-   (Dcl.Online) detects the transition.
+   dominant congested link exists); at t = 620 s heavy overflow pulses
+   start on a second link, and the path stops having a dominant
+   congested link.  The recorded trace is replayed, in order from its
+   first probe, into a one-path streaming fleet ([Fleet.Source.of_trace
+   ~paths:1] feeding a [Fleet.Scheduler]): one online-EM step plus the
+   SDCL/WDCL re-test per epoch.  The regime change shows up as the
+   scheduler's conclusion transitions.
+
+   The settings matter.  The model's effective memory is
+   [epoch_len / (1 - lambda)] observations: here 500 / 0.1 = 5000
+   probes, 100 s at 20 ms spacing, which spans five 20 s pulse periods.
+   Much shorter memory (dcl-fleetd's default 16-observation epochs at
+   the same lambda remember ~3 s) sees single pulses as regimes: the
+   path then flaps several times a minute after the switch and can
+   leave strongly-dominant before it.
 
      dune exec examples/online_monitor.exe *)
 
 open Netsim
+
+let epoch_len = 500
+let lambda = 0.9
 
 let () =
   let sim = Sim.create ~seed:21 () in
@@ -46,24 +60,30 @@ let () =
   Printf.printf "trace: %d probes, loss rate %.2f%%\n" (Probe.Trace.length trace)
     (100. *. Probe.Trace.loss_rate trace);
 
-  (* Slide a 5-minute window in 1-minute steps. *)
-  let rng = Stats.Rng.create 3 in
-  let samples = Dcl.Online.scan ~rng ~window:300. ~stride:60. trace in
-  print_endline "window-end  conclusion            F(2d*)  loss";
-  List.iter
-    (fun (s : Dcl.Online.sample) ->
-      Printf.printf "  %6.0f s  %-20s %6.3f  %.2f%%\n" s.Dcl.Online.at
-        (match s.Dcl.Online.conclusion with
-        | Some c -> Dcl.Identify.conclusion_to_string c
-        | None -> "(not identifiable)")
-        s.Dcl.Online.f_at_two_d_star
-        (100. *. s.Dcl.Online.loss_rate))
-    samples;
-  print_endline "\nchange points:";
-  List.iter
-    (fun (at, c) ->
-      Printf.printf "  from the window ending at %.0f s: %s\n" at
-        (match c with
-        | Some c -> Dcl.Identify.conclusion_to_string c
-        | None -> "(not identifiable)"))
-    (Dcl.Online.changes samples)
+  (* Replay the trace through a one-path fleet.  Whole epochs only, so
+     the replay never wraps back to the first probe. *)
+  let source = Fleet.Source.of_trace ~paths:1 trace in
+  let config = Fleet.Path_state.config ~lambda ~scheme:(Fleet.Source.scheme source) () in
+  let t0 = trace.Probe.Trace.records.(0).Probe.Trace.send_time in
+  let epoch_end epoch =
+    t0 +. (float_of_int ((epoch + 1) * epoch_len) *. trace.Probe.Trace.interval)
+  in
+  print_endline "change points (time = end of the epoch that changed):";
+  let on_transition (tr : Fleet.Scheduler.transition) =
+    Printf.printf "  %6.0f s  epoch %3d  %s -> %s\n" (epoch_end tr.epoch) tr.epoch
+      (Dcl.Identify.verdict_name tr.was)
+      (Dcl.Identify.verdict_name tr.now)
+  in
+  let sched =
+    Fleet.Scheduler.create ~on_transition ~rng:(Stats.Rng.create 3) ~paths:1 config
+  in
+  let t_start = Sys.time () in
+  let epochs = Probe.Trace.length trace / epoch_len in
+  for _ = 1 to epochs do
+    Fleet.Scheduler.push sched ~path:0 (Fleet.Source.pull source ~path:0 ~len:epoch_len);
+    ignore (Fleet.Scheduler.tick sched : int)
+  done;
+  Printf.printf "%d epochs of %d probes (lambda %.2f) in %.3f s; final: %s\n" epochs
+    epoch_len lambda
+    (Sys.time () -. t_start)
+    (Dcl.Identify.verdict_name (Fleet.Scheduler.conclusion sched 0))

@@ -180,6 +180,7 @@ let synthetic ?(templates = 8) ?(congested_fraction = 0.3) ?(m = 5) ~rng ~paths
 
 let of_trace ?(m = 5) ~paths trace =
   if paths <= 0 then invalid_arg "Fleet.Source.of_trace: paths must be positive";
+  if m < 3 then invalid_arg "Fleet.Source.of_trace: m must be at least 3";
   let scheme =
     Dcl.Discretize.of_trace ~m ~prop_delay:Dcl.Discretize.From_trace trace
   in

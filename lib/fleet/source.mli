@@ -55,9 +55,13 @@ val synthetic :
 
 val of_trace : ?m:int -> paths:int -> Probe.Trace.t -> t
 (** Replay a recorded trace as [paths] replicas, symbolized once with
-    an [m]-symbol (default 5) scheme fit to the trace
+    an [m]-symbol (default 5, min 3) scheme fit to the trace
     ({!Dcl.Discretize.of_trace}).  Paths start at spread-out phase
     offsets and wrap around, so replicas decorrelate while every
-    path's long-run statistics match the trace.  Raises wherever
-    {!Dcl.Discretize.of_trace} does (e.g. fewer than two distinct
-    delays). *)
+    path's long-run statistics match the trace.  Path 0 starts at
+    record 0, so [of_trace ~paths:1] is a straight replay: its pulls
+    return [Dcl.Discretize.symbolize scheme (Probe.Trace.observations
+    trace)] in order, and the pull after the last record wraps to
+    record 0.  Raises [Invalid_argument] on [paths <= 0] or [m < 3],
+    and wherever {!Dcl.Discretize.of_trace} does (e.g. fewer than two
+    distinct delays). *)

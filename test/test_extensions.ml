@@ -1,6 +1,6 @@
 (* Tests for the extension modules: Viterbi decoding, the generalized
-   delay-factor tests, stationarity screening, sliding-window
-   identification, and queue monitoring. *)
+   delay-factor tests, stationarity screening, localization, ns trace
+   files, and the bootstrap. *)
 
 open Netsim
 
@@ -198,276 +198,6 @@ let test_stationarity_invalid () =
   Alcotest.check_raises "too short" (Invalid_argument "Stationarity.check: trace too short")
     (fun () -> ignore (Dcl.Stationarity.check trace))
 
-(* --- Online scan ---------------------------------------------------------- *)
-
-(* A synthetic trace whose regime changes halfway: first half losses at
-   a low symbol cluster, second half losses split low/high. *)
-let online_trace () =
-  let rng = Stats.Rng.create 13 in
-  let n = 30_000 in
-  let records =
-    Array.init n (fun i ->
-        let t = 0.02 *. float_of_int i in
-        let second_half = i >= n / 2 in
-        let u = Stats.Rng.float rng in
-        if u < 0.01 then
-          (* a loss: neighbors below determine its context *)
-          mk_record t Probe.Trace.Lost
-        else
-          let near_loss = u < 0.03 in
-          let delay =
-            if near_loss then if second_half && u < 0.02 then 0.45 else 0.15
-            else 0.05 +. (0.04 *. Stats.Rng.float rng)
-          in
-          mk_record t (Probe.Trace.Delay delay))
-  in
-  Probe.Trace.create ~records ~interval:0.02 ~base_delay:0.05 ~hop_count:1
-
-let test_online_scan_shapes () =
-  let trace = online_trace () in
-  let rng = Stats.Rng.create 3 in
-  let samples = Dcl.Online.scan ~rng ~window:120. ~stride:60. trace in
-  Alcotest.(check bool) "several windows" true (List.length samples > 5);
-  (* Windows are ordered and spaced by the stride. *)
-  let rec ordered = function
-    | a :: (b :: _ as rest) ->
-        a.Dcl.Online.at < b.Dcl.Online.at && ordered rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "ordered" true (ordered samples);
-  List.iter
-    (fun (s : Dcl.Online.sample) ->
-      match s.Dcl.Online.conclusion with
-      | Some _ -> ()
-      | None -> Alcotest.fail "window unexpectedly unidentifiable")
-    samples
-
-let test_online_changes_collapse () =
-  let mk at conclusion =
-    Dcl.Online.{ at; conclusion; f_at_two_d_star = 1.; loss_rate = 0.01 }
-  in
-  let samples =
-    [
-      mk 1. (Some Dcl.Identify.Strongly_dominant);
-      mk 2. (Some Dcl.Identify.Strongly_dominant);
-      mk 3. (Some Dcl.Identify.No_dominant);
-      mk 4. (Some Dcl.Identify.No_dominant);
-      mk 5. None;
-    ]
-  in
-  let changes = Dcl.Online.changes samples in
-  Alcotest.(check int) "three change points" 3 (List.length changes);
-  Alcotest.(check (list (float 0.))) "at the right times" [ 1.; 3.; 5. ]
-    (List.map fst changes)
-
-(* The conclusion-changed event stream must be exactly the transitions
-   of the sample list: one event per consecutive pair that disagrees,
-   in chronological order, carrying both conclusions.  The two-regime
-   trace guarantees at least one real transition to exercise it. *)
-let test_online_conclusion_changed_events () =
-  let trace = online_trace () in
-  let rng = Stats.Rng.create 3 in
-  let events = ref [] in
-  let on_change ~at ~was ~now = events := (at, was, now) :: !events in
-  let samples = Dcl.Online.scan ~on_change ~rng ~window:120. ~stride:60. trace in
-  let events = List.rev !events in
-  let expected =
-    let rec pairs = function
-      | a :: (b :: _ as rest) ->
-          if b.Dcl.Online.conclusion <> a.Dcl.Online.conclusion then
-            (b.Dcl.Online.at, a.Dcl.Online.conclusion, b.Dcl.Online.conclusion)
-            :: pairs rest
-          else pairs rest
-      | [] | [ _ ] -> []
-    in
-    pairs samples
-  in
-  Alcotest.(check int) "one event per transition" (List.length expected)
-    (List.length events);
-  Alcotest.(check bool) "the regime change is detected" true
-    (List.length events >= 1);
-  List.iter2
-    (fun (at, was, now) (at', was', now') ->
-      Alcotest.(check (float 0.)) "timestamp" at' at;
-      Alcotest.(check bool) "was" true (was = was');
-      Alcotest.(check bool) "now" true (now = now'))
-    events expected;
-  (* Events agree with the public change-point view: [changes] lists
-     the initial conclusion plus one entry per transition. *)
-  Alcotest.(check int) "consistent with changes" (List.length events + 1)
-    (List.length (Dcl.Online.changes samples))
-
-let test_online_invalid () =
-  let trace = online_trace () in
-  let rng = Stats.Rng.create 1 in
-  Alcotest.check_raises "stride" (Invalid_argument "Online.scan: stride <= 0") (fun () ->
-      ignore (Dcl.Online.scan ~rng ~window:60. ~stride:0. trace));
-  Alcotest.check_raises "window" (Invalid_argument "Online.scan: window must be in (0, duration]")
-    (fun () -> ignore (Dcl.Online.scan ~rng ~window:1e9 ~stride:60. trace))
-
-(* Regression: window positions must be walked in integer record
-   indices.  With interval = stride = 0.1, accumulating [t +. stride]
-   in floats and recovering the index as [int_of_float (t /. interval)]
-   drifts across record boundaries: some windows are evaluated twice
-   and others skipped entirely. *)
-let test_online_scan_no_float_drift () =
-  let n = 60 and interval = 0.1 in
-  (* A flat lossless trace: every window is unidentifiable, so the scan
-     exercises only the positioning logic. *)
-  let records =
-    Array.init n (fun i -> mk_record (interval *. float_of_int i) (Probe.Trace.Delay 0.05))
-  in
-  let trace = Probe.Trace.create ~records ~interval ~base_delay:0.05 ~hop_count:1 in
-  let window = 1.0 and stride = 0.1 in
-  let per_window = 10 and stride_rec = 1 in
-  (* First, demonstrate the bug in the replaced float walk: replicate it
-     and collect the window positions it would visit. *)
-  let old_positions =
-    let rec walk t acc =
-      let pos = int_of_float (t /. interval) in
-      if pos + per_window > n then List.rev acc else walk (t +. stride) (pos :: acc)
-    in
-    walk 0. []
-  in
-  let distinct = List.sort_uniq compare old_positions in
-  Alcotest.(check bool) "old float walk visits duplicate positions" true
-    (List.length distinct < List.length old_positions);
-  Alcotest.(check bool) "old float walk skips positions" true
-    (List.length distinct < ((n - per_window) / stride_rec) + 1);
-  (* The fixed scan emits exactly one sample per integer window start. *)
-  let expected = ((n - per_window) / stride_rec) + 1 in
-  let samples = Dcl.Online.scan ~rng:(Stats.Rng.create 1) ~window ~stride trace in
-  Alcotest.(check int) "exact window count" expected (List.length samples);
-  let ats = List.map (fun s -> s.Dcl.Online.at) samples in
-  Alcotest.(check int) "all window positions distinct" expected
-    (List.length (List.sort_uniq compare ats));
-  (* Consecutive windows are exactly one stride apart. *)
-  let rec strided = function
-    | a :: (b :: _ as rest) ->
-        abs_float (b -. a -. stride) < 1e-9 && strided rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "evenly strided" true (strided ats)
-
-(* Regression: a window/interval quotient one ulp above its intended
-   integer (0.14 /. 0.02 = 7.0000000000000009) fed straight to [ceil]
-   produced an 8-record window — every window read one record too many
-   and the scan emitted one window too few.  The scan now snaps
-   near-integer quotients before rounding. *)
-let test_online_scan_quotient_snap () =
-  let n = 10 and interval = 0.02 in
-  let records =
-    Array.init n (fun i -> mk_record (interval *. float_of_int i) (Probe.Trace.Delay 0.05))
-  in
-  let trace = Probe.Trace.create ~records ~interval ~base_delay:0.05 ~hop_count:1 in
-  let window = 0.14 and stride = 0.06 in
-  (* The raw float walk the snap replaces really does overshoot. *)
-  Alcotest.(check int) "raw ceil overshoots the integer quotient" 8
-    (int_of_float (ceil (window /. interval)));
-  let samples = Dcl.Online.scan ~rng:(Stats.Rng.create 1) ~window ~stride trace in
-  (* 7-record windows striding by 3 records: starts at records 0 and 3.
-     With the 8-record bug only one window fit in the 10 records. *)
-  Alcotest.(check int) "window count" 2 (List.length samples);
-  match samples with
-  | first :: _ ->
-      Alcotest.(check (float 1e-9)) "first window covers exactly 7 records"
-        (interval *. 6.) first.Dcl.Online.at
-  | [] -> Alcotest.fail "no samples"
-
-(* The coverage contract: trailing records not filling a final window
-   are dropped, and the scan says how many through the tail metrics. *)
-let test_online_scan_tail_metrics () =
-  Obs.set_enabled true;
-  let g = Obs.Gauge.make "dcl_online_tail_records" in
-  let c = Obs.Counter.make "dcl_online_tail_records_total" in
-  let interval = 0.02 in
-  let mk n =
-    let records =
-      Array.init n (fun i -> mk_record (interval *. float_of_int i) (Probe.Trace.Delay 0.05))
-    in
-    Probe.Trace.create ~records ~interval ~base_delay:0.05 ~hop_count:1
-  in
-  let scan n =
-    ignore (Dcl.Online.scan ~rng:(Stats.Rng.create 1) ~window:0.14 ~stride:0.06 (mk n))
-  in
-  let before = Obs.Counter.value c in
-  (* n = 12: 7-record windows start at records 0 and 3 covering 0..9;
-     records 10 and 11 are the uncovered tail. *)
-  scan 12;
-  Alcotest.(check (float 0.)) "gauge holds the last scan's tail" 2. (Obs.Gauge.value g);
-  Alcotest.(check (float 0.)) "counter accumulates the tail" (before +. 2.)
-    (Obs.Counter.value c);
-  (* n = 10: exact coverage — the gauge drops back to zero and the
-     cumulative counter is untouched. *)
-  scan 10;
-  Alcotest.(check (float 0.)) "gauge resets on full coverage" 0. (Obs.Gauge.value g);
-  Alcotest.(check (float 0.)) "counter unchanged when tail is empty" (before +. 2.)
-    (Obs.Counter.value c)
-
-let test_online_scan_domains_deterministic () =
-  let rng = Stats.Rng.create 21 in
-  let n = 600 in
-  let records =
-    Array.init n (fun i ->
-        let t = 0.02 *. float_of_int i in
-        let u = Stats.Rng.float rng in
-        if u < 0.02 then mk_record t Probe.Trace.Lost
-        else mk_record t (Probe.Trace.Delay (0.05 +. (0.1 *. u))))
-  in
-  let trace = Probe.Trace.create ~records ~interval:0.02 ~base_delay:0.05 ~hop_count:1 in
-  let scan domains =
-    Dcl.Online.scan ~domains ~rng:(Stats.Rng.create 4) ~window:4. ~stride:2. trace
-  in
-  let serial = scan 1 and parallel = scan 3 in
-  Alcotest.(check int) "same sample count" (List.length serial) (List.length parallel);
-  List.iter2
-    (fun (a : Dcl.Online.sample) (b : Dcl.Online.sample) ->
-      Alcotest.(check (float 0.)) "at" a.Dcl.Online.at b.Dcl.Online.at;
-      Alcotest.(check bool) "conclusion" true
-        (a.Dcl.Online.conclusion = b.Dcl.Online.conclusion);
-      Alcotest.(check bool) "statistic bit-identical" true
-        (Int64.equal
-           (Int64.bits_of_float a.Dcl.Online.f_at_two_d_star)
-           (Int64.bits_of_float b.Dcl.Online.f_at_two_d_star)))
-    serial parallel
-
-(* --- Queue monitor --------------------------------------------------------- *)
-
-let test_qmonitor_tracks_backlog () =
-  let sim = Sim.create () in
-  let link =
-    Link.create sim ~id:0 ~src:0 ~dst:1 ~bandwidth:1e6 ~delay:0.001 ~capacity:100_000
-      ~policy:Link.Droptail ()
-  in
-  let mon = Qmonitor.create sim link ~interval:0.001 in
-  Qmonitor.start mon ~at:0. ~until:0.1;
-  (* Two packets queued at t=0: backlog decays from 16 ms to 0. *)
-  Sim.at sim 0. (fun () ->
-      for i = 0 to 1 do
-        Link.offer link
-          (Packet.make ~id:i ~flow:0 ~src:0 ~dst:1 ~size:1000 ~kind:Packet.Udp ~seq:i
-             ~sent_at:0. ())
-      done);
-  Sim.run sim;
-  let samples = Qmonitor.samples mon in
-  Alcotest.(check int) "100 samples" 100 (Array.length samples);
-  (* The monitor's t=0 sample fires before the packets are offered, so
-     the first loaded sample is at t=1 ms with 15 ms of work left. *)
-  check_close 1e-9 "max backlog" 0.015 (Qmonitor.max_backlog mon);
-  Alcotest.(check bool) "mean in (0, max)" true
-    (Qmonitor.mean_backlog mon > 0. && Qmonitor.mean_backlog mon < 0.015);
-  (* Busy ~15 of the 100 sampled milliseconds. *)
-  check_close 0.02 "fraction above zero" 0.15 (Qmonitor.fraction_above mon ~threshold:1e-6)
-
-let test_qmonitor_invalid () =
-  let sim = Sim.create () in
-  let link =
-    Link.create sim ~id:0 ~src:0 ~dst:1 ~bandwidth:1e6 ~delay:0.001 ~capacity:1000
-      ~policy:Link.Droptail ()
-  in
-  Alcotest.check_raises "interval" (Invalid_argument "Qmonitor.create: interval <= 0")
-    (fun () -> ignore (Qmonitor.create sim link ~interval:0.))
-
 (* --- Locate ------------------------------------------------------------------- *)
 
 let mk_prefix hops conclusion =
@@ -609,10 +339,32 @@ let test_tracefile_load_rejects_bad_input () =
 
 (* --- Bootstrap ---------------------------------------------------------------- *)
 
-(* Reuse the synthetic online trace: its F statistic is stable and the
-   bootstrap must bracket it. *)
+(* A synthetic trace whose regime changes halfway: first half losses at
+   a low symbol cluster, second half losses split low/high. *)
+let two_regime_trace () =
+  let rng = Stats.Rng.create 13 in
+  let n = 30_000 in
+  let records =
+    Array.init n (fun i ->
+        let t = 0.02 *. float_of_int i in
+        let second_half = i >= n / 2 in
+        let u = Stats.Rng.float rng in
+        if u < 0.01 then
+          (* a loss: neighbors below determine its context *)
+          mk_record t Probe.Trace.Lost
+        else
+          let near_loss = u < 0.03 in
+          let delay =
+            if near_loss then if second_half && u < 0.02 then 0.45 else 0.15
+            else 0.05 +. (0.04 *. Stats.Rng.float rng)
+          in
+          mk_record t (Probe.Trace.Delay delay))
+  in
+  Probe.Trace.create ~records ~interval:0.02 ~base_delay:0.05 ~hop_count:1
+
+(* Its F statistic is stable and the bootstrap must bracket it. *)
 let test_bootstrap_brackets_point () =
-  let trace = online_trace () in
+  let trace = two_regime_trace () in
   let trace = Probe.Trace.sub trace ~pos:0 ~len:10_000 in
   let rng = Stats.Rng.create 9 in
   let iv = Dcl.Bootstrap.f_statistic ~replicates:20 ~rng trace in
@@ -627,7 +379,7 @@ let test_bootstrap_brackets_point () =
 let test_bootstrap_parallel_determinism () =
   (* The replicate loop runs on the pool; pre-split per-replicate RNGs
      make the interval bit-identical to the serial run. *)
-  let trace = online_trace () in
+  let trace = two_regime_trace () in
   let trace = Probe.Trace.sub trace ~pos:0 ~len:8_000 in
   let interval domains =
     Dcl.Bootstrap.f_statistic ~replicates:12 ~domains ~rng:(Stats.Rng.create 9) trace
@@ -640,7 +392,7 @@ let test_bootstrap_parallel_determinism () =
     p.Dcl.Bootstrap.accept_fraction
 
 let test_bootstrap_invalid () =
-  let trace = online_trace () in
+  let trace = two_regime_trace () in
   let rng = Stats.Rng.create 1 in
   Alcotest.check_raises "replicates" (Invalid_argument "Bootstrap.f_statistic: replicates <= 0")
     (fun () -> ignore (Dcl.Bootstrap.f_statistic ~replicates:0 ~rng trace));
@@ -673,24 +425,6 @@ let () =
           Alcotest.test_case "rejects delay shift" `Quick test_stationarity_rejects_delay_shift;
           Alcotest.test_case "rejects loss shift" `Quick test_stationarity_rejects_loss_shift;
           Alcotest.test_case "invalid" `Quick test_stationarity_invalid;
-        ] );
-      ( "online",
-        [
-          Alcotest.test_case "scan shapes" `Slow test_online_scan_shapes;
-          Alcotest.test_case "changes collapse" `Quick test_online_changes_collapse;
-          Alcotest.test_case "conclusion-changed events" `Slow
-            test_online_conclusion_changed_events;
-          Alcotest.test_case "invalid" `Quick test_online_invalid;
-          Alcotest.test_case "no float drift" `Quick test_online_scan_no_float_drift;
-          Alcotest.test_case "quotient snap" `Quick test_online_scan_quotient_snap;
-          Alcotest.test_case "tail metrics" `Quick test_online_scan_tail_metrics;
-          Alcotest.test_case "domains deterministic" `Quick
-            test_online_scan_domains_deterministic;
-        ] );
-      ( "qmonitor",
-        [
-          Alcotest.test_case "tracks backlog" `Quick test_qmonitor_tracks_backlog;
-          Alcotest.test_case "invalid" `Quick test_qmonitor_invalid;
         ] );
       ( "locate",
         [

@@ -381,6 +381,79 @@ let test_transitions_consistent () =
         (conclusion_tag (Fleet.Scheduler.conclusion sched path)))
     last_state
 
+(* The two-regime path of examples/online_monitor.ml, shortened: link A
+   is congested throughout, and at [switch] 20 s-period overflow pulses
+   start on link B, so the path stops having a dominant congested link.
+   Probes every 20 ms from 20 s to [until]. *)
+let two_regime_trace ~seed ~switch ~until =
+  let open Netsim in
+  let sim = Sim.create ~seed () in
+  let net = Net.create sim in
+  let node = Net.add_node net in
+  let src = node "src" and r1 = node "r1" and r2 = node "r2" and r3 = node "r3" in
+  let dst = node "dst" in
+  let link a b bandwidth delay capacity =
+    ignore (Net.add_duplex net ~a ~b ~bandwidth ~delay ~capacity ())
+  in
+  link src r1 10e6 0.001 200_000;
+  link r1 r2 0.7e6 0.005 25_600;
+  link r2 r3 0.2e6 0.005 25_600;
+  link r3 dst 10e6 0.001 200_000;
+  Net.compute_routes net;
+  ignore (Traffic.Workload.ftp_at net ~src:r1 ~dst:r2 ~at:0.1);
+  ignore (Traffic.Workload.ftp_at net ~src:r1 ~dst:r2 ~at:0.4);
+  Traffic.Udp.start (Traffic.Udp.cbr net ~src:r2 ~dst:r3 ~rate:0.05e6 ~pkt_size:1000);
+  let pulses =
+    Traffic.Udp.pulse net ~src:r2 ~dst:r3 ~rate:0.8e6 ~pkt_size:1000 ~on_duration:0.55
+      ~period:20.
+  in
+  Sim.at sim switch (fun () -> Traffic.Udp.start pulses);
+  let prober = Probe.Prober.create net ~src ~dst ~interval:0.02 () in
+  Probe.Prober.start prober ~at:20. ~until;
+  Sim.run_until sim (until +. 5.);
+  Probe.Prober.trace prober
+
+(* Streaming replaces sliding-window re-identification: a one-path
+   replay of the two-regime trace, 500-observation (10 s) epochs at
+   lambda 0.9, leaves strongly-dominant as soon as post-switch data
+   arrives and settles on no-dominant for good.  Epoch k holds the
+   probes sent in [20 + 10k, 30 + 10k) s, so epoch 30 is the first
+   with data from after the 320 s switch. *)
+let test_transitions_regime_change () =
+  let epoch_len = 500 in
+  let trace = two_regime_trace ~seed:21 ~switch:320. ~until:620. in
+  let src = Fleet.Source.of_trace ~paths:1 trace in
+  let config = Fleet.Path_state.config ~lambda:0.9 ~scheme:(Fleet.Source.scheme src) () in
+  let transitions = ref [] in
+  let sched =
+    Fleet.Scheduler.create
+      ~on_transition:(fun tr -> transitions := tr :: !transitions)
+      ~rng:(Stats.Rng.create 3) ~paths:1 config
+  in
+  let epochs = Probe.Trace.length trace / epoch_len in
+  let states =
+    Array.init epochs (fun _ ->
+        Fleet.Scheduler.push sched ~path:0 (Fleet.Source.pull src ~path:0 ~len:epoch_len);
+        ignore (Fleet.Scheduler.tick sched : int);
+        conclusion_tag (Fleet.Scheduler.conclusion sched 0))
+  in
+  let transitions = List.rev !transitions in
+  Alcotest.(check int) "epochs" 60 epochs;
+  Alcotest.(check string) "strongly dominant just before the switch" "s" states.(29);
+  let left =
+    List.find_map
+      (fun (tr : Fleet.Scheduler.transition) ->
+        if tr.was = Some Dcl.Identify.Strongly_dominant then Some tr.epoch else None)
+      transitions
+  in
+  Alcotest.(check bool) "leaves strongly-dominant at epoch 30 or 31" true
+    (left = Some 30 || left = Some 31);
+  Alcotest.(check string) "no dominant by epoch 35" "n" states.(35);
+  List.iter
+    (fun (tr : Fleet.Scheduler.transition) ->
+      if tr.epoch > 35 then Alcotest.failf "transition at epoch %d" tr.epoch)
+    transitions
+
 (* --- path state edge cases --------------------------------------------- *)
 
 let scheme5 = Dcl.Discretize.of_range ~m:5 ~lo:0.02 ~hi:0.07
@@ -738,6 +811,45 @@ let test_synthetic_source_deterministic () =
   Alcotest.(check bool) "ground truth available" true
     (Fleet.Source.ground_truth s1 0 <> None)
 
+let small_trace () =
+  let records =
+    Array.init 40 (fun i ->
+        let obs =
+          if i mod 7 = 3 then Probe.Trace.Lost
+          else Probe.Trace.Delay (0.02 +. (0.001 *. float_of_int (i mod 11)))
+        in
+        { Probe.Trace.send_time = 0.02 *. float_of_int i; obs; truth = None })
+  in
+  Probe.Trace.create ~records ~interval:0.02 ~base_delay:0.02 ~hop_count:1
+
+(* Path 0 of a one-path replay is the symbolized trace in order from
+   record 0, and wraps back to record 0 only once pulled past the
+   end. *)
+let test_of_trace_straight_replay () =
+  let trace = small_trace () in
+  let src = Fleet.Source.of_trace ~paths:1 trace in
+  let symbols =
+    Dcl.Discretize.symbolize (Fleet.Source.scheme src) (Probe.Trace.observations trace)
+  in
+  let n = Array.length symbols in
+  let first = Fleet.Source.pull src ~path:0 ~len:15 in
+  let rest = Fleet.Source.pull src ~path:0 ~len:(n - 15) in
+  Alcotest.(check bool) "whole trace in order" true (Array.append first rest = symbols);
+  Alcotest.(check bool) "next pull wraps to record 0" true
+    (Fleet.Source.pull src ~path:0 ~len:3 = Array.sub symbols 0 3)
+
+let test_of_trace_rejects_narrow_m () =
+  let trace = small_trace () in
+  List.iter
+    (fun m ->
+      Alcotest.check_raises
+        (Printf.sprintf "m = %d" m)
+        (Invalid_argument "Fleet.Source.of_trace: m must be at least 3")
+        (fun () -> ignore (Fleet.Source.of_trace ~m ~paths:1 trace)))
+    [ 0; 1; 2 ];
+  Alcotest.(check int) "m = 3 accepted" 3
+    (Fleet.Source.scheme (Fleet.Source.of_trace ~m:3 ~paths:1 trace)).Dcl.Discretize.m
+
 (* The congested-template split is one integer rounding decision, for
    every fraction in [0, 1] — the boundary the old per-index float
    comparison could misround. *)
@@ -797,7 +909,11 @@ let () =
             test_push_rejects_bad_symbol;
         ] );
       ( "transitions",
-        [ Alcotest.test_case "consistent stream" `Quick test_transitions_consistent ] );
+        [
+          Alcotest.test_case "consistent stream" `Quick test_transitions_consistent;
+          Alcotest.test_case "detects a regime change on a one-path replay" `Quick
+            test_transitions_regime_change;
+        ] );
       ( "path-state",
         [
           Alcotest.test_case "gates" `Quick test_path_state_gates;
@@ -836,5 +952,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_congested_templates_rounds;
           Alcotest.test_case "congested-count boundaries" `Quick
             test_congested_templates_boundaries;
+          Alcotest.test_case "of_trace straight replay" `Quick
+            test_of_trace_straight_replay;
+          Alcotest.test_case "of_trace rejects m below 3" `Quick
+            test_of_trace_rejects_narrow_m;
         ] );
     ]
