@@ -30,7 +30,7 @@ let default_params =
   { Identify.default_params with Identify.model = Identify.Model_markov }
 
 let f_statistic ?(params = default_params) ?(replicates = 50) ?(block = 20.)
-    ?(confidence = 0.9) ?(domains = 1) ~rng trace =
+    ?(confidence = 0.9) ~rng trace =
   if replicates <= 0 then invalid_arg "Bootstrap.f_statistic: replicates <= 0";
   if confidence <= 0. || confidence >= 1. then
     invalid_arg "Bootstrap.f_statistic: confidence must be in (0, 1)";
@@ -39,9 +39,6 @@ let f_statistic ?(params = default_params) ?(replicates = 50) ?(block = 20.)
   let per_block =
     Stdlib.max 1 (int_of_float (block /. trace.Probe.Trace.interval))
   in
-  (* One pre-split RNG per replicate: each replicate (resampling plus
-     refit) is a pure function of its index, so the interval is
-     bit-identical however the replicates are spread over domains. *)
   let rngs = Array.init replicates (fun _ -> Stats.Rng.split rng) in
   let replicate k =
     let rng = rngs.(k) in
@@ -54,7 +51,7 @@ let f_statistic ?(params = default_params) ?(replicates = 50) ?(block = 20.)
     end
     else None
   in
-  let results = Stats.Par.map_range ~domains replicates replicate in
+  let results = Array.init replicates replicate in
   let xs =
     Array.of_list
       (List.filter_map (Option.map fst) (Array.to_list results))

@@ -28,7 +28,6 @@ val f_statistic :
   ?replicates:int ->
   ?block:float ->
   ?confidence:float ->
-  ?domains:int ->
   rng:Stats.Rng.t ->
   Probe.Trace.t ->
   interval
@@ -38,9 +37,4 @@ val f_statistic :
     pipeline defaults with the Markov model.  Replicates on which the
     resampled trace is unidentifiable are skipped (they still count
     toward [replicates]); raises like {!Identify.run} if the original
-    trace is unidentifiable.
-
-    With [domains > 1] (default 1) the replicate loop runs on that many
-    concurrent domains of the persistent pool ({!Stats.Pool}).  Each
-    replicate resamples and refits with its own pre-split RNG, so the
-    reported interval is bit-identical to the serial run. *)
+    trace is unidentifiable. *)

@@ -7,7 +7,6 @@ type params = {
   em_eps : float;
   em_max_iter : int;
   restarts : int;
-  domains : int;
   prop_delay : Discretize.prop_delay;
   sdcl_tolerance : float;
   wdcl_tolerance : float;
@@ -23,7 +22,6 @@ let default_params =
     em_eps = 1e-3;
     em_max_iter = 300;
     restarts = 2;
-    domains = 1;
     prop_delay = Discretize.From_trace;
     sdcl_tolerance = Tests.default_tolerance;
     wdcl_tolerance = 0.04;
@@ -82,8 +80,8 @@ let model_pmf params ~rng symbols =
   in
   let fit0 = Obs.Span.start () in
   let model, stats =
-    fit ~eps:params.em_eps ~max_iter:params.em_max_iter ~restarts:params.restarts
-      ~domains:params.domains ~rng ~m:params.m symbols
+    fit ~eps:params.em_eps ~max_iter:params.em_max_iter ~restarts:params.restarts ~rng
+      ~m:params.m symbols
   in
   Obs.Span.stop h_fit fit0;
   let vqd0 = Obs.Span.start () in

@@ -15,10 +15,6 @@ type params = {
   em_eps : float;  (** EM convergence threshold (paper: 1e-3 or 1e-4) *)
   em_max_iter : int;
   restarts : int;  (** random EM restarts, best likelihood kept *)
-  domains : int;
-      (** multicore domains racing the restarts; 1 = serial.  The
-          winning fit is identical either way (per-restart pre-split
-          RNGs). *)
   prop_delay : Discretize.prop_delay;
   sdcl_tolerance : float;  (** statistical slack of the SDCL test *)
   wdcl_tolerance : float;

@@ -2,14 +2,13 @@
    EM sweep.
 
    This module owns the numerical inner loops only: the public API, the
-   EM update logic and restart racing live in [Em].
+   EM update logic and the informed-restart fit live in [Em].
 
    All float sweep state lives in unboxed [Bigarray.Array1] float64
    buffers ([buf]); [unsafe_get]/[unsafe_set] on them appear strictly
    inside the [lint: hot] fences below (dcl-lint rule R5 checks both
-   directions).  Each pass runs serially over the whole sequence;
-   parallelism lives one level up, in restart racing ([Em]) and in the
-   fleet's fan-out over paths. *)
+   directions).  Each pass runs serially over the whole sequence; the
+   only parallelism is the fleet's fan-out over paths. *)
 
 module Ba = Bigarray.Array1
 

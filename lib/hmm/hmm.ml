@@ -39,8 +39,8 @@ let init_informed rng ~n ~m obs =
 let fit_from ?eps ?max_iter t0 obs =
   Em.fit_from ~ws:(Em.domain_ws ()) ?eps ?max_iter ~update_b:true t0 obs
 
-let fit ?eps ?max_iter ?restarts ?domains ~rng ~n ~m obs =
-  Em.fit_informed ?eps ?max_iter ?restarts ?domains ~who:"Hmm.fit" ~rng ~update_b:true
+let fit ?eps ?max_iter ?restarts ~rng ~n ~m obs =
+  Em.fit_informed ?eps ?max_iter ?restarts ~who:"Hmm.fit" ~rng ~update_b:true
     ~init:(fun rng -> init_informed rng ~n ~m obs)
     obs
 

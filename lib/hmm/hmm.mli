@@ -27,18 +27,16 @@ val fit :
   ?eps:float ->
   ?max_iter:int ->
   ?restarts:int ->
-  ?domains:int ->
   rng:Stats.Rng.t ->
   n:int ->
   m:int ->
   Em.observation array ->
   Em.model * Em.fit_stats
 (** Baum–Welch EM handling missing values, [b] re-estimated:
-    {!Em.fit_informed} racing [restarts] (default 2) jittered
+    {!Em.fit_informed} over [restarts] (default 2) jittered
     {!init_informed} starts until the largest parameter change drops
     below [eps] (default 1e-3, the paper's threshold) or [max_iter]
-    (default 300).  The winner is bit-identical for any [domains]
-    (default 1). *)
+    (default 300). *)
 
 val fit_from :
   ?eps:float -> ?max_iter:int -> Em.model -> Em.observation array -> Em.model * Em.fit_stats

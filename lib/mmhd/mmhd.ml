@@ -64,8 +64,8 @@ let init_informed rng ~n ~m obs =
 let fit_from ?eps ?max_iter t0 obs =
   Em.fit_from ~ws:(Em.domain_ws ()) ?eps ?max_iter ~update_b:false t0 obs
 
-let fit ?eps ?max_iter ?restarts ?domains ~rng ~n ~m obs =
-  Em.fit_informed ?eps ?max_iter ?restarts ?domains ~who:"Mmhd.fit" ~rng ~update_b:false
+let fit ?eps ?max_iter ?restarts ~rng ~n ~m obs =
+  Em.fit_informed ?eps ?max_iter ?restarts ~who:"Mmhd.fit" ~rng ~update_b:false
     ~init:(fun rng -> init_informed rng ~n ~m obs)
     obs
 

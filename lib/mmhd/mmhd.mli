@@ -39,17 +39,15 @@ val fit :
   ?eps:float ->
   ?max_iter:int ->
   ?restarts:int ->
-  ?domains:int ->
   rng:Stats.Rng.t ->
   n:int ->
   m:int ->
   Em.observation array ->
   Em.model * Em.fit_stats
-(** EM (Appendix B), [b] fixed: {!Em.fit_informed} racing [restarts]
+(** EM (Appendix B), [b] fixed: {!Em.fit_informed} over [restarts]
     (default 2) jittered {!init_informed} starts until the largest
     parameter change drops below [eps] (default 1e-3, the paper's
-    threshold) or [max_iter] (default 300).  The winner is
-    bit-identical for any [domains] (default 1). *)
+    threshold) or [max_iter] (default 300). *)
 
 val fit_from :
   ?eps:float -> ?max_iter:int -> Em.model -> Em.observation array -> Em.model * Em.fit_stats

@@ -37,7 +37,7 @@ let check name pinned computed =
 
 let test_mmhd_fit () =
   let model, stats =
-    Mmhd.fit ~restarts:2 ~domains:1 ~rng:(Stats.Rng.create 21) ~n:2 ~m:5 trace
+    Mmhd.fit ~restarts:2 ~rng:(Stats.Rng.create 21) ~n:2 ~m:5 trace
   in
   let h = fold_array 0L model.Em.pi in
   let h = fold_array h model.Em.a in
@@ -46,7 +46,7 @@ let test_mmhd_fit () =
 
 let test_hmm_fit () =
   let model, stats =
-    Hmm.fit ~restarts:2 ~domains:1 ~rng:(Stats.Rng.create 21) ~n:2 ~m:5 trace
+    Hmm.fit ~restarts:2 ~rng:(Stats.Rng.create 21) ~n:2 ~m:5 trace
   in
   let h = fold_array 0L model.Em.pi in
   let h = fold_array h model.Em.a in

@@ -376,21 +376,6 @@ let test_bootstrap_brackets_point () =
   Alcotest.(check bool) "accept fraction is a probability" true
     (iv.Dcl.Bootstrap.accept_fraction >= 0. && iv.Dcl.Bootstrap.accept_fraction <= 1.)
 
-let test_bootstrap_parallel_determinism () =
-  (* The replicate loop runs on the pool; pre-split per-replicate RNGs
-     make the interval bit-identical to the serial run. *)
-  let trace = two_regime_trace () in
-  let trace = Probe.Trace.sub trace ~pos:0 ~len:8_000 in
-  let interval domains =
-    Dcl.Bootstrap.f_statistic ~replicates:12 ~domains ~rng:(Stats.Rng.create 9) trace
-  in
-  let s = interval 1 and p = interval 4 in
-  Alcotest.(check (float 0.)) "lo" s.Dcl.Bootstrap.lo p.Dcl.Bootstrap.lo;
-  Alcotest.(check (float 0.)) "hi" s.Dcl.Bootstrap.hi p.Dcl.Bootstrap.hi;
-  Alcotest.(check (float 0.)) "point" s.Dcl.Bootstrap.point p.Dcl.Bootstrap.point;
-  Alcotest.(check (float 0.)) "accept fraction" s.Dcl.Bootstrap.accept_fraction
-    p.Dcl.Bootstrap.accept_fraction
-
 let test_bootstrap_invalid () =
   let trace = two_regime_trace () in
   let rng = Stats.Rng.create 1 in
@@ -444,7 +429,6 @@ let () =
       ( "bootstrap",
         [
           Alcotest.test_case "brackets the point" `Slow test_bootstrap_brackets_point;
-          Alcotest.test_case "serial = 4 domains" `Slow test_bootstrap_parallel_determinism;
           Alcotest.test_case "invalid" `Quick test_bootstrap_invalid;
         ] );
     ]

@@ -15,8 +15,8 @@
       (or Mutex/Condition), or the annotation names its guard with
       [guarded-by].
 
-   3. Closures handed to the pool submission functions ([Pool.run],
-      [Par.map_range]) or to [Domain.spawn] run in worker context:
+   3. Closures handed to the pool submission function ([Pool.run])
+      or to [Domain.spawn] run in worker context:
       any read or write of [driver]-owned state reachable from such a
       closure — directly, or through unit-local functions it calls
       (computed to a fixpoint) — is a diagnostic.  This is exactly the
@@ -133,7 +133,7 @@ let submission_function name =
   name = "Domain.spawn"
   ||
   match split_last name with
-  | Some (("Pool" | "Par"), ("run" | "map_range")) -> true
+  | Some ("Pool", "run") -> true
   | _ -> false
 
 (* Driver-owned accesses appearing syntactically inside [e]. *)
