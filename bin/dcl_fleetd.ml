@@ -10,56 +10,6 @@
 
 open Cmdliner
 
-(* --- validated argument converters ---------------------------------
-
-   Out-of-range values are rejected at the cmdliner layer (exit code
-   124 with a usage message) instead of surfacing later as an
-   [Invalid_argument] backtrace from the library or, worse, a
-   mysterious "no such file" from a typo'd --source. *)
-
-let int_at_least floor =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-    | Some v when v < floor ->
-        Error (`Msg (Printf.sprintf "%d is below the minimum of %d" v floor))
-    | Some v -> Ok v
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
-let positive_int = int_at_least 1
-
-let float_range ~lo_exclusive ~lo ~hi ~what =
-  let parse s =
-    match float_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
-    | Some v ->
-        if Float.is_nan v then Error (`Msg (Printf.sprintf "%s cannot be NaN" what))
-        else if
-          (if lo_exclusive then Stats.Float_cmp.leq v lo
-           else Stats.Float_cmp.lt v lo)
-          || Stats.Float_cmp.gt v hi
-        then
-          Error
-            (`Msg
-               (Printf.sprintf "%g is outside %c%g, %g] for %s" v
-                  (if lo_exclusive then '(' else '[')
-                  lo hi what))
-        else Ok v
-  in
-  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
-
-let nonneg_float ~what =
-  let parse s =
-    match float_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
-    | Some v ->
-        if Float.is_nan v || Stats.Float_cmp.lt v 0. then
-          Error (`Msg (Printf.sprintf "%s must be non-negative, got %s" what s))
-        else Ok v
-  in
-  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
-
 let source_conv =
   let parse s =
     match s with
@@ -295,24 +245,24 @@ let run paths epochs epoch_len lambda n m domains source congested_fraction seed
 
 let paths_arg =
   Arg.(
-    value & opt positive_int 1000
+    value & opt Obs_cli.positive_int 1000
     & info [ "paths" ] ~docv:"N" ~doc:"Number of concurrently monitored paths.")
 
 let epochs_arg =
   Arg.(
-    value & opt positive_int 20
+    value & opt Obs_cli.positive_int 20
     & info [ "epochs" ] ~docv:"N" ~doc:"Number of epoch ticks to run.")
 
 let epoch_arg =
   Arg.(
-    value & opt positive_int 16
+    value & opt Obs_cli.positive_int 16
     & info [ "epoch" ] ~docv:"OBS"
         ~doc:"Observations appended to each path per epoch tick (at least 1).")
 
 let lambda_arg =
   Arg.(
     value
-    & opt (float_range ~lo_exclusive:true ~lo:0. ~hi:1. ~what:"--lambda") 0.9
+    & opt (Obs_cli.float_range ~lo_exclusive:true ~lo:0. ~hi:1. ~what:"--lambda" ()) 0.9
     & info [ "lambda" ] ~docv:"L"
         ~doc:
           "Forgetting factor applied to each path's sufficient statistics every \
@@ -320,17 +270,17 @@ let lambda_arg =
 
 let n_arg =
   Arg.(
-    value & opt positive_int 2
+    value & opt Obs_cli.positive_int 2
     & info [ "n"; "hidden-states" ] ~docv:"N" ~doc:"Hidden states of the per-path MMHD.")
 
 let m_arg =
   Arg.(
-    value & opt (int_at_least 3) 5
+    value & opt (Obs_cli.int_at_least 3) 5
     & info [ "m"; "symbols" ] ~docv:"M" ~doc:"Number of delay symbols (at least 3).")
 
 let domains_arg =
   Arg.(
-    value & opt positive_int 1
+    value & opt Obs_cli.positive_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Pool domains updating paths in parallel; results are bit-identical \
@@ -349,8 +299,7 @@ let congested_arg =
   Arg.(
     value
     & opt
-        (float_range ~lo_exclusive:false ~lo:0. ~hi:1.
-           ~what:"--congested-fraction")
+        (Obs_cli.float_range ~lo:0. ~hi:1. ~what:"--congested-fraction" ())
         0.3
     & info [ "congested-fraction" ] ~docv:"F"
         ~doc:
@@ -371,13 +320,13 @@ let gate_arg =
 
 let gate_loss_arg =
   Arg.(
-    value & opt (nonneg_float ~what:"--gate-loss") 0.2
+    value & opt (Obs_cli.nonneg_float ~what:"--gate-loss") 0.2
     & info [ "gate-loss" ] ~docv:"F"
         ~doc:"Loss-EWMA promotion threshold (fraction of probes lost per epoch).")
 
 let gate_drift_arg =
   Arg.(
-    value & opt (nonneg_float ~what:"--gate-drift") 0.75
+    value & opt (Obs_cli.nonneg_float ~what:"--gate-drift") 0.75
     & info [ "gate-drift" ] ~docv:"F"
         ~doc:
           "Delay-quantile-drift promotion threshold: elevation of the tracked \
@@ -385,13 +334,13 @@ let gate_drift_arg =
 
 let gate_h_arg =
   Arg.(
-    value & opt positive_int 2
+    value & opt Obs_cli.positive_int 2
     & info [ "gate-h" ] ~docv:"H"
         ~doc:"Consecutive suspect epochs required before promotion (hysteresis).")
 
 let gate_demote_arg =
   Arg.(
-    value & opt positive_int 4
+    value & opt Obs_cli.positive_int 4
     & info [ "gate-demote" ] ~docv:"D"
         ~doc:
           "Consecutive calm, no-dominant-concluded epochs required before a \
@@ -427,7 +376,7 @@ let listen_arg =
 
 let metrics_interval_arg =
   Arg.(
-    value & opt positive_int 1
+    value & opt Obs_cli.positive_int 1
     & info [ "metrics-interval" ] ~docv:"N"
         ~doc:
           "Flush the $(b,--metrics) file every $(docv) epochs (default: every \
@@ -437,7 +386,7 @@ let metrics_interval_arg =
 let linger_arg =
   Arg.(
     value
-    & opt (nonneg_float ~what:"--linger") 0.
+    & opt (Obs_cli.nonneg_float ~what:"--linger") 0.
     & info [ "linger" ] ~docv:"SECONDS"
         ~doc:
           "Keep the $(b,--listen) endpoint serving for $(docv) seconds after \

@@ -1,8 +1,64 @@
-(* Shared --metrics / --trace plumbing for the dcl command-line tools:
-   optional flags that turn collection on for the whole run and dump a
-   registry snapshot / flight-recorder dump on exit. *)
+(* Shared command-line plumbing for the dcl tools: validated argument
+   converters, and the optional --metrics / --trace flags that turn
+   collection on for the whole run and dump a registry snapshot /
+   flight-recorder dump on exit. *)
 
 open Cmdliner
+
+(* --- validated argument converters ---------------------------------
+
+   Out-of-range values are rejected at the cmdliner layer (exit code
+   124 with a usage message) instead of surfacing later as an
+   [Invalid_argument] backtrace from the library, a NaN threshold, or a
+   vacuous verdict. *)
+
+let int_at_least floor =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+    | Some v when v < floor ->
+        Error (`Msg (Printf.sprintf "%d is below the minimum of %d" v floor))
+    | Some v -> Ok v
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
+(* [lo, hi] by default; either end can be made open. *)
+let float_range ?(lo_exclusive = false) ?(hi_exclusive = false) ~lo ~hi ~what () =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
+    | Some v ->
+        if Float.is_nan v then Error (`Msg (Printf.sprintf "%s cannot be NaN" what))
+        else if
+          (if lo_exclusive then Stats.Float_cmp.leq v lo
+           else Stats.Float_cmp.lt v lo)
+          || (if hi_exclusive then Stats.Float_cmp.geq v hi
+              else Stats.Float_cmp.gt v hi)
+        then
+          Error
+            (`Msg
+               (Printf.sprintf "%g is outside %c%g, %g%c for %s" v
+                  (if lo_exclusive then '(' else '[')
+                  lo hi
+                  (if hi_exclusive then ')' else ']')
+                  what))
+        else Ok v
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
+let nonneg_float ~what =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
+    | Some v ->
+        if Float.is_finite v && Stats.Float_cmp.geq v 0. then Ok v
+        else
+          Error
+            (`Msg (Printf.sprintf "%s must be finite and non-negative, got %s" what s))
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
 let metrics_arg =
   Arg.(
