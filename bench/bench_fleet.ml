@@ -143,43 +143,6 @@ let run_speedup ~smoke buf =
     exit 1
   end
 
-let run_scale ~smoke buf =
-  let paths = if smoke then 2_000 else 100_000 in
-  let epochs = 3 and epoch_len = 16 in
-  let rng = Stats.Rng.create 0x5CA1E in
-  let src = Fleet.Source.synthetic ~rng ~paths () in
-  let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
-  let sched = Fleet.Scheduler.create ~domains:1 ~rng ~paths config in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let tick_total = ref 0. and wall_total = ref 0. in
-  for _ = 1 to epochs do
-    let (), gen_s =
-      time_of (fun () ->
-          for p = 0 to paths - 1 do
-            Fleet.Scheduler.push sched ~path:p
-              (Fleet.Source.pull src ~path:p ~len:epoch_len)
-          done)
-    in
-    let _, tick_s = time_of (fun () -> Fleet.Scheduler.tick sched) in
-    tick_total := !tick_total +. tick_s;
-    wall_total := !wall_total +. gen_s +. tick_s
-  done;
-  let q p = Obs.Histogram.quantile Fleet.Scheduler.epoch_histogram p in
-  let p50 = q 0.5 and p95 = q 0.95 and p99 = q 0.99 in
-  Obs.set_enabled false;
-  let updates = float_of_int (paths * epochs) in
-  Printf.bprintf buf
-    "  \"scale\": {\"paths\": %d, \"epochs\": %d, \"epoch_len\": %d,\n\
-    \    \"tick_seconds_total\": %.4f, \"paths_per_s\": %.0f,\n\
-    \    \"end_to_end_paths_per_s\": %.0f,\n\
-    \    \"epoch_latency_p50\": %.4f, \"epoch_latency_p95\": %.4f,\n\
-    \    \"epoch_latency_p99\": %.4f},\n"
-    paths epochs epoch_len !tick_total (updates /. !tick_total)
-    (updates /. !wall_total) p50 p95 p99;
-  Printf.eprintf "bench_fleet: %d paths, %.0f path-updates/s in the tick\n%!"
-    paths (updates /. !tick_total)
-
 (* Minimal RFC 8259 well-formedness checker: enough to prove the trace
    exporter emits parseable JSON without a json-library dependency. *)
 let json_valid s =
@@ -379,8 +342,7 @@ let run_trace ~smoke buf =
    arm's — plus gated pooled-vs-serial determinism.  Push time (which
    for the gated arm includes all sketch work) is reported as the
    end-to-end ratio but not asserted: the tick is where the EM cost
-   the gate exists to avoid lives, mirroring paths_per_s in the scale
-   section. *)
+   the gate exists to avoid lives. *)
 let run_gated ~smoke buf =
   let paths = if smoke then 2000 else 4000 in
   let epochs = 6 in
@@ -570,7 +532,6 @@ let () =
   if not gated_only then begin
     run_determinism ~smoke buf;
     run_speedup ~smoke buf;
-    run_scale ~smoke buf;
     run_trace ~smoke buf
   end;
   (* The gated triage section runs in the dedicated --gated smoke and
@@ -585,11 +546,7 @@ let () =
      re-tests included) and through per-epoch full-history refits \
      (informed init, eps 1e-3, re-tests excluded); the speedup floor is 1x \
      in smoke and 5x in the full run, and grows with history length since \
-     refit cost is O(history) per epoch. scale drives the full fleet for 3 \
-     epochs; paths_per_s counts scheduler updates only, end_to_end adds \
-     synthetic-source generation; epoch latency quantiles come from the \
-     dcl_fleet_epoch_seconds histogram, linearly interpolated within \
-     buckets. trace reruns a seeded gated fleet with the Obs.Trace flight \
+     refit cost is O(history) per epoch. trace reruns a seeded gated fleet with the Obs.Trace flight \
      recorder off and on, requires bit-identical fingerprints and \
      transition logs, and validates the Chrome export (written to \
      TRACE_fleet[.smoke].json) as well-formed JSON with at least one event \
