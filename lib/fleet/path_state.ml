@@ -60,7 +60,6 @@ type t = {
   mutable epochs : int;
   mutable observations : int;
   mutable resets : int;
-  mutable last_log_likelihood : float;
 }
 
 let create config ~rng =
@@ -75,7 +74,6 @@ let create config ~rng =
     epochs = 0;
     observations = 0;
     resets = 0;
-    last_log_likelihood = Float.nan;
   }
 
 let model t = t.model
@@ -85,7 +83,6 @@ let epochs t = t.epochs
 let observations t = t.observations
 let resets t = t.resets
 let weight t = Em.Incremental.weight t.stats
-let last_log_likelihood t = t.last_log_likelihood
 let timeline t = t.timeline
 
 (* Catch-up decay for a path whose epochs went by without updates (a
@@ -148,7 +145,6 @@ let update ~ws ?epoch t batch =
         let was = t.conclusion in
         match Em.Incremental.append ~ws t.stats model batch with
         | ll ->
-            t.last_log_likelihood <- ll;
             t.model <- Some (Em.Incremental.m_step t.stats model);
             retest t;
             Timeline.record t.timeline

@@ -49,10 +49,6 @@ val config :
     [Invalid_argument] on out-of-range values, a NaN [lambda]
     included. *)
 
-val states : config -> int
-(** Flattened state count [n * m]: the [s] of the path's MMHD and of
-    its {!Em.Incremental.stats}. *)
-
 type t
 
 val create : config -> rng:Stats.Rng.t -> t
@@ -100,9 +96,6 @@ val weight : t -> float
 val epochs : t -> int
 val observations : t -> int
 val resets : t -> int
-val last_log_likelihood : t -> float
-(** Log-likelihood of the most recent appended batch; [nan] before the
-    first. *)
 
 val timeline : t -> Timeline.t
 (** The path's bounded diagnosis history (verdict updates, gate

@@ -15,7 +15,6 @@ type t = {
   truth : (int -> bool) option;
 }
 
-let paths t = t.paths
 let scheme t = t.scheme
 
 let pull t ~path ~len =

@@ -11,8 +11,6 @@
 
 type t
 
-val paths : t -> int
-
 val scheme : t -> Dcl.Discretize.t
 (** The discretization scheme the source's symbols are drawn from;
     fleet configs must be built against it. *)

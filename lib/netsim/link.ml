@@ -127,9 +127,7 @@ let src t = t.src
 let dst t = t.dst
 let bandwidth t = t.bandwidth
 let prop_delay t = t.prop_delay
-let capacity t = t.capacity
 let policy t = t.policy
-let queued_bytes t = t.queued_bytes
 
 let unfinished_work t =
   let residual = if t.busy then Float.max 0. (t.service_end -. Sim.now t.sim) else 0. in

@@ -63,7 +63,6 @@ val src : t -> int
 val dst : t -> int
 val bandwidth : t -> float
 val prop_delay : t -> float
-val capacity : t -> int
 val policy : t -> policy
 
 val unfinished_work : t -> float
@@ -71,11 +70,6 @@ val unfinished_work : t -> float
     residual service time of the packet on the wire plus the drain time
     of the waiting buffer.  This is the queuing delay a (tiny) probe
     arriving now experiences. *)
-
-val queued_bytes : t -> int
-val queue_length : t -> int
-(** Packets waiting plus the one in service, the quantity RED
-    averages. *)
 
 val would_drop : t -> size:int -> float
 (** Probability that a packet of [size] bytes offered now would be

@@ -149,11 +149,6 @@ let compute_routes t =
   done;
   t.routes_fresh <- true
 
-let links t = List.rev t.links_rev
-
-let link_between t ~src ~dst =
-  List.find_opt (fun l -> Link.dst l = dst) t.out_links.(src)
-
 let path_links t ~src ~dst =
   if not t.routes_fresh then failwith "Net.path_links: routes are stale";
   let rec walk node acc =

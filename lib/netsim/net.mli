@@ -20,19 +20,6 @@ type queue_spec =
       (** thresholds in packets; the averaging time constant is derived
           from the link bandwidth assuming 1000-byte packets *)
 
-val add_link :
-  t ->
-  src:int ->
-  dst:int ->
-  bandwidth:float ->
-  delay:float ->
-  capacity:int ->
-  ?queue:queue_spec ->
-  unit ->
-  Link.t
-(** One-directional link.  [capacity] in bytes; default queue is
-    droptail. *)
-
 val add_duplex :
   t ->
   a:int ->
@@ -48,9 +35,6 @@ val add_duplex :
 val compute_routes : t -> unit
 (** (Re)build the minimum-hop next-hop tables.  Must be called after
     the topology is complete and before any traffic flows. *)
-
-val links : t -> Link.t list
-val link_between : t -> src:int -> dst:int -> Link.t option
 
 val path_links : t -> src:int -> dst:int -> Link.t list
 (** The links a packet from [src] to [dst] traverses under the current

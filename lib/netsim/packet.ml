@@ -16,13 +16,3 @@ let make ~id ~flow ~src ~dst ~size ~kind ~seq ~sent_at ?(ttl = 64) () =
   if size <= 0 then invalid_arg "Packet.make: non-positive size";
   if ttl <= 0 then invalid_arg "Packet.make: non-positive ttl";
   { id; flow; src; dst; size; kind; seq; sent_at; ttl }
-
-let kind_to_string = function
-  | Udp -> "udp"
-  | Tcp_data -> "tcp"
-  | Tcp_ack -> "ack"
-  | Icmp_ttl_exceeded -> "icmp-ttl"
-
-let pp ppf p =
-  Format.fprintf ppf "#%d %s flow=%d %d->%d seq=%d %dB" p.id (kind_to_string p.kind)
-    p.flow p.src p.dst p.seq p.size

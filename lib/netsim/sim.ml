@@ -84,8 +84,6 @@ let run t =
   done;
   flush_loop_stats ~track ~events:!events ~depth_max:!depth_max
 
-let pending t = Eventq.length t.events
-
 let fresh_packet_id t =
   let id = t.next_packet_id in
   t.next_packet_id <- id + 1;

@@ -30,7 +30,5 @@ val run_until : t -> float -> unit
 val run : t -> unit
 (** Drain all events. *)
 
-val pending : t -> int
-
 val fresh_packet_id : t -> int
 val fresh_flow_id : t -> int

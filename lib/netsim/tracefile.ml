@@ -52,7 +52,6 @@ let attach t sim link =
   Link.add_deliver_observer link (log Receive)
 
 let events t = Array.of_list (List.rev t.events_rev)
-let count t = t.count
 
 let kind_char = function Enqueue -> '+' | Dequeue -> '-' | Drop -> 'd' | Receive -> 'r'
 

@@ -46,8 +46,6 @@ val attach : t -> Sim.t -> Link.t -> unit
 val events : t -> event array
 (** Events recorded so far, in chronological order. *)
 
-val count : t -> int
-
 val save : t -> string -> unit
 (** Write the ns-2-format trace file. *)
 

@@ -6,7 +6,6 @@ type t = {
   gap : float;
   pair_interval : float;
   path : Link.t list;
-  base_delay : float;
   rng : Stats.Rng.t;
   mutable pairs_sent : int;
   mutable loss_pairs : int;
@@ -30,7 +29,6 @@ let create ?(size = 10) ?gap net ~src ~dst ~pair_interval () =
     gap;
     pair_interval;
     path;
-    base_delay = Shadow.base_delay ~size path;
     rng = Stats.Rng.split (Sim.rng (Net.sim net));
     pairs_sent = 0;
     loss_pairs = 0;
@@ -71,7 +69,6 @@ let start t ~at ~until =
     end
   done
 
-let base_delay t = t.base_delay
 let pairs_sent t = t.pairs_sent
 let loss_pairs t = t.loss_pairs
 let both_lost t = t.both_lost

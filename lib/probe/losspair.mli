@@ -25,9 +25,6 @@ val create :
 
 val start : t -> at:float -> until:float -> unit
 
-val base_delay : t -> float
-(** Queuing-free end–end delay of the probed path. *)
-
 val pairs_sent : t -> int
 val loss_pairs : t -> int
 (** Pairs in which exactly one probe was lost. *)

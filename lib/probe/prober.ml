@@ -38,9 +38,6 @@ let start t ~at ~until =
     end
   done
 
-let path t = t.path
-let base_delay t = t.base_delay
-
 let record_of_result (r : Shadow.result) =
   let vqd = Shadow.total_queuing r in
   let truth =

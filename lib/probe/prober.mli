@@ -15,9 +15,6 @@ val start : t -> at:float -> until:float -> unit
 (** Schedule probes at [at], [at+interval], ... up to (excluding)
     [until].  Results accumulate as the simulation runs. *)
 
-val path : t -> Netsim.Link.t list
-val base_delay : t -> float
-
 val trace : t -> Trace.t
 (** Snapshot of the completed probes, in send order.  Call after the
     simulation has run past [until] plus the path delay. *)

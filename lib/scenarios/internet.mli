@@ -54,10 +54,6 @@ val run : ?seed:int -> ?duration:float -> ?with_pathchar:bool -> kind -> outcome
 
 (** {1 Clock helpers (exposed for tests)} *)
 
-val distort_clock : skew:float -> offset:float -> Probe.Trace.t -> Probe.Trace.t
-(** Add [offset +. skew *. (send_time - first send_time)] to every
-    observed delay (losses unchanged). *)
-
 val repair_clock : Probe.Trace.t -> Probe.Trace.t * float
 (** Estimate and remove the skew from the surviving probes' delays;
     returns the repaired trace and the estimated skew. *)

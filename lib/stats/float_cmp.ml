@@ -6,24 +6,6 @@ let approx_eq ?(eps = 1e-9) a b = abs_float (a -. b) <= eps
 
 let is_zero ?eps x = approx_eq ?eps x 0.
 
-(* Map the IEEE bit pattern to a monotone integer line: non-negative
-   floats keep their bits, negative floats are mirrored below zero, so
-   adjacent representable doubles are adjacent integers and the ULP
-   distance is a subtraction. *)
-let monotone_bits x =
-  let bits = Int64.bits_of_float x in
-  if Int64.compare bits 0L < 0 then Int64.sub Int64.min_int bits else bits
-
-let equal_ulp ?(ulps = 4) a b =
-  if Float.is_nan a || Float.is_nan b then false
-  else
-    let d = Int64.sub (monotone_bits a) (monotone_bits b) in
-    let d = if Int64.compare d 0L < 0 then Int64.neg d else d in
-    Int64.compare d (Int64.of_int ulps) <= 0
-
-let compare_eps ?(eps = 0.) a b =
-  if approx_eq ~eps a b then 0 else if a < b then -1 else 1
-
 let geq ?(slack = 0.) a b = a >= b -. slack
 let gt ?(slack = 0.) a b = a > b -. slack
 let leq ?(slack = 0.) a b = a <= b +. slack

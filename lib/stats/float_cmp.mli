@@ -20,15 +20,6 @@ val approx_eq : ?eps:float -> float -> float -> bool
 val is_zero : ?eps:float -> float -> bool
 (** [approx_eq x 0.]: near-zero guard for denominators. *)
 
-val equal_ulp : ?ulps:int -> float -> float -> bool
-(** Equality up to [ulps] units in the last place (default 4), via the
-    monotone bit-pattern ordering of IEEE doubles.  Scale-free
-    alternative to [approx_eq] when the magnitudes are unknown. *)
-
-val compare_eps : ?eps:float -> float -> float -> int
-(** Three-way comparison that treats values within [eps] (default 0)
-    as equal: [-1], [0] or [1]. *)
-
 (** Threshold comparisons.  [slack] (default [0.]) widens acceptance:
     [geq ~slack a b] holds when [a >= b -. slack].  With the default
     slack these are exactly [>=] / [>] / [<=] / [<] — the point is the

@@ -35,9 +35,7 @@ let create ~m ~lo ~hi =
     clamped = 0;
   }
 
-let bins t = t.m
 let lo t = t.lo
-let hi t = t.hi
 let width t = t.width
 
 let index_of t x =
@@ -61,20 +59,16 @@ let index_of t x =
 
 let value_of t j = t.lo +. (float_of_int (j + 1) *. t.width)
 
-let add_index t j =
-  if j < 0 || j >= t.m then invalid_arg "Histogram.add_index: bin out of range";
-  t.counts.(j) <- t.counts.(j) + 1;
-  t.total <- t.total + 1
-
 let add t x =
   if x < t.lo || x > t.hi then begin
     t.clamped <- t.clamped + 1;
     Obs.Counter.incr m_clamped
   end;
-  add_index t (index_of t x)
+  let j = index_of t x in
+  t.counts.(j) <- t.counts.(j) + 1;
+  t.total <- t.total + 1
 
 let total t = t.total
-let counts t = Array.copy t.counts
 let clamped t = t.clamped
 
 let pmf t =
@@ -113,8 +107,3 @@ let total_variation p q =
   let acc = ref 0. in
   Array.iteri (fun i pi -> acc := !acc +. abs_float (pi -. q.(i))) p;
   0.5 *. !acc
-
-let pmf_of_samples ~m ~lo ~hi xs =
-  let h = create ~m ~lo ~hi in
-  Array.iter (add h) xs;
-  pmf h

@@ -14,9 +14,7 @@ type t
 val create : m:int -> lo:float -> hi:float -> t
 (** Requires [m > 0] and [hi > lo]. *)
 
-val bins : t -> int
 val lo : t -> float
-val hi : t -> float
 val width : t -> float
 
 val index_of : t -> float -> int
@@ -43,9 +41,7 @@ val add : t -> float -> unit
     {!clamped} counter and the process-wide
     [dcl_histogram_clamped_total] {!Obs.Counter}. *)
 
-val add_index : t -> int -> unit
 val total : t -> int
-val counts : t -> int array
 
 val clamped : t -> int
 (** Number of {!add} samples that fell strictly outside [\[lo, hi\]]
@@ -69,6 +65,3 @@ val normalize : float array -> float array
 
 val total_variation : float array -> float array -> float
 (** TV distance [0.5 * sum |p_i - q_i|] between same-length PMFs. *)
-
-val pmf_of_samples : m:int -> lo:float -> hi:float -> float array -> float array
-(** One-shot helper: bin the samples and return the PMF. *)

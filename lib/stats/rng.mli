@@ -23,9 +23,6 @@ val copy : t -> t
 (** [copy t] duplicates the current state; both copies then produce the
     same stream. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)], 53-bit resolution. *)
 

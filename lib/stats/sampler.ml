@@ -11,11 +11,6 @@ let pareto rng ~shape ~scale =
   if shape <= 0. || scale <= 0. then invalid_arg "Sampler.pareto: non-positive parameter";
   scale /. ((1. -. Rng.float rng) ** (1. /. shape))
 
-let normal rng ~mean ~std =
-  let u1 = 1. -. Rng.float rng and u2 = Rng.float rng in
-  let r = sqrt (-2. *. log u1) in
-  mean +. (std *. r *. cos (2. *. Float.pi *. u2))
-
 let bernoulli rng ~p = Rng.float rng < p
 
 let categorical rng w =
@@ -36,11 +31,3 @@ let dirichlet_like rng n =
   let v = Array.init n (fun _ -> 0.05 +. Rng.float rng) in
   let total = Array.fold_left ( +. ) 0. v in
   Array.map (fun x -> x /. total) v
-
-let shuffle rng a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -14,9 +14,6 @@ val pareto : Rng.t -> shape:float -> scale:float -> float
     [P(X > x) = (scale /. x) ** shape] for [x >= scale].  Used for
     heavy-tailed HTTP object sizes.  Requires both positive. *)
 
-val normal : Rng.t -> mean:float -> std:float -> float
-(** Gaussian via the Box-Muller transform. *)
-
 val bernoulli : Rng.t -> p:float -> bool
 (** [true] with probability [p]. *)
 
@@ -28,6 +25,3 @@ val dirichlet_like : Rng.t -> int -> float array
 (** [dirichlet_like rng n] returns a random stochastic vector of length
     [n] (normalized i.i.d. uniforms, bounded away from zero).  Used to
     randomize EM starting points. *)
-
-val shuffle : Rng.t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

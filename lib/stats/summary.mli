@@ -1,26 +1,5 @@
 (** Descriptive statistics over float samples. *)
 
-type t
-(** A running (streaming) summary: count, mean, variance, min, max.
-    Constant memory; uses Welford's update. *)
-
-val create : unit -> t
-val add : t -> float -> unit
-val count : t -> int
-val mean : t -> float
-(** 0 when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; 0 with fewer than two samples. *)
-
-val stddev : t -> float
-val min : t -> float
-(** +inf when empty. *)
-
-val max : t -> float
-(** -inf when empty. *)
-
-val mean_of : float array -> float
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [\[0,1\]]: linear-interpolation quantile
     of a copy of [xs] (the input is not modified).  Requires a

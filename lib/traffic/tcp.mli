@@ -21,10 +21,6 @@ type config = {
   max_rto : float;
 }
 
-val default_config : config
-(** 1000-byte MSS, 40-byte headers and ACKs, cwnd 2, ssthresh 64,
-    RTO in [\[0.2 s, 60 s\]]. *)
-
 type t
 (** A connection: sender agent at [src], receiver agent at [dst]. *)
 

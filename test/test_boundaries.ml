@@ -202,10 +202,7 @@ let test_histogram_clamped_counter () =
   Alcotest.(check int) "clamped counts only out-of-range samples" 2
     (Stats.Histogram.clamped h);
   Alcotest.(check int) "clamped samples still land in edge bins" 5
-    (Stats.Histogram.total h);
-  Alcotest.(check int) "add_index does not clamp" 2
-    (Stats.Histogram.add_index h 3;
-     Stats.Histogram.clamped h)
+    (Stats.Histogram.total h)
 
 let prop_histogram_values_increasing =
   QCheck.Test.make ~name:"value_of is strictly increasing" ~count:100
