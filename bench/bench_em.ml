@@ -1,9 +1,12 @@
 (* EM kernel benchmark: serial fit wall-time and allocation per
-   configuration, emitted as BENCH_em.json.
+   configuration over a fixed number of sweeps, and sweeps and
+   wall-time to convergence, emitted as BENCH_em.json.
 
    The schema is documented in DESIGN.md ("BENCH_em.json").  The bench
    aborts (exit 1) if the timed fit's winner differs bitwise from the
-   allocation run's winner on the same input. *)
+   allocation run's winner on the same input, if a fixed-sweep fit
+   stops before [max_iter], or if a to-convergence fit does not
+   converge. *)
 
 (* Monotonic wall time via the Obs clock stub: immune to NTP slews,
    and keeps the bench inside the R1 lint contract (no wall-clock
@@ -57,18 +60,31 @@ let model_fingerprint (model : Em.model) =
   Array.iter mix model.Em.c;
   !h
 
+(* The per-observation-sweep allocation divides by the winner's
+   [iterations * restarts], which counts every sweep only if every
+   restart runs exactly [max_iter] sweeps.  [eps = 0] stops a restart
+   only on a step that moves no parameter at all; the winner is checked
+   too. *)
+let check_full_sweeps ~what ~max_iter (stats : Em.fit_stats) =
+  if stats.Em.iterations <> max_iter then begin
+    Printf.eprintf "FATAL: %s stopped after %d of %d sweeps\n" what stats.Em.iterations
+      max_iter;
+    exit 1
+  end
+
 let run_case ~smoke ~t ~n buf first =
   let m = 5 and restarts = 4 in
   let max_iter = if smoke then 5 else 15 in
   let obs = synth_obs ~seed:(0x5EED + t + n) ~n ~m ~t in
   let fit () =
     let rng = Stats.Rng.create 42 in
-    Mmhd.fit ~eps:1e-4 ~max_iter ~restarts ~rng ~n ~m obs
+    Mmhd.fit ~eps:0. ~max_iter ~restarts ~rng ~n ~m obs
   in
   (* Warm the domain workspace so the timed run measures the steady
      allocation-free state, not first-call buffer growth. *)
   ignore (fit ());
   let (model_alloc, stats), alloc = alloc_of fit in
+  check_full_sweeps ~what:(Printf.sprintf "T=%d n=%d fit" t n) ~max_iter stats;
   let (model_timed, _), serial_s = time_of fit in
   if not (Int64.equal (model_fingerprint model_alloc) (model_fingerprint model_timed))
   then begin
@@ -84,6 +100,54 @@ let run_case ~smoke ~t ~n buf first =
     t n m restarts max_iter serial_s alloc
     (alloc /. float_of_int (t * stats.Em.iterations * restarts))
     stats.Em.iterations stats.Em.log_likelihood
+
+(* --- Sweeps to convergence ---------------------------------------------
+
+   One fit per case from one informed start at the default [eps] (1e-3)
+   and [max_iter] (300), the fit every Identify restart runs, next to
+   plain EM ([Em.em_step] repeated until one step moves no parameter
+   by more than [eps]) from the same start: the sweeps the accelerated
+   loop saves, and what they cost in wall time. *)
+
+let plain_em ~ws ~eps ~max_iter t obs =
+  let diff = Stats.Matrix.max_abs_diff in
+  let rec go (t : Em.model) sweeps =
+    let t' = Em.em_step ~ws ~update_b:false t obs in
+    let change =
+      Float.max (diff t.Em.pi t'.Em.pi)
+        (Float.max (diff t.Em.a t'.Em.a) (diff t.Em.c t'.Em.c))
+    in
+    if change <= eps || sweeps >= max_iter then (t', sweeps, change <= eps)
+    else go t' (sweeps + 1)
+  in
+  go t 1
+
+let run_convergence ~t ~n buf first =
+  let m = 5 and eps = 1e-3 and max_iter = 300 in
+  let obs = synth_obs ~seed:(0xC0 + t + n) ~n ~m ~t in
+  let t0 = Mmhd.init_informed (Stats.Rng.create 42) ~n ~m obs in
+  let ws = Em.domain_ws () in
+  let fit () = Em.fit_from ~ws ~eps ~max_iter ~update_b:false t0 obs in
+  ignore (fit ());
+  let (_, stats), seconds = time_of fit in
+  let (plain, plain_sweeps, plain_converged), plain_seconds =
+    time_of (fun () -> plain_em ~ws ~eps ~max_iter t0 obs)
+  in
+  let plain_ll = Em.log_likelihood ~ws plain obs in
+  if not first then Buffer.add_string buf ",\n";
+  Printf.bprintf buf
+    "    {\"t\": %d, \"n\": %d, \"m\": %d, \"eps\": %g, \"max_iter\": %d,\n\
+    \     \"sweeps\": %d, \"converged\": %b, \"log_likelihood\": %.6f, \"seconds\": %.6f,\n\
+    \     \"plain_sweeps\": %d, \"plain_converged\": %b, \"plain_log_likelihood\": %.6f,\n\
+    \     \"plain_seconds\": %.6f}"
+    t n m eps max_iter stats.Em.iterations stats.Em.converged stats.Em.log_likelihood seconds
+    plain_sweeps plain_converged plain_ll plain_seconds;
+  Printf.eprintf "bench_em: to convergence T=%d n=%d: %d sweeps (plain EM %d)\n%!" t n
+    stats.Em.iterations plain_sweeps;
+  if not stats.Em.converged then begin
+    Printf.eprintf "FATAL: T=%d n=%d fit did not converge in %d sweeps\n" t n max_iter;
+    exit 1
+  end
 
 (* --- Instrumentation overhead (--obs) --------------------------------
 
@@ -112,11 +176,12 @@ let run_obs ~smoke =
   let obs = synth_obs ~seed:0x0B5 ~n ~m ~t in
   let fit () =
     let rng = Stats.Rng.create 42 in
-    Mmhd.fit ~eps:1e-4 ~max_iter ~restarts ~rng ~n ~m obs
+    Mmhd.fit ~eps:0. ~max_iter ~restarts ~rng ~n ~m obs
   in
   Obs.set_enabled false;
   ignore (fit ());
   let (_, stats), alloc_disabled = alloc_of fit in
+  check_full_sweeps ~what:"--obs fit" ~max_iter stats;
   let disabled_s = min_time_of ~repeats fit in
   Obs.set_enabled true;
   ignore (fit ());
@@ -261,7 +326,7 @@ let () =
   let sizes = if smoke then [ 2_000 ] else [ 5_000; 20_000; 80_000 ] in
   let ns = [ 2; 4 ] in
   let cores = Stats.Pool.size () in
-  let cases = Buffer.create 4096 in
+  let cases = Buffer.create 4096 and convergence = Buffer.create 4096 in
   let first = ref true in
   List.iter
     (fun t ->
@@ -269,6 +334,7 @@ let () =
         (fun n ->
           Printf.eprintf "bench_em: T=%d n=%d...\n%!" t n;
           run_case ~smoke ~t ~n cases !first;
+          run_convergence ~t ~n convergence !first;
           first := false)
         ns)
     sizes;
@@ -276,10 +342,12 @@ let () =
   Printf.bprintf buf
     "{\n  \"bench\": \"em_fit\",\n  \"model\": \"mmhd\",\n\
     \  \"cores\": %d,\n\
-    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, timed once after a warm-up fit; its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the smallest Gc.allocated_bytes delta of three repeats of one full fit (restarts included).\",\n\
+    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0), timed once after a warm-up fit; its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the smallest Gc.allocated_bytes delta of three repeats of one full fit (restarts included), and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, timed once after a warm-up fit, next to plain EM (em_step repeated until one step changes no parameter by more than eps) from the same start; sweeps count forward-backward passes, one EM step each.\",\n\
     \  \"cases\": [\n"
     cores;
   Buffer.add_buffer buf cases;
+  Buffer.add_string buf "\n  ],\n  \"convergence\": [\n";
+  Buffer.add_buffer buf convergence;
   Buffer.add_string buf "\n  ]\n}\n";
   let path = if smoke then "BENCH_em.smoke.json" else "BENCH_em.json" in
   let oc = open_out path in

@@ -549,7 +549,7 @@ let ablation scale =
         Dcl.Identify.No_dominant );
     ]
   in
-  subsection "model comparison (verdict / TV to ground truth / EM iterations)";
+  subsection "model comparison (verdict / TV to ground truth / EM sweeps)";
   let rows = ref [] in
   let mmhd_correct = ref 0 in
   List.iter
@@ -587,7 +587,7 @@ let ablation scale =
   in
   let e3 = f_of 1e-3 and e4 = f_of 1e-4 in
   let show (eps, f, iters) =
-    printf "  eps %.0e: F(2d*) = %.4f (%d iterations)\n" eps f iters
+    printf "  eps %.0e: F(2d*) = %.4f (%d sweeps)\n" eps f iters
   in
   show e3;
   show e4;

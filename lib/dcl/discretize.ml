@@ -25,9 +25,15 @@ let symbol_of_delay t d =
 let symbol_of_queuing t q = symbol_of_delay t (t.lo +. q)
 let queuing_value t j = float_of_int (j + 1) *. t.width
 
-let symbolize t obs =
+(* Straight from the records, with one shared [Some j] per symbol: the
+   result array is the only allocation.  [Identify.run] symbolizes its
+   trace on every call, and each T-length block it allocates stays in
+   the major heap until a major cycle completes. *)
+let symbolize t (trace : Probe.Trace.t) =
+  let some = Array.init t.m Option.some in
   Array.map
-    (function
+    (fun (r : Probe.Trace.record) ->
+      match r.obs with
       | Probe.Trace.Lost -> None
-      | Probe.Trace.Delay d -> Some (symbol_of_delay t d))
-    obs
+      | Probe.Trace.Delay d -> some.(symbol_of_delay t d))
+    trace.records

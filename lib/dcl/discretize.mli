@@ -34,6 +34,6 @@ val symbol_of_queuing : t -> float -> int
 val queuing_value : t -> int -> float
 (** Upper edge of the symbol's queuing-delay range: [(j+1) * width]. *)
 
-val symbolize : t -> Probe.Trace.observation array -> int option array
-(** Map a trace's observations to model inputs: [Some symbol] for a
-    delay, [None] for a loss. *)
+val symbolize : t -> Probe.Trace.t -> int option array
+(** Map a trace's probes, in order, to model inputs: [Some symbol] for a
+    delay, [None] for a loss.  Allocates only the result array. *)

@@ -94,7 +94,7 @@ let fit_vqd ?(params = default_params) ~rng trace =
     invalid_arg "Identify: trace has no loss or no delay spread";
   let disc0 = Obs.Span.start () in
   let scheme = Discretize.of_trace ~m:params.m ~prop_delay:params.prop_delay trace in
-  let symbols = Discretize.symbolize scheme (Probe.Trace.observations trace) in
+  let symbols = Discretize.symbolize scheme trace in
   Obs.Span.stop h_discretize disc0;
   let pmf, stats = model_pmf params ~rng symbols in
   (Vqd.of_pmf scheme pmf, stats)
@@ -173,7 +173,7 @@ let pp_result ppf (r : result) =
   | Some b -> Format.fprintf ppf "Q_max upper bound: %.1f ms@," (1000. *. b)
   | None -> ());
   Format.fprintf ppf
-    "loss rate: %.2f%%, probes: %d, EM: %d iterations (%s), logL=%.1f"
+    "loss rate: %.2f%%, probes: %d, EM: %d sweeps (%s), logL=%.1f"
     (100. *. r.loss_rate) r.observations r.em_iterations
     (if r.em_converged then "converged" else "max-iter")
     r.log_likelihood;

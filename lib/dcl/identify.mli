@@ -50,7 +50,7 @@ type result = {
           [beta]-bound *)
   loss_rate : float;
   observations : int;
-  em_iterations : int;
+  em_iterations : int;  (** forward–backward sweeps of the winning restart *)
   log_likelihood : float;
   em_converged : bool;
   em_skipped_restarts : int;

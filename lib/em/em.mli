@@ -15,7 +15,8 @@
 
     The kernel provides the scaled forward–backward recursion, the
     loss-as-missing-value emission logic (Section V of the paper), the
-    EM step, and the informed-restart fit.  All [O(T * s)] sweep state
+    EM step, the SQUAREM-accelerated fit loop ({!fit_from}) and the
+    informed-restart fit.  All [O(T * s)] sweep state
     lives in unboxed [Bigarray] float64 buffers preallocated in a
     reusable {!workspace}.  States with zero emission probability for an
     observation are skipped via per-symbol active-state lists, which
@@ -25,7 +26,7 @@
     Hot-path layout: observations are collapsed once per sweep into
     integer {e observation classes} (symbol [j], or [m] for a loss)
     indexing a single class-major emission table and the active-state
-    lists, so emission rows are computed once per class per iteration
+    lists, so emission rows are computed once per class per sweep
     and the sweeps never touch the boxed [int option] sequence; and the
     workspace keeps a transposed copy of the transition matrix so the
     forward recursion's inner sums walk contiguous rows, like the
@@ -51,7 +52,9 @@ type observation = int option
 
 type fit_stats = {
   iterations : int;
-  log_likelihood : float;
+      (** Forward–backward sweeps run, one EM step each; at most
+          [max_iter]. *)
+  log_likelihood : float;  (** of the returned model *)
   converged : bool;
   skipped_restarts : int;
       (** Restarts discarded as degenerate ({!Zero_likelihood}) by
@@ -68,8 +71,8 @@ type workspace
 (** Reusable scratch buffers ([alpha], [beta], [scale], [xi],
     expected-count accumulators, active-state lists, and the statistics
     {!em_step} hands its M-step).  Buffers grow on
-    demand and are retained between calls, so a fit of [iters]
-    iterations performs no per-iteration [O(T * s)] allocation.  A
+    demand and are retained between calls, so a fit of any number of
+    sweeps performs no per-sweep [O(T * s)] allocation.  A
     workspace must not be shared across concurrent fits. *)
 
 val workspace : unit -> workspace
@@ -117,7 +120,7 @@ val viterbi : ws:workspace -> model -> observation array -> int array * float
 
 val em_step :
   ws:workspace -> update_b:bool -> model -> observation array -> model
-(** One EM iteration: a forward–backward sweep, its accumulated
+(** One plain EM step: a forward–backward sweep, its accumulated
     statistics, then the M-step {!Incremental.m_step} also runs.  When
     [update_b] is false the emission matrix [b] is shared, not
     re-estimated (the MMHD case, where [b] is structural).
@@ -125,8 +128,10 @@ val em_step :
     (transitions and any re-estimated [b] at 1e-12 before row
     normalization, [c] clamped to [1e-9, 1 - 1e-9]) so that a symbol's
     emission probability cannot collapse to exactly zero during EM.
-    The statistics go to scratch kept in [ws], so an iteration
-    allocates only the new model. *)
+    The statistics go to scratch kept in [ws], so a step allocates
+    only the new model.  {!fit_from} iterates this step under SQUAREM;
+    it stays exported as the reference M-step the fleet's
+    {!Incremental.m_step} is tested against. *)
 
 (** Streaming EM over decayed sufficient statistics — the per-path
     recursion of the fleet layer ([lib/fleet]).  A {!Incremental.stats}
@@ -225,9 +230,33 @@ val fit_from :
   model ->
   observation array ->
   model * fit_stats
-(** EM from an explicit starting point until the largest absolute
-    parameter change drops below [eps] (default 1e-3) or [max_iter]
-    (default 300) iterations. *)
+(** EM from an explicit starting point, accelerated by SQUAREM
+    (Varadhan & Roland, Scand. J. Statist. 35, 2008), until one EM
+    step's largest absolute parameter change is at most [eps] (default
+    1e-3; [converged]) or [max_iter] (default 300) sweeps have run.
+
+    Each cycle takes two EM steps [x1 = F(x0)], [x2 = F(x1)], forms
+    [r = x1 - x0] and [v = x2 - 2 x1 + x0] over [pi], [a], [c] (and [b]
+    when [update_b]), and extrapolates
+    [x' = x0 - 2 alpha r + alpha^2 v] with [alpha = -|r|/|v|] clamped
+    to at most -1 ([alpha = -1] gives [x2]).  [x'] is projected back
+    onto the feasible set: [pi] keeps [x2]'s zeros and is clipped at 0
+    and renormalized, rows of [a] (and [b]) are floored at 1e-12 and
+    renormalized, and [c] is clamped to [\[1e-9, 1 - 1e-9\]], as in
+    {!em_step}.  A stabilising step [F(x')] follows; its forward pass
+    gives logL(x'), and if that is below logL(x1), not a number, or
+    {!Zero_likelihood} is raised, the cycle takes the plain step
+    [F(x2)] instead (counted in [dcl_em_squarem_fallbacks_total]).
+    The convergence test and the cap are applied after every sweep,
+    so [iterations] never exceeds [max_iter]; a cycle whose fallback
+    would pass the cap returns [x2].  Each sweep's extra allocation is
+    [O(s^2 + s*m)], never [O(T)].
+
+    [max_iter = 1] and [2] are exactly one and two plain EM steps.
+    Raises [Invalid_argument] for [max_iter < 1] or an [eps] that is
+    NaN or negative, and on an empty sequence or out-of-range symbol.
+    @raise Zero_likelihood when an EM step (other than the stabilising
+    one) meets an impossible observation. *)
 
 val neighbor_attribution : m:int -> observation array -> float array * float array
 (** [(seen, lost)]: per-symbol counts of observed probes (plus 1) and
@@ -256,5 +285,6 @@ val fit_informed :
     initializer; purely random starts are not raced (see the
     implementation comment on degenerate optima).  A restart that hits
     {!Zero_likelihood} is skipped and counted in [skipped_restarts].
-    Raises [Invalid_argument] on non-positive [restarts] and [Failure]
-    if every restart degenerates, both prefixed by [who]. *)
+    Raises [Invalid_argument] on non-positive [restarts], on
+    [max_iter < 1] or an [eps] that is NaN or negative, and [Failure]
+    if every restart degenerates, all prefixed by [who]. *)

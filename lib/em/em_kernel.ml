@@ -39,7 +39,7 @@ type workspace = {
      active-state table, so the sweeps never touch the boxed
      [int option] observations. *)
   mutable cls : int array; (* T *)
-  (* Per-iteration emission table, class-major: row j < m holds
+  (* Per-sweep emission table, class-major: row j < m holds
      e(st, Some j) at e_all.(j*s + st), row m holds the loss emission
      e(st, None) at e_all.(m*s + st). *)
   mutable e_all : buf; (* (M+1)*S *)
@@ -91,7 +91,7 @@ let create () =
 
 (* Grow (never shrink) every buffer to hold a [tt]-step sweep of an
    [s]-state, [m]-symbol model.  Amortized: a workspace reused across
-   iterations and restarts allocates nothing after the first call. *)
+   sweeps and restarts allocates nothing after the first call. *)
 let reserve ws ~tt ~s ~m =
   if s > ws.cap_s || m > ws.cap_m then begin
     let cs = max s ws.cap_s and cm = max m ws.cap_m in
@@ -164,7 +164,7 @@ let fill_range (b : buf) off len v =
 
 (* Fill the emission table, active-state lists, transposed/row copies
    of the transitions and the initial distribution for [t] — once per
-   class per iteration, however many times each class occurs in the
+   class per sweep, however many times each class occurs in the
    sequence.  The missing-value emission (paper Section V) lives here,
    shared by both model families:
      e(st, Some j) = b_st(j) * (1 - c_j)

@@ -183,7 +183,7 @@ let of_trace ?(m = 5) ~paths trace =
   let scheme =
     Dcl.Discretize.of_trace ~m ~prop_delay:Dcl.Discretize.From_trace trace
   in
-  let symbols = Dcl.Discretize.symbolize scheme (Probe.Trace.observations trace) in
+  let symbols = Dcl.Discretize.symbolize scheme trace in
   let tt = Array.length symbols in
   (* Fibonacci-hash phase offsets decorrelate the replicas: neighbours
      start far apart in the trace. *)

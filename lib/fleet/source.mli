@@ -58,8 +58,7 @@ val of_trace : ?m:int -> paths:int -> Probe.Trace.t -> t
     offsets and wrap around, so replicas decorrelate while every
     path's long-run statistics match the trace.  Path 0 starts at
     record 0, so [of_trace ~paths:1] is a straight replay: its pulls
-    return [Dcl.Discretize.symbolize scheme (Probe.Trace.observations
-    trace)] in order, and the pull after the last record wraps to
+    return [Dcl.Discretize.symbolize scheme trace] in order, and the pull after the last record wraps to
     record 0.  Raises [Invalid_argument] on [paths <= 0] or [m < 3],
     and wherever {!Dcl.Discretize.of_trace} does (e.g. fewer than two
     distinct delays). *)

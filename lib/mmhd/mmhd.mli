@@ -45,9 +45,10 @@ val fit :
   Em.observation array ->
   Em.model * Em.fit_stats
 (** EM (Appendix B), [b] fixed: {!Em.fit_informed} over [restarts]
-    (default 2) jittered {!init_informed} starts until the largest
-    parameter change drops below [eps] (default 1e-3, the paper's
-    threshold) or [max_iter] (default 300). *)
+    (default 2) jittered {!init_informed} starts, each accelerated by
+    SQUAREM ({!Em.fit_from}) until one EM step's largest parameter
+    change is at most [eps] (default 1e-3, the paper's threshold) or
+    [max_iter] (default 300) sweeps have run. *)
 
 val fit_from :
   ?eps:float -> ?max_iter:int -> Em.model -> Em.observation array -> Em.model * Em.fit_stats

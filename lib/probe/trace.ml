@@ -31,7 +31,6 @@ let loss_rate t =
   if n = 0 then 0. else float_of_int (losses t) /. float_of_int n
 
 let duration t = float_of_int (length t) *. t.interval
-let observations t = Array.map (fun r -> r.obs) t.records
 
 let observed_delays t =
   let out = ref [] in

@@ -29,8 +29,6 @@ val losses : t -> int
 val loss_rate : t -> float
 val duration : t -> float
 
-val observations : t -> observation array
-
 val observed_delays : t -> float array
 (** Delays of the probes that were not lost, in order. *)
 

@@ -27,11 +27,20 @@ let test_discretize_queuing () =
     (Dcl.Discretize.symbol_of_queuing scheme5 0.25);
   check_float "queuing value = upper edge" 0.3 (Dcl.Discretize.queuing_value scheme5 2)
 
+(* A trace of the given observations, one probe every 20 ms. *)
+let trace_of_obs obs =
+  Probe.Trace.create
+    ~records:
+      (Array.mapi
+         (fun i obs -> { Probe.Trace.send_time = 0.02 *. float_of_int i; obs; truth = None })
+         obs)
+    ~interval:0.02 ~base_delay:0.05 ~hop_count:1
+
 let test_discretize_symbolize () =
   let obs = [| Probe.Trace.Delay 0.15; Probe.Trace.Lost; Probe.Trace.Delay 0.45 |] in
   Alcotest.(check (array (option int))) "symbolized"
     [| Some 0; None; Some 3 |]
-    (Dcl.Discretize.symbolize scheme5 obs)
+    (Dcl.Discretize.symbolize scheme5 (trace_of_obs obs))
 
 let test_discretize_invalid () =
   Alcotest.check_raises "m <= 0" (Invalid_argument "Discretize.of_range: m <= 0")
@@ -407,7 +416,7 @@ let prop_symbolize_total =
              entries)
       in
       let s = Dcl.Discretize.of_range ~m:7 ~lo:0.05 ~hi:2. in
-      let symbols = Dcl.Discretize.symbolize s obs in
+      let symbols = Dcl.Discretize.symbolize s (trace_of_obs obs) in
       Array.length symbols = Array.length obs
       && Array.for_all2
            (fun o sym ->

@@ -1,5 +1,6 @@
-(* Tests for the shared EM kernel: degenerate-restart skipping and
-   workspace reuse across differently-sized models. *)
+(* Tests for the shared EM kernel: degenerate-restart skipping, the
+   SQUAREM-accelerated fit loop, and workspace reuse across
+   differently-sized models. *)
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -115,6 +116,171 @@ let test_em_floors_keep_fit_alive () =
     (fun p -> Alcotest.(check bool) "transition > 0" true (p > 0.))
     fitted.Em.a
 
+(* --- the accelerated fit loop ------------------------------------------ *)
+
+let test_fit_arguments () =
+  let ws = Em.workspace () in
+  let fit ?eps ?max_iter () =
+    ignore (Em.fit_from ~ws ?eps ?max_iter ~update_b:true sane_model em_obs)
+  in
+  let max_iter_msg = Invalid_argument "Em.fit_from: max_iter must be at least 1" in
+  let eps_msg = Invalid_argument "Em.fit_from: eps must be a non-negative number" in
+  Alcotest.check_raises "max_iter 0" max_iter_msg (fun () -> fit ~max_iter:0 ());
+  Alcotest.check_raises "max_iter -3" max_iter_msg (fun () -> fit ~max_iter:(-3) ());
+  Alcotest.check_raises "eps nan" eps_msg (fun () -> fit ~eps:Float.nan ());
+  Alcotest.check_raises "eps -1e-3" eps_msg (fun () -> fit ~eps:(-1e-3) ());
+  Alcotest.check_raises "fit_informed names its caller"
+    (Invalid_argument "test: max_iter must be at least 1") (fun () ->
+      ignore
+        (Em.fit_informed ~max_iter:0 ~who:"test" ~rng:(Stats.Rng.create 1) ~update_b:true
+           ~init:(fun _ -> sane_model) em_obs));
+  (* eps = 0 is valid: it stops only on a step that changes no
+     parameter, so the fit runs to the cap. *)
+  let _, stats = Em.fit_from ~ws ~eps:0. ~max_iter:5 ~update_b:true sane_model em_obs in
+  Alcotest.(check int) "eps 0 runs to max_iter" 5 stats.Em.iterations;
+  Alcotest.(check bool) "eps 0 not converged" false stats.Em.converged
+
+(* A simulated sequence from a random model of one family, and an
+   independent random start of the same family. *)
+let random_case ~hmm ~seed ~n ~m ~len =
+  let rng = Stats.Rng.create seed in
+  let init = if hmm then Hmm.init_random else Mmhd.init_random in
+  let simulate = if hmm then Hmm.simulate else Mmhd.simulate in
+  let obs, _ = simulate rng (init rng ~n ~m ~loss_fraction:0.1) ~len in
+  (obs, init rng ~n ~m ~loss_fraction:0.1)
+
+let prop_fit_invariants =
+  QCheck.Test.make ~count:150
+    ~name:"fit_from: valid model, exact sweep cap, logL finite and >= start"
+    QCheck.(
+      make
+        ~print:Print.(tup6 int bool int int int int)
+        Gen.(
+          tup6 (int_bound 100_000) bool (int_range 1 3) (int_range 2 4) (int_range 20 300)
+            (oneof [ int_range 1 7; int_range 8 80 ])))
+    (fun (seed, hmm, n, m, len, max_iter) ->
+      let obs, t0 = random_case ~hmm ~seed ~n ~m ~len in
+      let ws = Em.workspace () in
+      let ll0 = Em.log_likelihood ~ws t0 obs in
+      let model, stats = Em.fit_from ~ws ~max_iter ~update_b:hmm t0 obs in
+      Em.validate model;
+      stats.Em.iterations >= 1
+      && stats.Em.iterations <= max_iter
+      && (stats.Em.converged || stats.Em.iterations = max_iter)
+      && Float.is_finite stats.Em.log_likelihood
+      && stats.Em.log_likelihood >= ll0
+      && stats.Em.log_likelihood = Em.log_likelihood ~ws model obs)
+
+
+(* Plain EM, the loop the accelerated fit replaced: [em_step] until
+   one step moves no parameter by more than [eps]. *)
+let plain_em ~ws ~update_b ~eps t obs =
+  let diff = Stats.Matrix.max_abs_diff in
+  let rec go (t : Em.model) steps =
+    let t' = Em.em_step ~ws ~update_b t obs in
+    let change =
+      Float.max
+        (Float.max (diff t.Em.pi t'.Em.pi) (diff t.Em.a t'.Em.a))
+        (Float.max (diff t.Em.b t'.Em.b) (diff t.Em.c t'.Em.c))
+    in
+    if change <= eps || steps >= 20_000 then t' else go t' (steps + 1)
+  in
+  go t 1
+
+(* Well-separated truths for the fixed-point comparison: a Markov chain
+   over 3 symbols (the MMHD with n = 1) and a 2-state HMM. *)
+let markov_truth =
+  Mmhd.make ~n:1 ~m:3 ~pi:[| 0.5; 0.3; 0.2 |]
+    ~a:[| 0.8; 0.15; 0.05; 0.2; 0.6; 0.2; 0.05; 0.25; 0.7 |]
+    ~c:[| 0.01; 0.03; 0.3 |]
+
+let hmm_truth : Em.model =
+  {
+    Em.s = 2;
+    m = 3;
+    pi = [| 0.7; 0.3 |];
+    a = [| 0.95; 0.05; 0.1; 0.9 |];
+    b = [| 0.85; 0.13; 0.02; 0.02; 0.08; 0.9 |];
+    c = [| 0.01; 0.05; 0.4 |];
+  }
+
+(* Run to eps 1e-6 from the same informed start, the accelerated fit
+   and plain EM reach the same fixed point: logL within 1e-4 nats per
+   observation, and for the Markov model the Eq. (5) pmf within 1e-3.
+   The HMM's pmf is not compared: with m > n its emissions (n (m - 1)
+   free entries of b plus m of c, against n m probabilities the data
+   pin) are not identified, so fits of equal likelihood differ in
+   their loss attribution along a ridge. *)
+let test_fixed_point_agreement () =
+  let len = 2000 in
+  let ws = Em.workspace () in
+  for seed = 1 to 4 do
+    List.iter
+      (fun hmm ->
+        let rng = Stats.Rng.create seed in
+        let truth = if hmm then hmm_truth else markov_truth in
+        let simulate = if hmm then Hmm.simulate else Mmhd.simulate in
+        let obs, _ = simulate rng truth ~len in
+        obs.(0) <- Some 0;
+        obs.(1) <- None;
+        let t0 =
+          if hmm then Hmm.init_informed rng ~n:2 ~m:3 obs
+          else Mmhd.init_informed rng ~n:1 ~m:3 obs
+        in
+        let fitted, stats =
+          Em.fit_from ~ws ~eps:1e-6 ~max_iter:20_000 ~update_b:hmm t0 obs
+        in
+        let plain = plain_em ~ws ~update_b:hmm ~eps:1e-6 t0 obs in
+        let name = Printf.sprintf "%s seed %d" (if hmm then "hmm" else "markov") seed in
+        Alcotest.(check bool) (name ^ ": converged") true stats.Em.converged;
+        let ll_plain = Em.log_likelihood ~ws plain obs in
+        Alcotest.(check (float (1e-4 *. float_of_int len)))
+          (name ^ ": logL") ll_plain stats.Em.log_likelihood;
+        if not hmm then
+          Alcotest.(check (array (float 1e-3)))
+            (name ^ ": virtual delay pmf")
+            (Em.virtual_delay_pmf ~ws plain obs)
+            (Em.virtual_delay_pmf ~ws fitted obs))
+      [ false; true ]
+  done
+
+(* Starts whose first extrapolated point lowers the likelihood: the
+   cycle falls back to the plain step from x2.  Random HMM starts over
+   a fixed family of short sequences include such starts; with
+   max_iter 3 each fit must end on the plain double step, bit for bit,
+   without overshooting the cap, and run to convergence it must still
+   return a valid model no worse than its start. *)
+let test_fallback () =
+  let fallbacks = Obs.Counter.make "dcl_em_squarem_fallbacks_total" in
+  let ws = Em.workspace () in
+  let found = ref 0 in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      for seed = 1 to 40 do
+        let obs, t0 = random_case ~hmm:true ~seed ~n:2 ~m:3 ~len:200 in
+        let before = Obs.Counter.value fallbacks in
+        let capped, stats = Em.fit_from ~ws ~max_iter:3 ~update_b:true t0 obs in
+        if Obs.Counter.value fallbacks > before then begin
+          incr found;
+          Alcotest.(check int) "cap exact" 3 stats.Em.iterations;
+          Alcotest.(check bool) "not converged" false stats.Em.converged;
+          let x2 =
+            Em.em_step ~ws ~update_b:true (Em.em_step ~ws ~update_b:true t0 obs) obs
+          in
+          check_same_floats "pi = plain x2" x2.Em.pi capped.Em.pi;
+          check_same_floats "a = plain x2" x2.Em.a capped.Em.a;
+          check_same_floats "b = plain x2" x2.Em.b capped.Em.b;
+          check_same_floats "c = plain x2" x2.Em.c capped.Em.c;
+          let fitted, stats = Em.fit_from ~ws ~update_b:true t0 obs in
+          Em.validate fitted;
+          Alcotest.(check bool) "logL >= start" true
+            (stats.Em.log_likelihood >= Em.log_likelihood ~ws t0 obs)
+        end
+      done);
+  Alcotest.(check bool) "some start falls back" true (!found > 0)
+
 (* --- workspace reuse across sizes -------------------------------------- *)
 
 let test_workspace_reuse_across_sizes () =
@@ -163,5 +329,12 @@ let () =
           Alcotest.test_case "reuse across sizes" `Quick
             test_workspace_reuse_across_sizes;
           Alcotest.test_case "restart validation" `Quick test_restarts_validation;
+        ] );
+      ( "squarem",
+        [
+          Alcotest.test_case "argument validation" `Quick test_fit_arguments;
+          QCheck_alcotest.to_alcotest prop_fit_invariants;
+          Alcotest.test_case "fixed point of plain EM" `Quick test_fixed_point_agreement;
+          Alcotest.test_case "fallback to the plain step" `Quick test_fallback;
         ] );
     ]

@@ -828,9 +828,7 @@ let small_trace () =
 let test_of_trace_straight_replay () =
   let trace = small_trace () in
   let src = Fleet.Source.of_trace ~paths:1 trace in
-  let symbols =
-    Dcl.Discretize.symbolize (Fleet.Source.scheme src) (Probe.Trace.observations trace)
-  in
+  let symbols = Dcl.Discretize.symbolize (Fleet.Source.scheme src) trace in
   let n = Array.length symbols in
   let first = Fleet.Source.pull src ~path:0 ~len:15 in
   let rest = Fleet.Source.pull src ~path:0 ~len:(n - 15) in
