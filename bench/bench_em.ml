@@ -1,6 +1,7 @@
 (* EM kernel benchmark: serial fit wall-time and allocation per
-   configuration over a fixed number of sweeps, and sweeps and
-   wall-time to convergence, emitted as BENCH_em.json.
+   configuration over a fixed number of sweeps, sweeps and wall-time
+   to convergence, and the per-observation cost of the forward pass
+   and of a whole sweep, emitted as BENCH_em.json.
 
    The schema is documented in DESIGN.md ("BENCH_em.json").  The bench
    aborts (exit 1) if the timed fit's winner differs bitwise from the
@@ -148,6 +149,48 @@ let run_convergence ~t ~n buf first =
     Printf.eprintf "FATAL: T=%d n=%d fit did not converge in %d sweeps\n" t n max_iter;
     exit 1
   end
+
+(* --- Kernel stages ------------------------------------------------------
+
+   The two passes of a sweep, per observation: [Em.log_likelihood] runs
+   the forward pass alone, [Em.em_step] the whole sweep (forward, then
+   the backward pass that accumulates the E-step statistics, then the
+   O(s^2 + s*m) M-step).  Both start from the same informed model and
+   are timed alternately, [stage_repeats] times each after one warm-up
+   call, so a slow phase of the host hits both alike; the median is the
+   figure, the minimum and maximum its spread. *)
+
+let stage_repeats = 21
+
+let median_min_max runs =
+  Array.sort compare runs;
+  (runs.(stage_repeats / 2), runs.(0), runs.(stage_repeats - 1))
+
+let run_stages ~t ~n buf first =
+  let m = 5 in
+  let obs = synth_obs ~seed:(0x5EED + t + n) ~n ~m ~t in
+  let t0 = Mmhd.init_informed (Stats.Rng.create 42) ~n ~m obs in
+  let ws = Em.domain_ws () in
+  let forward () = ignore (Em.log_likelihood ~ws t0 obs) in
+  let sweep () = ignore (Em.em_step ~ws ~update_b:false t0 obs) in
+  forward ();
+  sweep ();
+  let ns f = snd (time_of f) *. 1e9 /. float_of_int t in
+  let fwd_runs = Array.make stage_repeats 0. and sweep_runs = Array.make stage_repeats 0. in
+  for k = 0 to stage_repeats - 1 do
+    fwd_runs.(k) <- ns forward;
+    sweep_runs.(k) <- ns sweep
+  done;
+  let fwd, fwd_lo, fwd_hi = median_min_max fwd_runs in
+  let swp, swp_lo, swp_hi = median_min_max sweep_runs in
+  if not first then Buffer.add_string buf ",\n";
+  Printf.bprintf buf
+    "    {\"t\": %d, \"n\": %d, \"m\": %d, \"repeats\": %d,\n\
+    \     \"forward_ns_per_obs\": %.2f, \"forward_ns_per_obs_min\": %.2f, \"forward_ns_per_obs_max\": %.2f,\n\
+    \     \"sweep_ns_per_obs\": %.2f, \"sweep_ns_per_obs_min\": %.2f, \"sweep_ns_per_obs_max\": %.2f}"
+    t n m stage_repeats fwd fwd_lo fwd_hi swp swp_lo swp_hi;
+  Printf.eprintf "bench_em: stages T=%d n=%d: forward %.1f ns/obs, sweep %.1f ns/obs\n%!" t n
+    fwd swp
 
 (* --- Instrumentation overhead (--obs) --------------------------------
 
@@ -327,6 +370,7 @@ let () =
   let ns = [ 2; 4 ] in
   let cores = Stats.Pool.size () in
   let cases = Buffer.create 4096 and convergence = Buffer.create 4096 in
+  let stages = Buffer.create 4096 in
   let first = ref true in
   List.iter
     (fun t ->
@@ -335,6 +379,7 @@ let () =
           Printf.eprintf "bench_em: T=%d n=%d...\n%!" t n;
           run_case ~smoke ~t ~n cases !first;
           run_convergence ~t ~n convergence !first;
+          run_stages ~t ~n stages !first;
           first := false)
         ns)
     sizes;
@@ -342,12 +387,14 @@ let () =
   Printf.bprintf buf
     "{\n  \"bench\": \"em_fit\",\n  \"model\": \"mmhd\",\n\
     \  \"cores\": %d,\n\
-    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0), timed once after a warm-up fit; its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the smallest Gc.allocated_bytes delta of three repeats of one full fit (restarts included), and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, timed once after a warm-up fit, next to plain EM (em_step repeated until one step changes no parameter by more than eps) from the same start; sweeps count forward-backward passes, one EM step each.\",\n\
+    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0), timed once after a warm-up fit; its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the smallest Gc.allocated_bytes delta of three repeats of one full fit (restarts included), and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, timed once after a warm-up fit, next to plain EM (em_step repeated until one step changes no parameter by more than eps) from the same start; sweeps count forward-backward passes, one EM step each. each stages case times Em.log_likelihood (the forward pass) and Em.em_step (a whole sweep: forward, backward with the E-step statistics, M-step) from one informed start, %d times each, alternately, after a warm-up call; the figure is the median ns per observation, with the minimum and maximum.\",\n\
     \  \"cases\": [\n"
-    cores;
+    cores stage_repeats;
   Buffer.add_buffer buf cases;
   Buffer.add_string buf "\n  ],\n  \"convergence\": [\n";
   Buffer.add_buffer buf convergence;
+  Buffer.add_string buf "\n  ],\n  \"stages\": [\n";
+  Buffer.add_buffer buf stages;
   Buffer.add_string buf "\n  ]\n}\n";
   let path = if smoke then "BENCH_em.smoke.json" else "BENCH_em.json" in
   let oc = open_out path in

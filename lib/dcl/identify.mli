@@ -6,6 +6,12 @@
 type model =
   | Model_mmhd  (** the paper's recommended model *)
   | Model_hmm
+      (** {!Hmm.fit}.  With [m > n] its [n(m-1) + m] emission and loss
+          parameters exceed the [n m] probabilities the data pin, so its
+          Eq. (5) VQD is not identified and moves with the EM path (up
+          to 0.014 per symbol at equal logL, 2 states, 3 symbols): any
+          change to the fit loop or to the kernel's arithmetic order can
+          move it and its test statistics. *)
   | Model_markov  (** MMHD with [n = 1]: no hidden dimension (ablation) *)
 
 type params = {

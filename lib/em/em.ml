@@ -151,9 +151,11 @@ let run_forward ws (t : model) obs =
   prepare_sweep ws t obs;
   Kernel.forward ws.k t ~tt:(Array.length obs)
 
+(* One sweep: the forward pass, then the backward pass that also
+   accumulates the E-step statistics; returns the log-likelihood. *)
 let run_sweep ws (t : model) obs =
   let ll = run_forward ws t obs in
-  Kernel.backward ws.k t ~tt:(Array.length obs);
+  Kernel.backward_estep ws.k t ~tt:(Array.length obs);
   ll
 
 let log_likelihood ~ws t obs =
@@ -175,29 +177,22 @@ let state_posteriors ~(ws : workspace) t obs =
       done;
       gamma)
 
+(* Per-symbol loss mass sum_st count_loss(st, j), Eq. (5)'s numerator,
+   from loss counts read through [get]. *)
+let loss_columns ~s ~m get =
+  Array.init m (fun j ->
+      let acc = ref 0. in
+      for st = 0 to s - 1 do
+        acc := !acc +. get ((st * m) + j)
+      done;
+      !acc)
+
 let virtual_delay_pmf ~(ws : workspace) t obs =
   check_obs "Em.virtual_delay_pmf" obs;
   if not (Array.exists (fun o -> o = None) obs) then
     invalid_arg "Em.virtual_delay_pmf: no loss in the sequence";
   ignore (run_sweep ws t obs);
-  let s = t.s and m = t.m and ws = ws.k in
-  let cls = ws.cls and act = ws.act and act_len = ws.act_len in
-  let acc = Array.make m 0. in
-  let base = m * s and len = act_len.(m) in
-  for time = 0 to Array.length obs - 1 do
-    if cls.(time) = m then begin
-      let row = time * s in
-      for idx = 0 to len - 1 do
-        let st = act.(base + idx) in
-        let g = Ba.get ws.alpha (row + st) *. Ba.get ws.beta (row + st) in
-        let wbase = st * m in
-        for j = 0 to m - 1 do
-          acc.(j) <- acc.(j) +. (g *. Ba.get ws.w (wbase + j))
-        done
-      done
-    end
-  done;
-  Stats.Histogram.normalize acc
+  Stats.Histogram.normalize (loss_columns ~s:t.s ~m:t.m (Ba.get ws.k.count_loss))
 
 let viterbi ~ws (t : model) obs =
   check_obs "Em.viterbi" obs;
@@ -341,13 +336,12 @@ let m_step ~update_b acc (t : model) =
   in
   { t with pi = pi'; a = a'; b = b'; c = c' }
 
-(* One EM step: sweep, accumulate into the workspace's scratch set,
-   M-step.  Returns logL of [t] (the sweep's forward pass) with the new
-   model. *)
+(* One EM step: sweep, copy the statistics into the workspace's
+   scratch set, M-step.  Returns logL of [t] (the sweep's forward pass)
+   with the new model. *)
 let step ~(ws : workspace) ~update_b (t : model) obs =
   let s = t.s and m = t.m in
   let ll = run_sweep ws t obs in
-  Kernel.accumulate ws.k t ~tt:(Array.length obs);
   if Array.length ws.scratch.xi < s * s || Array.length ws.scratch.count_obs < s * m
   then ws.scratch <- acc_create ~s:ws.k.cap_s ~m:ws.k.cap_m;
   acc_clear ws.scratch ~s ~m;
@@ -457,7 +451,6 @@ module Incremental = struct
           raise e
     in
     let ws = ws.k in
-    Kernel.accumulate ws t ~tt;
     acc_add ws st.acc ~s ~m:st.m;
     (* The filtered end: the normalized alpha row of the last instant,
        masked by that instant's active set. *)
@@ -481,13 +474,7 @@ module Incremental = struct
       invalid_arg "Em.Incremental.m_step: no appended batch";
     m_step ~update_b:false st.acc t
 
-  let loss_mass st =
-    Array.init st.m (fun j ->
-        let acc = ref 0. in
-        for state = 0 to st.s - 1 do
-          acc := !acc +. st.acc.count_loss.((state * st.m) + j)
-        done;
-        !acc)
+  let loss_mass st = loss_columns ~s:st.s ~m:st.m (Array.get st.acc.count_loss)
 
   let filtered_end st = Array.copy st.fend
   let weight st = st.weight

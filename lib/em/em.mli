@@ -16,7 +16,12 @@
     The kernel provides the scaled forward–backward recursion, the
     loss-as-missing-value emission logic (Section V of the paper), the
     EM step, the SQUAREM-accelerated fit loop ({!fit_from}) and the
-    informed-restart fit.  All [O(T * s)] sweep state
+    informed-restart fit.  A sweep reads the sequence twice: the
+    forward pass, then one descending-time pass that runs the backward
+    recursion and accumulates the E-step statistics (transition
+    statistics, their denominators, per-symbol observation and loss
+    counts) as it goes, so each statistic is summed in descending time
+    order.  All [O(T * s)] sweep state
     lives in unboxed [Bigarray] float64 buffers preallocated in a
     reusable {!workspace}.  States with zero emission probability for an
     observation are skipped via per-symbol active-state lists, which
@@ -108,8 +113,9 @@ val state_posteriors : ws:workspace -> model -> observation array -> float array
 
 val virtual_delay_pmf : ws:workspace -> model -> observation array -> float array
 (** Equation (5): the posterior delay-symbol distribution of the lost
-    probes, averaged over all loss instants.  Requires at least one
-    loss ([Invalid_argument] otherwise). *)
+    probes, averaged over all loss instants — the sweep's per-symbol
+    loss counts summed over states and normalized.  Requires at least
+    one loss ([Invalid_argument] otherwise). *)
 
 val viterbi : ws:workspace -> model -> observation array -> int array * float
 (** Most likely state sequence given the observations (losses handled
@@ -120,10 +126,10 @@ val viterbi : ws:workspace -> model -> observation array -> int array * float
 
 val em_step :
   ws:workspace -> update_b:bool -> model -> observation array -> model
-(** One plain EM step: a forward–backward sweep, its accumulated
-    statistics, then the M-step {!Incremental.m_step} also runs.  When
-    [update_b] is false the emission matrix [b] is shared, not
-    re-estimated (the MMHD case, where [b] is structural).
+(** One plain EM step: a forward–backward sweep, whose backward pass
+    accumulates the statistics, then the M-step {!Incremental.m_step}
+    also runs.  When [update_b] is false the emission matrix [b] is
+    shared, not re-estimated (the MMHD case, where [b] is structural).
     Re-estimated parameter blocks are floored away from zero
     (transitions and any re-estimated [b] at 1e-12 before row
     normalization, [c] clamped to [1e-9, 1 - 1e-9]) so that a symbol's

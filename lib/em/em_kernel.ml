@@ -7,8 +7,10 @@
    All float sweep state lives in unboxed [Bigarray.Array1] float64
    buffers ([buf]); [unsafe_get]/[unsafe_set] on them appear strictly
    inside the [lint: hot] fences below (dcl-lint rule R5 checks both
-   directions).  Each pass runs serially over the whole sequence; the
-   only parallelism is the fleet's fan-out over paths. *)
+   directions).  A sweep is two passes over the whole sequence, the
+   forward recursion and then the backward recursion fused with the
+   E-step statistics, each run serially; the only parallelism is the
+   fleet's fan-out over paths. *)
 
 module Ba = Bigarray.Array1
 
@@ -58,7 +60,7 @@ type workspace = {
   mutable gamma_sum : buf; (* S *)
   mutable count_obs : buf; (* S*M *)
   mutable count_loss : buf; (* S*M *)
-  mutable tmp : buf; (* S, backward/accumulate step scratch *)
+  mutable tmp : buf; (* S, backward step scratch *)
   mutable cap_t : int;
   mutable cap_s : int;
   mutable cap_m : int;
@@ -319,46 +321,20 @@ let fill_tmp ws ~s ~time ~base1 ~len1 =
       (Ba.unsafe_get e_all (base1 + st') *. Ba.unsafe_get beta (row1 + st') *. inv)
   done
 
-(* Scaled backward recursion over the whole [tt]-step sequence, from
-   the all-ones seed at [tt - 1]; requires a completed forward pass
-   (true scales).  The contraction walks contiguous rows of the
+(* The scaled backward recursion and the E-step statistics in one
+   descending-time pass over the whole [tt]-step sequence; requires a
+   completed forward pass (true scales).  The accumulators are cleared,
+   beta is seeded with ones at [tt - 1], and then at each [time]:
+   - for [time <= tt - 2], every product p = a(st, st') * tmp(st') over
+     active pairs is formed once, summed into beta_time(st) and added,
+     times alpha_time(st), to xi; gamma_sum (the transition-count
+     denominator) takes alpha_time(st) * beta_time(st);
+   - the emission or loss counts take the same alpha * beta, branched
+     once per time step on the precomputed class.
+   Every accumulator cell therefore receives its contributions in
+   descending time order.  The contraction walks contiguous rows of the
    row-major transition copy. *)
-let backward ws (t : model) ~tt =
-  let s = t.s in
-  let cls = ws.cls and act_len = ws.act_len and act = ws.act in
-  let beta = ws.beta and a_r = ws.a_r and tmp = ws.tmp in
-  let rl = Array.unsafe_get cls (tt - 1) in
-  let basel = rl * s and lenl = Array.unsafe_get act_len rl in
-  let rowl = (tt - 1) * s in
-  for idx = 0 to lenl - 1 do
-    Ba.unsafe_set beta (rowl + Array.unsafe_get act (basel + idx)) 1.
-  done;
-  for time = tt - 2 downto 0 do
-    let r = Array.unsafe_get cls time and r1 = Array.unsafe_get cls (time + 1) in
-    let base = r * s and len = Array.unsafe_get act_len r in
-    let base1 = r1 * s and len1 = Array.unsafe_get act_len r1 in
-    fill_tmp ws ~s ~time ~base1 ~len1;
-    let row = time * s in
-    for idx = 0 to len - 1 do
-      let st = Array.unsafe_get act (base + idx) in
-      let arow = st * s in
-      let acc = ref 0. in
-      for idx1 = 0 to len1 - 1 do
-        let st' = Array.unsafe_get act (base1 + idx1) in
-        acc := !acc +. (Ba.unsafe_get a_r (arow + st') *. Ba.unsafe_get tmp st')
-      done;
-      Ba.unsafe_set beta (row + st) !acc
-    done
-  done
-
-(* E-step statistics of the whole sequence, cleared first and then
-   fused into one ascending-time pass (emission/loss counts at [time],
-   then transition statistics toward [time + 1]) — the two groups touch
-   disjoint accumulator cells, so each cell receives its contributions
-   in ascending time order.  Transition statistics stop at [tt - 2]
-   (gamma_sum is the transition-count denominator).  Requires completed
-   forward and backward passes. *)
-let accumulate ws (t : model) ~tt =
+let backward_estep ws (t : model) ~tt =
   let s = t.s and m = t.m in
   let alpha = ws.alpha and beta = ws.beta and cls = ws.cls in
   let act = ws.act and act_len = ws.act_len in
@@ -369,35 +345,16 @@ let accumulate ws (t : model) ~tt =
   fill_range gsum 0 s 0.;
   fill_range cobs 0 (s * m) 0.;
   fill_range closs 0 (s * m) 0.;
-  for time = 0 to tt - 1 do
+  let rl = Array.unsafe_get cls (tt - 1) in
+  let basel = rl * s and lenl = Array.unsafe_get act_len rl in
+  let rowl = (tt - 1) * s in
+  for idx = 0 to lenl - 1 do
+    Ba.unsafe_set beta (rowl + Array.unsafe_get act (basel + idx)) 1.
+  done;
+  for time = tt - 1 downto 0 do
     let r = Array.unsafe_get cls time in
     let base = r * s and len = Array.unsafe_get act_len r in
     let row = time * s in
-    (* Emission / loss statistics, branched once per time step on the
-       precomputed class. *)
-    if r < m then
-      for idx = 0 to len - 1 do
-        let st = Array.unsafe_get act (base + idx) in
-        let g =
-          Ba.unsafe_get alpha (row + st) *. Ba.unsafe_get beta (row + st)
-        in
-        let ko = (st * m) + r in
-        Ba.unsafe_set cobs ko (Ba.unsafe_get cobs ko +. g)
-      done
-    else
-      for idx = 0 to len - 1 do
-        let st = Array.unsafe_get act (base + idx) in
-        let g =
-          Ba.unsafe_get alpha (row + st) *. Ba.unsafe_get beta (row + st)
-        in
-        let wbase = st * m in
-        for j = 0 to m - 1 do
-          let kl = wbase + j in
-          Ba.unsafe_set closs kl
-            (Ba.unsafe_get closs kl +. (g *. Ba.unsafe_get w (wbase + j)))
-        done
-      done;
-    (* Transition statistics over active pairs. *)
     if time <= tt - 2 then begin
       let r1 = Array.unsafe_get cls (time + 1) in
       let base1 = r1 * s and len1 = Array.unsafe_get act_len r1 in
@@ -405,21 +362,36 @@ let accumulate ws (t : model) ~tt =
       for idx = 0 to len - 1 do
         let st = Array.unsafe_get act (base + idx) in
         let a_ts = Ba.unsafe_get alpha (row + st) in
-        Ba.unsafe_set gsum st
-          (Ba.unsafe_get gsum st +. (a_ts *. Ba.unsafe_get beta (row + st)));
-        if a_ts > 0. then begin
-          let arow = st * s in
-          for idx1 = 0 to len1 - 1 do
-            let st' = Array.unsafe_get act (base1 + idx1) in
-            let kx = arow + st' in
-            Ba.unsafe_set xi kx
-              (Ba.unsafe_get xi kx
-              +. (a_ts
-                 *. Ba.unsafe_get a_r (arow + st')
-                 *. Ba.unsafe_get tmp st'))
-          done
-        end
+        let arow = st * s in
+        let acc = ref 0. in
+        for idx1 = 0 to len1 - 1 do
+          let st' = Array.unsafe_get act (base1 + idx1) in
+          let kx = arow + st' in
+          let p = Ba.unsafe_get a_r kx *. Ba.unsafe_get tmp st' in
+          acc := !acc +. p;
+          Ba.unsafe_set xi kx (Ba.unsafe_get xi kx +. (a_ts *. p))
+        done;
+        Ba.unsafe_set beta (row + st) !acc;
+        Ba.unsafe_set gsum st (Ba.unsafe_get gsum st +. (a_ts *. !acc))
       done
-    end
+    end;
+    if r < m then
+      for idx = 0 to len - 1 do
+        let st = Array.unsafe_get act (base + idx) in
+        let g = Ba.unsafe_get alpha (row + st) *. Ba.unsafe_get beta (row + st) in
+        let ko = (st * m) + r in
+        Ba.unsafe_set cobs ko (Ba.unsafe_get cobs ko +. g)
+      done
+    else
+      for idx = 0 to len - 1 do
+        let st = Array.unsafe_get act (base + idx) in
+        let g = Ba.unsafe_get alpha (row + st) *. Ba.unsafe_get beta (row + st) in
+        let wbase = st * m in
+        for j = 0 to m - 1 do
+          let kl = wbase + j in
+          Ba.unsafe_set closs kl
+            (Ba.unsafe_get closs kl +. (g *. Ba.unsafe_get w (wbase + j)))
+        done
+      done
   done
 (* lint: end-hot *)

@@ -69,10 +69,9 @@ val forward : workspace -> model -> tt:int -> float
     log-likelihood.
     @raise Zero_likelihood on an impossible observation. *)
 
-val backward : workspace -> model -> tt:int -> unit
-(** Scaled backward recursion over [[0, tt)] from the all-ones seed.
+val backward_estep : workspace -> model -> tt:int -> unit
+(** The scaled backward recursion over [[0, tt)] from the all-ones seed,
+    fused with the E-step: clears the accumulators and fills [xi],
+    [gamma_sum], [count_obs] and [count_loss] in the same descending-time
+    pass, forming each transition product once for both [beta] and [xi].
     Requires a completed {!forward} (true scales). *)
-
-val accumulate : workspace -> model -> tt:int -> unit
-(** Clear the E-step accumulators and fill them from the whole
-    sequence.  Requires completed {!forward} and {!backward}. *)

@@ -37,7 +37,11 @@ val fit :
     {!init_informed} starts, each accelerated by SQUAREM
     ({!Em.fit_from}) until one EM step's largest parameter change is at
     most [eps] (default 1e-3, the paper's threshold) or [max_iter]
-    (default 300) sweeps have run. *)
+    (default 300) sweeps have run.
+
+    With [m > n], [b] and [c] are not identified ([n(m-1) + m] values
+    against the [n m] probabilities the data pin), so the result's
+    Eq. (5) pmf depends on the EM path; see [Dcl.Identify.Model_hmm]. *)
 
 val fit_from :
   ?eps:float -> ?max_iter:int -> Em.model -> Em.observation array -> Em.model * Em.fit_stats

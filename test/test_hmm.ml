@@ -216,7 +216,115 @@ let prop_likelihood_matches_brute_force =
       let bf = log (brute_force_likelihood model obs) in
       abs_float (ll -. bf) < 1e-8)
 
-let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_likelihood_matches_brute_force ]
+(* Exact E-step statistics by enumeration: every hidden state path,
+   and at each loss instant every hidden symbol, weighted by its joint
+   probability with the observations.  Returns the posterior
+   expectations of the transition counts over [0, T-2], their
+   denominators, the per-(state, symbol) observation counts and the
+   per-(state, symbol) loss counts — the quantities a sweep
+   accumulates. *)
+let brute_force_estep (t : Em.model) obs =
+  let s = t.s and m = t.m and tt = Array.length obs in
+  let xi = Array.make (s * s) 0. and gamma_sum = Array.make s 0. in
+  let count_obs = Array.make (s * m) 0. and count_loss = Array.make (s * m) 0. in
+  let states = Array.make tt 0 and symbols = Array.make tt 0 in
+  let total = ref 0. in
+  let add a i p = a.(i) <- a.(i) +. p in
+  let rec walk time prob =
+    if prob <= 0. then ()
+    else if time = tt then begin
+      total := !total +. prob;
+      for u = 0 to tt - 1 do
+        let x = states.(u) in
+        if u <= tt - 2 then begin
+          add xi ((x * s) + states.(u + 1)) prob;
+          add gamma_sum x prob
+        end;
+        match obs.(u) with
+        | Some j -> add count_obs ((x * m) + j) prob
+        | None -> add count_loss ((x * m) + symbols.(u)) prob
+      done
+    end
+    else
+      for x = 0 to s - 1 do
+        let step = if time = 0 then t.pi.(x) else t.a.((states.(time - 1) * s) + x) in
+        let p = prob *. step in
+        states.(time) <- x;
+        match obs.(time) with
+        | Some j -> walk (time + 1) (p *. t.b.((x * m) + j) *. (1. -. t.c.(j)))
+        | None ->
+            for y = 0 to m - 1 do
+              symbols.(time) <- y;
+              walk (time + 1) (p *. t.b.((x * m) + y) *. t.c.(y))
+            done
+      done
+  in
+  walk 0 1.;
+  let posterior a = Array.map (fun v -> v /. !total) a in
+  (posterior xi, posterior gamma_sum, posterior count_obs, posterior count_loss)
+
+(* Random small HMMs (s <= 3) and MMHDs (n <= 2), m <= 3, T <= 5, with
+   one position forced to a loss. *)
+let estep_case_gen =
+  QCheck.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* mmhd = bool in
+    let* n = int_range 1 (if mmhd then 2 else 3) in
+    let* m = int_range 1 3 in
+    let* len = int_range 1 5 in
+    let* lost = int_range 0 (len - 1) in
+    let rng = Stats.Rng.create seed in
+    let model, (obs, _) =
+      if mmhd then
+        let model = Mmhd.init_random rng ~n ~m ~loss_fraction:0.2 in
+        (model, Mmhd.simulate rng model ~len)
+      else
+        let model = Hmm.init_random rng ~n ~m ~loss_fraction:0.2 in
+        (model, Hmm.simulate rng model ~len)
+    in
+    obs.(lost) <- None;
+    return (model, obs))
+
+let print_estep_case ((t : Em.model), obs) =
+  Printf.sprintf "s=%d m=%d obs=[%s]" t.s t.m
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (function Some j -> string_of_int j | None -> "-") obs)))
+
+(* A fresh [Incremental.append] holds exactly one sweep's statistics;
+   they and the Eq. (5) pmf must equal the exact expectations. *)
+let prop_estep_matches_brute_force =
+  QCheck.Test.make ~name:"E-step statistics = brute force" ~count:300
+    (QCheck.make ~print:print_estep_case estep_case_gen) (fun ((t : Em.model), obs) ->
+      let st = Em.Incremental.create ~s:t.s ~m:t.m in
+      ignore (Em.Incremental.append ~ws:(ws ()) st t obs);
+      let xi, gamma_sum, count_obs, count_loss = brute_force_estep t obs in
+      let lost =
+        Array.init t.m (fun j ->
+            let acc = ref 0. in
+            for x = 0 to t.s - 1 do
+              acc := !acc +. count_loss.((x * t.m) + j)
+            done;
+            !acc)
+      in
+      let total = Array.fold_left ( +. ) 0. lost in
+      let check name exact computed =
+        let d = Stats.Matrix.max_abs_diff exact computed in
+        if not (d <= 1e-9) then QCheck.Test.fail_reportf "%s differs by %g" name d
+      in
+      check "xi" xi (Em.Incremental.xi st);
+      check "gamma_sum" gamma_sum (Em.Incremental.gamma_sum st);
+      check "count_obs" count_obs (Em.Incremental.count_obs st);
+      check "count_loss" count_loss (Em.Incremental.count_loss st);
+      check "virtual_delay_pmf"
+        (Array.map (fun v -> v /. total) lost)
+        (Em.virtual_delay_pmf ~ws:(ws ()) t obs);
+      true)
+
+let qcheck_cases =
+  List.map
+    (fun t -> QCheck_alcotest.to_alcotest t)
+    [ prop_likelihood_matches_brute_force; prop_estep_matches_brute_force ]
 
 let () =
   Alcotest.run "hmm"
