@@ -1,13 +1,13 @@
 (* EM kernel benchmark: serial fit wall-time and allocation per
-   configuration over a fixed number of sweeps, sweeps and wall-time
-   to convergence, and the per-observation cost of the forward pass
-   and of a whole sweep, emitted as BENCH_em.json.
+   configuration over a fixed number of sweeps, sweeps, SQUAREM
+   fallbacks and wall-time to convergence, and the per-observation cost
+   of the forward pass and of a whole sweep, emitted as BENCH_em.json.
 
    The schema is documented in DESIGN.md ("BENCH_em.json").  The bench
-   aborts (exit 1) if the timed fit's winner differs bitwise from the
+   aborts (exit 1) if a timed fit's winner differs bitwise from the
    allocation run's winner on the same input, if a fixed-sweep fit
-   stops before [max_iter], or if a to-convergence fit does not
-   converge. *)
+   stops before [max_iter], if a to-convergence fit does not converge,
+   or if no allocation measurement runs free of minor collections. *)
 
 (* Monotonic wall time via the Obs clock stub: immune to NTP slews,
    and keeps the bench inside the R1 lint contract (no wall-clock
@@ -18,23 +18,58 @@ let time_of f =
   (r, float_of_int (Obs.Span.now_ns () - t0) *. 1e-9)
 
 (* Gc.allocated_bytes counts the calling domain's allocation, which is
-   the whole of a serial fit.  A minor collection inside the
-   measured region inflates the delta on this runtime (promoted
-   words end up counted on both sides of quick_stat), so empty the
-   minor heap first and keep the smallest of three repeats: a
-   collection-free repeat reports the true allocation. *)
+   the whole of a serial fit.  A minor collection inside the measured
+   region inflates the delta on this runtime (by about one minor heap),
+   so the measurement runs on an empty minor heap grown to
+   [alloc_minor_words] (8 MiB, several times what any measured region
+   allocates), with the out-of-heap size of young custom blocks (a fresh
+   workspace's Bigarrays) allowed as much before it forces a
+   collection, and counts only a repeat that ran no minor collection;
+   the settings are restored afterwards.  Exits 1 if three repeats all
+   collected. *)
+let alloc_minor_words = 1024 * 1024
+
 let alloc_of f =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to 3 do
+  let saved = Gc.get () in
+  Gc.set
+    {
+      saved with
+      Gc.minor_heap_size = alloc_minor_words;
+      custom_minor_max_size = alloc_minor_words * 8;
+    };
+  let rec measure tries =
     Gc.minor ();
+    let c0 = (Gc.quick_stat ()).Gc.minor_collections in
     let a0 = Gc.allocated_bytes () in
     let r = f () in
     let d = Gc.allocated_bytes () -. a0 in
-    if d < !best then best := d;
-    last := Some r
+    if (Gc.quick_stat ()).Gc.minor_collections = c0 then (r, d)
+    else if tries > 1 then measure (tries - 1)
+    else begin
+      Printf.eprintf "FATAL: every allocation measurement ran a minor collection\n";
+      exit 1
+    end
+  in
+  let r = measure 3 in
+  Gc.set saved;
+  r
+
+(* Time [f] and [g] alternately, [repeats] times each, so a slow phase
+   of the host hits both alike; returns each one's runs in seconds. *)
+let alternate ~repeats f g =
+  let fs = Array.make repeats 0. and gs = Array.make repeats 0. in
+  for k = 0 to repeats - 1 do
+    fs.(k) <- snd (time_of f);
+    gs.(k) <- snd (time_of g)
   done;
-  (Option.get !last, !best)
+  (fs, gs)
+
+(* The median, minimum and maximum of an odd number of runs (sorts
+   [runs] in place). *)
+let median_min_max runs =
+  Array.sort compare runs;
+  let n = Array.length runs in
+  (runs.(n / 2), runs.(0), runs.(n - 1))
 
 let synth_obs ~seed ~n ~m ~t =
   let rng = Stats.Rng.create seed in
@@ -73,42 +108,21 @@ let check_full_sweeps ~what ~max_iter (stats : Em.fit_stats) =
     exit 1
   end
 
-let run_case ~smoke ~t ~n buf first =
-  let m = 5 and restarts = 4 in
-  let max_iter = if smoke then 5 else 15 in
-  let obs = synth_obs ~seed:(0x5EED + t + n) ~n ~m ~t in
-  let fit () =
-    let rng = Stats.Rng.create 42 in
-    Mmhd.fit ~eps:0. ~max_iter ~restarts ~rng ~n ~m obs
-  in
-  (* Warm the domain workspace so the timed run measures the steady
-     allocation-free state, not first-call buffer growth. *)
-  ignore (fit ());
-  let (model_alloc, stats), alloc = alloc_of fit in
-  check_full_sweeps ~what:(Printf.sprintf "T=%d n=%d fit" t n) ~max_iter stats;
-  let (model_timed, _), serial_s = time_of fit in
-  if not (Int64.equal (model_fingerprint model_alloc) (model_fingerprint model_timed))
-  then begin
-    Printf.eprintf "FATAL: rerun winner differs from the first winner (T=%d n=%d)\n" t n;
-    exit 1
-  end;
-  if not first then Buffer.add_string buf ",\n";
-  Printf.bprintf buf
-    "    {\"t\": %d, \"n\": %d, \"m\": %d, \"restarts\": %d, \"max_iter\": %d,\n\
-    \     \"serial_seconds\": %.6f,\n\
-    \     \"serial_alloc_bytes\": %.0f, \"alloc_bytes_per_obs_iter\": %.2f,\n\
-    \     \"iterations\": %d, \"log_likelihood\": %.6f}"
-    t n m restarts max_iter serial_s alloc
-    (alloc /. float_of_int (t * stats.Em.iterations * restarts))
-    stats.Em.iterations stats.Em.log_likelihood
+(* --- Fixed sweeps and sweeps to convergence ----------------------------
 
-(* --- Sweeps to convergence ---------------------------------------------
+   Per (T, n), two fits.  The fixed-sweep fit is one serial 4-restart
+   MMHD fit whose every restart runs exactly [max_iter] sweeps.  The
+   convergence fit is one fit from one informed start at the default
+   [eps] (1e-3) and [max_iter] (300), the fit every Identify restart
+   runs; it is reported next to plain EM ([Em.em_step] repeated until
+   one step moves no parameter by more than [eps]) from the same start,
+   the sweeps the accelerated loop saves and what they cost in wall
+   time, and with the SQUAREM fallbacks it took, read from
+   [dcl_em_squarem_fallbacks_total] on its warm-up run.  The two fits
+   are timed alternately, [fit_repeats] times each after a warm-up; the
+   median is the figure, the minimum and maximum its spread. *)
 
-   One fit per case from one informed start at the default [eps] (1e-3)
-   and [max_iter] (300), the fit every Identify restart runs, next to
-   plain EM ([Em.em_step] repeated until one step moves no parameter
-   by more than [eps]) from the same start: the sweeps the accelerated
-   loop saves, and what they cost in wall time. *)
+let fit_repeats = 5
 
 let plain_em ~ws ~eps ~max_iter t obs =
   let diff = Stats.Matrix.max_abs_diff in
@@ -123,30 +137,78 @@ let plain_em ~ws ~eps ~max_iter t obs =
   in
   go t 1
 
-let run_convergence ~t ~n buf first =
-  let m = 5 and eps = 1e-3 and max_iter = 300 in
-  let obs = synth_obs ~seed:(0xC0 + t + n) ~n ~m ~t in
-  let t0 = Mmhd.init_informed (Stats.Rng.create 42) ~n ~m obs in
-  let ws = Em.domain_ws () in
-  let fit () = Em.fit_from ~ws ~eps ~max_iter ~update_b:false t0 obs in
-  ignore (fit ());
-  let (_, stats), seconds = time_of fit in
-  let (plain, plain_sweeps, plain_converged), plain_seconds =
-    time_of (fun () -> plain_em ~ws ~eps ~max_iter t0 obs)
+let m_fallbacks = Obs.Counter.make "dcl_em_squarem_fallbacks_total"
+
+let run_case ~smoke ~t ~n cases convergence first =
+  let m = 5 and restarts = 4 in
+  let max_iter = if smoke then 5 else 15 in
+  let obs = synth_obs ~seed:(0x5EED + t + n) ~n ~m ~t in
+  let fixed () =
+    let rng = Stats.Rng.create 42 in
+    Mmhd.fit ~eps:0. ~max_iter ~restarts ~rng ~n ~m obs
   in
-  let plain_ll = Em.log_likelihood ~ws plain obs in
-  if not first then Buffer.add_string buf ",\n";
-  Printf.bprintf buf
+  let eps = 1e-3 and conv_max_iter = 300 in
+  let conv_obs = synth_obs ~seed:(0xC0 + t + n) ~n ~m ~t in
+  let t0 = Mmhd.init_informed (Stats.Rng.create 42) ~n ~m conv_obs in
+  let ws = Em.domain_ws () in
+  let converge () = Em.fit_from ~ws ~eps ~max_iter:conv_max_iter ~update_b:false t0 conv_obs in
+  (* Warm the domain workspace so the timed runs measure the steady
+     allocation-free state, not first-call buffer growth; the
+     convergence fit's warm-up counts its fallbacks. *)
+  ignore (fixed ());
+  Obs.set_enabled true;
+  let before = Obs.Counter.value m_fallbacks in
+  let conv_model, conv_stats = converge () in
+  let fallbacks = Obs.Counter.value m_fallbacks -. before in
+  Obs.set_enabled false;
+  let (model_alloc, stats), alloc = alloc_of fixed in
+  check_full_sweeps ~what:(Printf.sprintf "T=%d n=%d fit" t n) ~max_iter stats;
+  let last_fixed = ref model_alloc and last_conv = ref conv_model in
+  let fixed_runs, conv_runs =
+    alternate ~repeats:fit_repeats
+      (fun () -> last_fixed := fst (fixed ()))
+      (fun () -> last_conv := fst (converge ()))
+  in
+  if
+    (not (Int64.equal (model_fingerprint model_alloc) (model_fingerprint !last_fixed)))
+    || not (Int64.equal (model_fingerprint conv_model) (model_fingerprint !last_conv))
+  then begin
+    Printf.eprintf "FATAL: rerun winner differs from the first winner (T=%d n=%d)\n" t n;
+    exit 1
+  end;
+  let serial_s, serial_lo, serial_hi = median_min_max fixed_runs in
+  let conv_s, conv_lo, conv_hi = median_min_max conv_runs in
+  let (plain, plain_sweeps, plain_converged), plain_seconds =
+    time_of (fun () -> plain_em ~ws ~eps ~max_iter:conv_max_iter t0 conv_obs)
+  in
+  let plain_ll = Em.log_likelihood ~ws plain conv_obs in
+  if not first then begin
+    Buffer.add_string cases ",\n";
+    Buffer.add_string convergence ",\n"
+  end;
+  Printf.bprintf cases
+    "    {\"t\": %d, \"n\": %d, \"m\": %d, \"restarts\": %d, \"max_iter\": %d,\n\
+    \     \"serial_seconds\": %.6f, \"serial_seconds_min\": %.6f, \"serial_seconds_max\": %.6f,\n\
+    \     \"serial_alloc_bytes\": %.0f, \"alloc_bytes_per_obs_iter\": %.2f,\n\
+    \     \"iterations\": %d, \"log_likelihood\": %.6f}"
+    t n m restarts max_iter serial_s serial_lo serial_hi alloc
+    (alloc /. float_of_int (t * stats.Em.iterations * restarts))
+    stats.Em.iterations stats.Em.log_likelihood;
+  Printf.bprintf convergence
     "    {\"t\": %d, \"n\": %d, \"m\": %d, \"eps\": %g, \"max_iter\": %d,\n\
-    \     \"sweeps\": %d, \"converged\": %b, \"log_likelihood\": %.6f, \"seconds\": %.6f,\n\
+    \     \"sweeps\": %d, \"fallbacks\": %.0f, \"converged\": %b, \"log_likelihood\": %.6f,\n\
+    \     \"seconds\": %.6f, \"seconds_min\": %.6f, \"seconds_max\": %.6f,\n\
     \     \"plain_sweeps\": %d, \"plain_converged\": %b, \"plain_log_likelihood\": %.6f,\n\
     \     \"plain_seconds\": %.6f}"
-    t n m eps max_iter stats.Em.iterations stats.Em.converged stats.Em.log_likelihood seconds
-    plain_sweeps plain_converged plain_ll plain_seconds;
-  Printf.eprintf "bench_em: to convergence T=%d n=%d: %d sweeps (plain EM %d)\n%!" t n
-    stats.Em.iterations plain_sweeps;
-  if not stats.Em.converged then begin
-    Printf.eprintf "FATAL: T=%d n=%d fit did not converge in %d sweeps\n" t n max_iter;
+    t n m eps conv_max_iter conv_stats.Em.iterations fallbacks conv_stats.Em.converged
+    conv_stats.Em.log_likelihood conv_s conv_lo conv_hi plain_sweeps plain_converged plain_ll
+    plain_seconds;
+  Printf.eprintf
+    "bench_em: T=%d n=%d: fixed-sweep fit %.3f s; to convergence %d sweeps, %.0f fallbacks \
+     (plain EM %d)\n%!"
+    t n serial_s conv_stats.Em.iterations fallbacks plain_sweeps;
+  if not conv_stats.Em.converged then begin
+    Printf.eprintf "FATAL: T=%d n=%d fit did not converge in %d sweeps\n" t n conv_max_iter;
     exit 1
   end
 
@@ -157,14 +219,10 @@ let run_convergence ~t ~n buf first =
    the backward pass that accumulates the E-step statistics, then the
    O(s^2 + s*m) M-step).  Both start from the same informed model and
    are timed alternately, [stage_repeats] times each after one warm-up
-   call, so a slow phase of the host hits both alike; the median is the
-   figure, the minimum and maximum its spread. *)
+   call; the median is the figure, the minimum and maximum its
+   spread. *)
 
 let stage_repeats = 21
-
-let median_min_max runs =
-  Array.sort compare runs;
-  (runs.(stage_repeats / 2), runs.(0), runs.(stage_repeats - 1))
 
 let run_stages ~t ~n buf first =
   let m = 5 in
@@ -175,14 +233,13 @@ let run_stages ~t ~n buf first =
   let sweep () = ignore (Em.em_step ~ws ~update_b:false t0 obs) in
   forward ();
   sweep ();
-  let ns f = snd (time_of f) *. 1e9 /. float_of_int t in
-  let fwd_runs = Array.make stage_repeats 0. and sweep_runs = Array.make stage_repeats 0. in
-  for k = 0 to stage_repeats - 1 do
-    fwd_runs.(k) <- ns forward;
-    sweep_runs.(k) <- ns sweep
-  done;
-  let fwd, fwd_lo, fwd_hi = median_min_max fwd_runs in
-  let swp, swp_lo, swp_hi = median_min_max sweep_runs in
+  let fwd_runs, sweep_runs = alternate ~repeats:stage_repeats forward sweep in
+  let ns_per_obs (med, lo, hi) =
+    let k = 1e9 /. float_of_int t in
+    (med *. k, lo *. k, hi *. k)
+  in
+  let fwd, fwd_lo, fwd_hi = ns_per_obs (median_min_max fwd_runs) in
+  let swp, swp_lo, swp_hi = ns_per_obs (median_min_max sweep_runs) in
   if not first then Buffer.add_string buf ",\n";
   Printf.bprintf buf
     "    {\"t\": %d, \"n\": %d, \"m\": %d, \"repeats\": %d,\n\
@@ -377,8 +434,7 @@ let () =
       List.iter
         (fun n ->
           Printf.eprintf "bench_em: T=%d n=%d...\n%!" t n;
-          run_case ~smoke ~t ~n cases !first;
-          run_convergence ~t ~n convergence !first;
+          run_case ~smoke ~t ~n cases convergence !first;
           run_stages ~t ~n stages !first;
           first := false)
         ns)
@@ -387,9 +443,9 @@ let () =
   Printf.bprintf buf
     "{\n  \"bench\": \"em_fit\",\n  \"model\": \"mmhd\",\n\
     \  \"cores\": %d,\n\
-    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0), timed once after a warm-up fit; its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the smallest Gc.allocated_bytes delta of three repeats of one full fit (restarts included), and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, timed once after a warm-up fit, next to plain EM (em_step repeated until one step changes no parameter by more than eps) from the same start; sweeps count forward-backward passes, one EM step each. each stages case times Em.log_likelihood (the forward pass) and Em.em_step (a whole sweep: forward, backward with the E-step statistics, M-step) from one informed start, %d times each, alternately, after a warm-up call; the figure is the median ns per observation, with the minimum and maximum.\",\n\
+    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0); its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the Gc.allocated_bytes delta of one full fit (restarts included) run on an empty 8 MiB minor heap that it never fills, so no minor collection inflates it, and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, next to plain EM (em_step repeated until one step changes no parameter by more than eps, timed once) from the same start; sweeps count forward-backward passes, one EM step each, a rejected SQUAREM extrapolation included, and fallbacks counts the extrapolations the fit rejected (dcl_em_squarem_fallbacks_total). a case's fixed-sweep fit and its convergence fit are timed alternately, %d times each, after a warm-up fit: serial_seconds and seconds are the medians, with the minimum and maximum. each stages case times Em.log_likelihood (the forward pass) and Em.em_step (a whole sweep: forward, backward with the E-step statistics, M-step) from one informed start, %d times each, alternately, after a warm-up call; the figure is the median ns per observation, with the minimum and maximum.\",\n\
     \  \"cases\": [\n"
-    cores stage_repeats;
+    cores fit_repeats stage_repeats;
   Buffer.add_buffer buf cases;
   Buffer.add_string buf "\n  ],\n  \"convergence\": [\n";
   Buffer.add_buffer buf convergence;

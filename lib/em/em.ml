@@ -9,7 +9,11 @@
    when the extrapolated point's likelihood is below the first
    iterate's.  It cuts the sweeps of the paper's slowly converging
    fits by about 40%; convergence is still one EM step's parameter
-   change, tested after every sweep. *)
+   change, tested after every sweep.  The fit computes only what it
+   reads: the observations are classified once per fit, a sweep takes
+   the logarithms of its scales only where its likelihood is compared,
+   and the extrapolated point is judged by its forward pass alone, so
+   a rejected one costs no backward pass and no M-step. *)
 
 module Kernel = Em_kernel
 module Ba = Bigarray.Array1
@@ -140,31 +144,36 @@ let check_symbols ~who ~m obs =
 let check_obs name obs =
   if Array.length obs = 0 then invalid_arg (name ^ ": empty observation sequence")
 
-(* Size, classify and prepare the workspace for [t] over [obs]. *)
-let prepare_sweep { k; _ } (t : model) obs =
+(* Size the workspace for [t]'s dimensions over [obs] and classify the
+   observations. *)
+let load { k; _ } (t : model) obs =
   Kernel.reserve k ~tt:(Array.length obs) ~s:t.s ~m:t.m;
-  Kernel.classify k t obs;
-  Kernel.prepare k t
+  Kernel.classify k t obs
 
-(* Prepare, then run the forward pass; returns the log-likelihood. *)
+(* Size, classify and prepare the workspace for [t] over [obs]. *)
+let prepare_sweep ws (t : model) obs =
+  load ws t obs;
+  Kernel.prepare ws.k t
+
+(* Prepare, then run the forward pass. *)
 let run_forward ws (t : model) obs =
   prepare_sweep ws t obs;
   Kernel.forward ws.k t ~tt:(Array.length obs)
 
 (* One sweep: the forward pass, then the backward pass that also
-   accumulates the E-step statistics; returns the log-likelihood. *)
+   accumulates the E-step statistics. *)
 let run_sweep ws (t : model) obs =
-  let ll = run_forward ws t obs in
-  Kernel.backward_estep ws.k t ~tt:(Array.length obs);
-  ll
+  run_forward ws t obs;
+  Kernel.backward_estep ws.k t ~tt:(Array.length obs)
 
 let log_likelihood ~ws t obs =
   check_obs "Em.log_likelihood" obs;
-  run_forward ws t obs
+  run_forward ws t obs;
+  Kernel.log_likelihood ws.k ~tt:(Array.length obs)
 
 let state_posteriors ~(ws : workspace) t obs =
   check_obs "Em.state_posteriors" obs;
-  ignore (run_sweep ws t obs);
+  run_sweep ws t obs;
   let s = t.s and ws = ws.k in
   let act = ws.act and act_len = ws.act_len and cls = ws.cls in
   Array.init (Array.length obs) (fun time ->
@@ -191,7 +200,7 @@ let virtual_delay_pmf ~(ws : workspace) t obs =
   check_obs "Em.virtual_delay_pmf" obs;
   if not (Array.exists (fun o -> o = None) obs) then
     invalid_arg "Em.virtual_delay_pmf: no loss in the sequence";
-  ignore (run_sweep ws t obs);
+  run_sweep ws t obs;
   Stats.Histogram.normalize (loss_columns ~s:t.s ~m:t.m (Ba.get ws.k.count_loss))
 
 let viterbi ~ws (t : model) obs =
@@ -336,21 +345,20 @@ let m_step ~update_b acc (t : model) =
   in
   { t with pi = pi'; a = a'; b = b'; c = c' }
 
-(* One EM step: sweep, copy the statistics into the workspace's
-   scratch set, M-step.  Returns logL of [t] (the sweep's forward pass)
-   with the new model. *)
-let step ~(ws : workspace) ~update_b (t : model) obs =
+(* The M-step from the sweep of [t] just run in [ws]: copy its
+   statistics into the workspace's scratch set and re-estimate [t]. *)
+let sweep_m_step ~(ws : workspace) ~update_b (t : model) =
   let s = t.s and m = t.m in
-  let ll = run_sweep ws t obs in
   if Array.length ws.scratch.xi < s * s || Array.length ws.scratch.count_obs < s * m
   then ws.scratch <- acc_create ~s:ws.k.cap_s ~m:ws.k.cap_m;
   acc_clear ws.scratch ~s ~m;
   acc_add ws.k ws.scratch ~s ~m;
-  (ll, m_step ~update_b ws.scratch t)
+  m_step ~update_b ws.scratch t
 
 let em_step ~ws ~update_b t obs =
   check_obs "Em.em_step" obs;
-  snd (step ~ws ~update_b t obs)
+  run_sweep ws t obs;
+  sweep_m_step ~ws ~update_b t
 
 (* Streaming EM over decayed sufficient statistics (the fleet layer's
    per-path recursion).  A [stats] value accumulates the E-step
@@ -443,7 +451,7 @@ module Incremental = struct
     in
     let ll =
       match run_sweep ws t obs with
-      | ll -> ll
+      | () -> Kernel.log_likelihood ws.k ~tt
       | exception e ->
           (* Zero_likelihood from the sweep: close the span so the
              recorder's begin/end stream stays balanced. *)
@@ -560,26 +568,73 @@ let check_fit_args ~who ~eps ~max_iter =
 let fit_from ~ws ?(eps = default_eps) ?(max_iter = default_max_iter) ~update_b t0 obs =
   check_fit_args ~who:"Em.fit_from" ~eps ~max_iter;
   check_obs "Em.fit_from" obs;
+  let tt = Array.length obs in
+  (* The observations do not change during the fit: size the workspace
+     and classify them (the symbol range check included) once; each
+     sweep then only prepares its model's tables. *)
+  load ws t0 obs;
+  let forward t =
+    Kernel.prepare ws.k t;
+    Kernel.forward ws.k t ~tt
+  in
+  (* The rest of a sweep whose forward pass has just run. *)
+  let complete t =
+    Kernel.backward_estep ws.k t ~tt;
+    sweep_m_step ~ws ~update_b t
+  in
   let sweeps = ref 0 in
   (* One EM step, counted against [max_iter] and timed as one sweep. *)
   let sweep t =
     incr sweeps;
     let t0_ns = Obs.Span.start () in
     Obs.Trace.span_begin "em.sweep" !sweeps;
-    match step ~ws ~update_b t obs with
-    | r ->
+    match
+      forward t;
+      complete t
+    with
+    | t' ->
         Obs.Trace.span_end "em.sweep";
         Obs.Span.stop m_sweep t0_ns;
-        r
+        t'
     | exception e ->
         Obs.Trace.span_end "em.sweep";
         raise e
   in
+  (* The extrapolated point [x'], counted against [max_iter] as one
+     sweep but judged by its forward pass alone: [Some F(x')] when its
+     likelihood reaches [floor], the sweep completing on that forward
+     pass and traced and timed as a whole sweep; otherwise [None] (a
+     NaN or zero likelihood included), traced as an "em.candidate" span
+     and kept out of [m_sweep].  The span is emitted once the verdict
+     is known, stamped with the candidate's start. *)
+  let candidate x' ~floor =
+    incr sweeps;
+    let start = Obs.Span.now_ns () in
+    let accepted =
+      match forward x' with
+      (* [>=] is false for a NaN likelihood. *)
+      | () -> Kernel.log_likelihood ws.k ~tt >= floor
+      | exception Zero_likelihood _ -> false
+    in
+    if accepted then begin
+      Obs.Trace.span_begin_at "em.sweep" !sweeps start;
+      let x3 = complete x' in
+      Obs.Trace.span_end "em.sweep";
+      Obs.Span.stop m_sweep start;
+      Some x3
+    end
+    else begin
+      Obs.Trace.span_begin_at "em.candidate" !sweeps start;
+      Obs.Trace.span_end "em.candidate";
+      None
+    end
+  in
   let finish t converged =
+    forward t;
     let stats =
       {
         iterations = !sweeps;
-        log_likelihood = log_likelihood ~ws t obs;
+        log_likelihood = Kernel.log_likelihood ws.k ~tt;
         converged;
         skipped_restarts = 0;
       }
@@ -604,23 +659,21 @@ let fit_from ~ws ?(eps = default_eps) ?(max_iter = default_max_iter) ~update_b t
      plain step from [x2] instead.  Every sweep is checked for
      convergence and against the cap, so the cap is exact. *)
   let rec cycle x0 =
-    let _, x1 = sweep x0 in
+    let x1 = sweep x0 in
     after x0 x1 @@ fun () ->
-    let ll1, x2 = sweep x1 in
+    let x2 = sweep x1 in
     after x1 x2 @@ fun () ->
+    (* The last forward pass was x1's, so its scales give logL(x1). *)
+    let ll1 = Kernel.log_likelihood ws.k ~tt in
     let x' = extrapolate ~update_b x0 x1 x2 in
-    let plain () =
-      Obs.Counter.incr m_fallbacks;
-      if !sweeps >= max_iter then finish x2 false
-      else
-        let _, x3 = sweep x2 in
-        after x2 x3 (fun () -> cycle x3)
-    in
-    match sweep x' with
-    (* [>=] is false for a NaN likelihood. *)
-    | ll', x3 when ll' >= ll1 -> after x' x3 (fun () -> cycle x3)
-    | _ -> plain ()
-    | exception Zero_likelihood _ -> plain ()
+    match candidate x' ~floor:ll1 with
+    | Some x3 -> after x' x3 (fun () -> cycle x3)
+    | None ->
+        Obs.Counter.incr m_fallbacks;
+        if !sweeps >= max_iter then finish x2 false
+        else
+          let x3 = sweep x2 in
+          after x2 x3 (fun () -> cycle x3)
   in
   cycle t0
 

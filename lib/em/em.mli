@@ -28,8 +28,9 @@
     restores the MMHD's [O(T * n * s)] sparse cost inside the generic
     kernel.
 
-    Hot-path layout: observations are collapsed once per sweep into
-    integer {e observation classes} (symbol [j], or [m] for a loss)
+    Hot-path layout: observations are collapsed into integer
+    {e observation classes} (once per {!fit_from} call, once per call
+    for the one-shot entry points) (symbol [j], or [m] for a loss)
     indexing a single class-major emission table and the active-state
     lists, so emission rows are computed once per class per sweep
     and the sweeps never touch the boxed [int option] sequence; and the
@@ -57,8 +58,9 @@ type observation = int option
 
 type fit_stats = {
   iterations : int;
-      (** Forward–backward sweeps run, one EM step each; at most
-          [max_iter]. *)
+      (** Sweeps run, at most [max_iter]: each EM step is one, and so is
+          each SQUAREM extrapolated point {!fit_from} rejects after its
+          forward pass alone. *)
   log_likelihood : float;  (** of the returned model *)
   converged : bool;
   skipped_restarts : int;
@@ -249,14 +251,23 @@ val fit_from :
     onto the feasible set: [pi] keeps [x2]'s zeros and is clipped at 0
     and renormalized, rows of [a] (and [b]) are floored at 1e-12 and
     renormalized, and [c] is clamped to [\[1e-9, 1 - 1e-9\]], as in
-    {!em_step}.  A stabilising step [F(x')] follows; its forward pass
-    gives logL(x'), and if that is below logL(x1), not a number, or
-    {!Zero_likelihood} is raised, the cycle takes the plain step
-    [F(x2)] instead (counted in [dcl_em_squarem_fallbacks_total]).
+    {!em_step}.  [x'] is then judged by its forward pass alone: if
+    logL(x') is at least logL(x1), the sweep completes on that forward
+    pass into the stabilising step [F(x')]; if it is below, not a
+    number, or {!Zero_likelihood} is raised, [x'] is rejected at the
+    cost of that one forward pass (no backward pass, no M-step) and
+    the cycle takes the plain step [F(x2)] instead (counted in
+    [dcl_em_squarem_fallbacks_total]).  A rejected [x'] counts as one
+    sweep, in [iterations] and against [max_iter], like an accepted
+    one; it is traced as an [em.candidate] span and kept out of
+    [dcl_em_sweep_seconds], which times whole sweeps only.
     The convergence test and the cap are applied after every sweep,
     so [iterations] never exceeds [max_iter]; a cycle whose fallback
     would pass the cap returns [x2].  Each sweep's extra allocation is
-    [O(s^2 + s*m)], never [O(T)].
+    [O(s^2 + s*m)], never [O(T)].  The observations are classified
+    (and range-checked) once per call; a sweep takes the logarithms of
+    its scales only when its likelihood is compared (that of [x1] and
+    of [x']) or reported.
 
     [max_iter = 1] and [2] are exactly one and two plain EM steps.
     Raises [Invalid_argument] for [max_iter < 1] or an [eps] that is

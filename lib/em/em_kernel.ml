@@ -138,11 +138,11 @@ let reject_symbols ~who ~m obs =
       | Some _ | None -> ())
     obs
 
-(* Collapse the boxed observations into integer classes once per sweep;
-   every pass then reads the flat [cls] array instead of matching an
-   [int option] (a pointer dereference plus a branch) at each of its
-   per-time-step accesses.  The symbol range check rides along, so
-   every sweep rejects an out-of-range symbol. *)
+(* Collapse the boxed observations into integer classes once per fit
+   (once per call for the one-shot entry points); every pass then reads
+   the flat [cls] array instead of matching an [int option] (a pointer
+   dereference plus a branch) at each of its per-time-step accesses.
+   The symbol range check rides along. *)
 let classify ws (t : model) obs =
   let m = t.m and cls = ws.cls in
   let bad = ref 0 in
@@ -282,8 +282,9 @@ let fwd_step ws ~s ~time =
   normalize_row ws ~s ~time ~base ~len
 
 (* Scaled forward recursion (Rabiner's \hat{alpha}) over the whole
-   [tt]-step sequence, seeded from pi: writes every alpha row and scale
-   and returns the log-likelihood, the sum of the log scales. *)
+   [tt]-step sequence, seeded from pi: writes every alpha row and
+   scale.  It takes no logarithm; [log_likelihood] reads the scales
+   when a caller needs the likelihood. *)
 let forward ws (t : model) ~tt =
   let s = t.s in
   let act = ws.act and e_all = ws.e_all and pi = ws.pi_b in
@@ -300,9 +301,16 @@ let forward ws (t : model) ~tt =
   Ba.unsafe_set scale 0 !s0;
   if Ba.unsafe_get scale 0 <= 0. then zero_likelihood 0;
   normalize_row ws ~s ~time:0 ~base:base0 ~len:len0;
+  for time = 1 to tt - 1 do
+    fwd_step ws ~s ~time
+  done
+
+(* The log-likelihood of the last forward pass over [tt] steps: the sum
+   of its log scales, added in ascending time. *)
+let log_likelihood ws ~tt =
+  let scale = ws.scale in
   let ll = ref (log (Ba.unsafe_get scale 0)) in
   for time = 1 to tt - 1 do
-    fwd_step ws ~s ~time;
     ll := !ll +. log (Ba.unsafe_get scale time)
   done;
   !ll

@@ -58,16 +58,25 @@ val reject_symbols : who:string -> m:int -> int option array -> unit
 val classify : workspace -> model -> int option array -> unit
 (** Collapse the observations into integer classes in [cls] (symbol
     [j], or [m] for a loss).  Raises [Invalid_argument] naming the time
-    index of the first symbol outside [\[0, m)]. *)
+    index of the first symbol outside [\[0, m)].  The classes depend on
+    the observations and [m] only, so a fit classifies once and then
+    only {!prepare}s each sweep's model. *)
 
 val prepare : workspace -> model -> unit
 (** Fill the emission table, loss weights, active-state lists and
     transition copies for the model. *)
 
-val forward : workspace -> model -> tt:int -> float
-(** Scaled forward recursion over [[0, tt)] from pi; returns the
-    log-likelihood.
+val forward : workspace -> model -> tt:int -> unit
+(** Scaled forward recursion over [[0, tt)] from pi: fills [alpha] and
+    [scale].  It takes no logarithm; {!log_likelihood} does, for the
+    callers that read the likelihood.
     @raise Zero_likelihood on an impossible observation. *)
+
+val log_likelihood : workspace -> tt:int -> float
+(** The log-likelihood of the last {!forward} pass over [[0, tt)]: the
+    sum of its log scales, added in ascending time.  Valid until the
+    next forward pass overwrites [scale]; {!backward_estep} leaves it
+    intact. *)
 
 val backward_estep : workspace -> model -> tt:int -> unit
 (** The scaled backward recursion over [[0, tt)] from the all-ones seed,

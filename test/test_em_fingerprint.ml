@@ -90,6 +90,33 @@ let test_incremental () =
   let h = fold h (Em.Incremental.log_likelihood st) in
   check "Em.Incremental" "41c9dc569b805547" h
 
+(* [Em.fit_from] on a random HMM start that the SQUAREM cycle rejects
+   often: seed 1 of the random 2-state, 3-symbol HMM family of
+   test_em's fallback test, run at the default eps and sweep cap.  The
+   fit falls back to the plain step 17 times, so the pin covers the
+   rejected-candidate path: its sweep count and the fitted bits. *)
+let test_fallback_fit () =
+  let rng = Stats.Rng.create 1 in
+  let obs, _ =
+    Hmm.simulate rng (Hmm.init_random rng ~n:2 ~m:3 ~loss_fraction:0.1) ~len:200
+  in
+  let t0 = Hmm.init_random rng ~n:2 ~m:3 ~loss_fraction:0.1 in
+  let fallbacks = Obs.Counter.make "dcl_em_squarem_fallbacks_total" in
+  let before = Obs.Counter.value fallbacks in
+  Obs.set_enabled true;
+  let model, stats =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () -> Em.fit_from ~ws:(Em.workspace ()) ~update_b:true t0 obs)
+  in
+  Alcotest.(check bool) "at least 3 fallbacks" true
+    (Obs.Counter.value fallbacks -. before >= 3.);
+  let h = fold_array 0L model.Em.pi in
+  let h = fold_array h model.Em.a in
+  let h = fold_array h model.Em.b in
+  let h = fold_array h model.Em.c in
+  check "Em.fit_from fallbacks" "d068729e9447f0ff" (fold_stats h stats)
+
 (* The symbol trace as a probe trace: symbol [j] becomes an end-end
    delay of 0.105 + 0.01 j seconds, a loss stays a loss. *)
 let probe_trace =
@@ -145,5 +172,6 @@ let () =
           Alcotest.test_case "Identify.run mmhd" `Quick test_identify_mmhd;
           Alcotest.test_case "Identify.run markov" `Quick test_identify_markov;
           Alcotest.test_case "Identify.run hmm" `Quick test_identify_hmm;
+          Alcotest.test_case "Em.fit_from fallbacks" `Quick test_fallback_fit;
         ] );
     ]
