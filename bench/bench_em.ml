@@ -22,21 +22,15 @@ let time_of f =
    region inflates the delta on this runtime (by about one minor heap),
    so the measurement runs on an empty minor heap grown to
    [alloc_minor_words] (8 MiB, several times what any measured region
-   allocates), with the out-of-heap size of young custom blocks (a fresh
-   workspace's Bigarrays) allowed as much before it forces a
-   collection, and counts only a repeat that ran no minor collection;
-   the settings are restored afterwards.  Exits 1 if three repeats all
-   collected. *)
+   allocates on it: a workspace's sweep buffers are large enough to go
+   straight to the major heap), and counts only a repeat that ran no
+   minor collection; the settings are restored afterwards.  Exits 1 if
+   three repeats all collected. *)
 let alloc_minor_words = 1024 * 1024
 
 let alloc_of f =
   let saved = Gc.get () in
-  Gc.set
-    {
-      saved with
-      Gc.minor_heap_size = alloc_minor_words;
-      custom_minor_max_size = alloc_minor_words * 8;
-    };
+  Gc.set { saved with Gc.minor_heap_size = alloc_minor_words };
   let rec measure tries =
     Gc.minor ();
     let c0 = (Gc.quick_stat ()).Gc.minor_collections in
@@ -253,26 +247,22 @@ let run_stages ~t ~n buf first =
 
    The EM sweep is the hottest instrumented region (one span plus the
    end-of-fit counters per fit), so it bounds the cost of the telemetry
-   layer.  One serial fit is measured with collection disabled and then
-   enabled; the smallest of several repeats cancels scheduler noise.
-   The disabled run exercises exactly the shipped hot path (every Obs
-   call is compiled in, each reduced to one flag check), so its
-   alloc-per-observation-iteration figure is the steady-state number
-   that must stay at zero. *)
+   layer.  One serial fit, tens of milliseconds long, is timed with
+   collection disabled and enabled alternately, [obs_repeats] times
+   each, and the overhead is the median of the enabled/disabled ratios
+   of adjacent runs, so a slow phase of the host, which hits both runs
+   of a pair alike, cancels; the tracing leg does the same with the
+   flight recorder off and on.  The disabled run exercises exactly the
+   shipped hot path (every Obs call is compiled in, each reduced to one
+   flag check), so its alloc-per-observation-iteration figure is the
+   steady-state number that must stay at zero. *)
 
-let min_time_of ~repeats f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let _, s = time_of f in
-    if s < !best then best := s
-  done;
-  !best
+let obs_repeats = 21
 
 let run_obs ~smoke =
-  let t = if smoke then 2_000 else 20_000 in
+  let t = if smoke then 10_000 else 20_000 in
   let n = 2 and m = 5 and restarts = 4 in
-  let max_iter = if smoke then 5 else 15 in
-  let repeats = if smoke then 7 else 5 in
+  let max_iter = 15 in
   let obs = synth_obs ~seed:0x0B5 ~n ~m ~t in
   let fit () =
     let rng = Stats.Rng.create 42 in
@@ -282,32 +272,48 @@ let run_obs ~smoke =
   ignore (fit ());
   let (_, stats), alloc_disabled = alloc_of fit in
   check_full_sweeps ~what:"--obs fit" ~max_iter stats;
-  let disabled_s = min_time_of ~repeats fit in
   Obs.set_enabled true;
   ignore (fit ());
   let _, alloc_enabled = alloc_of fit in
-  let enabled_s = min_time_of ~repeats fit in
+  (* [fit] timed alternately with [off ()] and with [on ()] in force:
+     the median seconds of each, and the overhead, the median over the
+     adjacent pairs of on/off minus one (a pair shares the host's
+     phase, so its ratio cancels it). *)
+  let off_on off on =
+    let offs, ons =
+      alternate ~repeats:obs_repeats
+        (fun () -> off (); fit ())
+        (fun () -> on (); fit ())
+    in
+    let median runs = let md, _, _ = median_min_max runs in md in
+    let overhead = median (Array.map2 ( /. ) ons offs) -. 1. in
+    (median offs, median ons, overhead)
+  in
+  let disabled_s, enabled_s, overhead =
+    off_on (fun () -> Obs.set_enabled false) (fun () -> Obs.set_enabled true)
+  in
   Obs.set_enabled false;
-  (* --- tracing leg: the same fit with the flight recorder on (metrics
-     off), then the fully-disabled allocation re-measured, proving the
-     tracing instrumentation still costs nothing when off. *)
+  (* --- tracing leg: the same fit with the flight recorder off and on
+     (metrics off), then the fully-disabled allocation re-measured,
+     proving the tracing instrumentation still costs nothing when off. *)
   Obs.Trace.set_capacity 8192;
   Obs.Trace.set_enabled true;
   ignore (fit ());
-  let traced_s = min_time_of ~repeats fit in
+  let untraced_s, traced_s, trace_overhead =
+    off_on (fun () -> Obs.Trace.set_enabled false) (fun () -> Obs.Trace.set_enabled true)
+  in
+  Obs.Trace.set_enabled true;
   Obs.Trace.clear ();
   ignore (fit ());
   let trace_events = Obs.Trace.emitted () in
   Obs.Trace.set_enabled false;
   ignore (fit ());
   let _, alloc_disabled_after = alloc_of fit in
-  let trace_overhead = (traced_s /. disabled_s) -. 1. in
   let obs_iters = t * stats.Em.iterations * restarts in
   let disabled_per_obs_iter = alloc_disabled /. float_of_int obs_iters in
   let disabled_after_per_obs_iter =
     alloc_disabled_after /. float_of_int obs_iters
   in
-  let overhead = (enabled_s /. disabled_s) -. 1. in
   (* --- warm-workspace reuse, the Em.domain_ws pattern: each domain
      keeps one workspace and every fit it runs reuses it; here, fits
      over consecutive windows of one sequence.  The workspace only
@@ -350,6 +356,7 @@ let run_obs ~smoke =
     \  \"disabled_alloc_bytes\": %.0f,\n\
     \  \"enabled_alloc_bytes\": %.0f,\n\
     \  \"disabled_alloc_bytes_per_obs_iter\": %.4f,\n\
+    \  \"trace_disabled_seconds\": %.6f,\n\
     \  \"trace_enabled_seconds\": %.6f,\n\
     \  \"trace_overhead_ratio\": %.4f,\n\
     \  \"trace_events_per_fit\": %d,\n\
@@ -359,11 +366,11 @@ let run_obs ~smoke =
     \  \"fresh_ws_alloc_bytes\": %.0f,\n\
     \  \"warm_ws_saved_bytes_per_window\": %.0f,\n\
     \  \"warm_ws_identical_to_fresh\": true,\n\
-    \  \"note\": \"one serial MMHD fit timed with Obs collection off and on (min of %d repeats each); every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) enabled and metrics off: trace_overhead_ratio bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure Em.domain_ws reuse: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what Em.domain_ws gives every fit a domain runs) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
+    \  \"note\": \"one serial MMHD fit timed with Obs collection off and on, alternately, %d times each, after a warm-up fit; disabled_seconds and enabled_seconds are the medians, and enabled_overhead_ratio is the median of the enabled/disabled ratios of adjacent runs, minus one; every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) off and on and metrics off: trace_overhead_ratio (the median paired ratio, as above) bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure Em.domain_ws reuse: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what Em.domain_ws gives every fit a domain runs) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
     t n m restarts max_iter stats.Em.iterations disabled_s enabled_s overhead
-    alloc_disabled alloc_enabled disabled_per_obs_iter traced_s trace_overhead
-    trace_events disabled_after_per_obs_iter n_windows window
-    alloc_warm alloc_fresh saved_per_window repeats;
+    alloc_disabled alloc_enabled disabled_per_obs_iter untraced_s traced_s
+    trace_overhead trace_events disabled_after_per_obs_iter n_windows window
+    alloc_warm alloc_fresh saved_per_window obs_repeats;
   let path = if smoke then "BENCH_obs.smoke.json" else "BENCH_obs.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);

@@ -1,6 +1,6 @@
 (* Public EM surface: model/fit types, the EM step, the fit loop and
    the informed-restart fit.  The numerical inner loops live in
-   Em_kernel (Bigarray hot state, whole-sequence kernels).
+   Em_kernel (compact float-array hot state, whole-sequence kernels).
 
    The fit loop is SQUAREM (Varadhan & Roland 2008): every cycle
    extrapolates from two plain EM steps, projects the extrapolated
@@ -16,7 +16,6 @@
    a rejected one costs no backward pass and no M-step. *)
 
 module Kernel = Em_kernel
-module Ba = Bigarray.Array1
 
 type model = Em_kernel.model = {
   s : int;
@@ -150,14 +149,11 @@ let load { k; _ } (t : model) obs =
   Kernel.reserve k ~tt:(Array.length obs) ~s:t.s ~m:t.m;
   Kernel.classify k t obs
 
-(* Size, classify and prepare the workspace for [t] over [obs]. *)
-let prepare_sweep ws (t : model) obs =
-  load ws t obs;
-  Kernel.prepare ws.k t
-
-(* Prepare, then run the forward pass. *)
+(* Size, classify and prepare the workspace for [t] over [obs], then
+   run the forward pass. *)
 let run_forward ws (t : model) obs =
-  prepare_sweep ws t obs;
+  load ws t obs;
+  Kernel.prepare ws.k t;
   Kernel.forward ws.k t ~tt:(Array.length obs)
 
 (* One sweep: the forward pass, then the backward pass that also
@@ -176,14 +172,16 @@ let state_posteriors ~(ws : workspace) t obs =
   run_sweep ws t obs;
   let s = t.s and ws = ws.k in
   let act = ws.act and act_len = ws.act_len and cls = ws.cls in
+  (* The compact rows, in ascending time from offset 0. *)
+  let row = ref 0 in
   Array.init (Array.length obs) (fun time ->
       let gamma = Array.make s 0. in
       let r = cls.(time) in
-      let base = r * s and row = time * s in
-      for idx = 0 to act_len.(r) - 1 do
-        let st = act.(base + idx) in
-        gamma.(st) <- Ba.get ws.alpha (row + st) *. Ba.get ws.beta (row + st)
+      let base = r * s and len = act_len.(r) in
+      for idx = 0 to len - 1 do
+        gamma.(act.(base + idx)) <- ws.alpha.(!row + idx) *. ws.beta.(!row + idx)
       done;
+      row := !row + len;
       gamma)
 
 (* Per-symbol loss mass sum_st count_loss(st, j), Eq. (5)'s numerator,
@@ -201,92 +199,44 @@ let virtual_delay_pmf ~(ws : workspace) t obs =
   if not (Array.exists (fun o -> o = None) obs) then
     invalid_arg "Em.virtual_delay_pmf: no loss in the sequence";
   run_sweep ws t obs;
-  Stats.Histogram.normalize (loss_columns ~s:t.s ~m:t.m (Ba.get ws.k.count_loss))
-
-let viterbi ~ws (t : model) obs =
-  check_obs "Em.viterbi" obs;
-  let tt = Array.length obs in
-  (* The kernel's emission table and active-state lists: states that
-     cannot emit an observation keep delta = -inf and are skipped, so
-     the MMHD's 0/1 emissions cost O(T * n * s), not O(T * s^2). *)
-  prepare_sweep ws t obs;
-  let s = t.s and ws = ws.k in
-  let cls = ws.cls and act = ws.act and act_len = ws.act_len in
-  let log_safe x = if x <= 0. then neg_infinity else log x in
-  let log_a = Array.map log_safe t.a in
-  let log_e time st = log_safe (Ba.get ws.e_all ((cls.(time) * s) + st)) in
-  let delta = Array.make (tt * s) neg_infinity in
-  let back = Array.make (tt * s) 0 in
-  let r0 = cls.(0) in
-  for idx = 0 to act_len.(r0) - 1 do
-    let st = act.((r0 * s) + idx) in
-    delta.(st) <- log_safe t.pi.(st) +. log_e 0 st
-  done;
-  for time = 1 to tt - 1 do
-    let r = cls.(time) and rp = cls.(time - 1) in
-    let row = time * s and prev = (time - 1) * s in
-    for idx = 0 to act_len.(r) - 1 do
-      let st' = act.((r * s) + idx) in
-      let e = log_e time st' in
-      for pidx = 0 to act_len.(rp) - 1 do
-        let st = act.((rp * s) + pidx) in
-        let cand = delta.(prev + st) +. log_a.((st * s) + st') +. e in
-        if cand > delta.(row + st') then begin
-          delta.(row + st') <- cand;
-          back.(row + st') <- st
-        end
-      done
-    done
-  done;
-  let last = (tt - 1) * s in
-  let best = ref 0 in
-  for st = 1 to s - 1 do
-    if delta.(last + st) > delta.(last + !best) then best := st
-  done;
-  let path = Array.make tt 0 in
-  path.(tt - 1) <- !best;
-  for time = tt - 2 downto 0 do
-    path.(time) <- back.(((time + 1) * s) + path.(time + 1))
-  done;
-  (path, delta.(last + !best))
+  Stats.Histogram.normalize (loss_columns ~s:t.s ~m:t.m (Array.get ws.k.count_loss))
 
 (* Floor every entry of [row] (length [n] at [off]) and normalize it to
    sum to one. *)
 let floor_normalize row off n =
   let sum = ref 0. in
-  for k = 0 to n - 1 do
-    let v = Array.unsafe_get row (off + k) in
+  for k = off to off + n - 1 do
+    let v = row.(k) in
     let v = if v < prob_floor then prob_floor else v in
-    Array.unsafe_set row (off + k) v;
+    row.(k) <- v;
     sum := !sum +. v
   done;
   let inv = 1. /. !sum in
-  for k = 0 to n - 1 do
-    Array.unsafe_set row (off + k) (Array.unsafe_get row (off + k) *. inv)
+  for k = off to off + n - 1 do
+    row.(k) <- row.(k) *. inv
   done
 
 let clamp_c p = Float.max c_floor (Float.min (1. -. c_floor) p)
 
 (* Add the statistics of the sweep just accumulated in [ws] to [acc],
-   with the batch-start posterior restricted to the states active at
-   the first instant (the sweep writes only active slots of an alpha
-   row). *)
+   with the batch-start posterior read from the first compact row
+   (offset 0), which holds the states active at the first instant. *)
 let acc_add (ws : Kernel.workspace) acc ~s ~m =
   for i = 0 to (s * s) - 1 do
-    acc.xi.(i) <- acc.xi.(i) +. Ba.get ws.xi i
+    acc.xi.(i) <- acc.xi.(i) +. ws.xi.(i)
   done;
   for i = 0 to s - 1 do
-    acc.gamma_sum.(i) <- acc.gamma_sum.(i) +. Ba.get ws.gamma_sum i
+    acc.gamma_sum.(i) <- acc.gamma_sum.(i) +. ws.gamma_sum.(i)
   done;
   for i = 0 to (s * m) - 1 do
-    acc.count_obs.(i) <- acc.count_obs.(i) +. Ba.get ws.count_obs i;
-    acc.count_loss.(i) <- acc.count_loss.(i) +. Ba.get ws.count_loss i
+    acc.count_obs.(i) <- acc.count_obs.(i) +. ws.count_obs.(i);
+    acc.count_loss.(i) <- acc.count_loss.(i) +. ws.count_loss.(i)
   done;
   let r0 = ws.cls.(0) in
   let base0 = r0 * s in
   for idx = 0 to ws.act_len.(r0) - 1 do
     let st = ws.act.(base0 + idx) in
-    acc.pi0.(st) <- acc.pi0.(st) +. Float.max 0. (Ba.get ws.alpha st *. Ba.get ws.beta st)
+    acc.pi0.(st) <- acc.pi0.(st) +. Float.max 0. (ws.alpha.(idx) *. ws.beta.(idx))
   done
 
 (* The M-step: re-estimate [t] from one set of statistics.  A block
@@ -403,7 +353,7 @@ module Incremental = struct
 
   let scale_into a lambda =
     for i = 0 to Array.length a - 1 do
-      Array.unsafe_set a i (Array.unsafe_get a i *. lambda)
+      a.(i) <- a.(i) *. lambda
     done
 
   (* Multiplying by 1.0 is the bitwise identity, so [decay ~lambda:1.]
@@ -461,13 +411,13 @@ module Incremental = struct
     let ws = ws.k in
     acc_add ws st.acc ~s ~m:st.m;
     (* The filtered end: the normalized alpha row of the last instant,
-       masked by that instant's active set. *)
+       the last compact row, spread over that instant's active set. *)
     Array.fill st.fend 0 s 0.;
     let rl = ws.cls.(tt - 1) in
-    let basel = rl * s and rowl = (tt - 1) * s in
-    for idx = 0 to ws.act_len.(rl) - 1 do
-      let state = ws.act.(basel + idx) in
-      st.fend.(state) <- Ba.get ws.alpha (rowl + state)
+    let basel = rl * s and lenl = ws.act_len.(rl) in
+    let rowl = ws.total - lenl in
+    for idx = 0 to lenl - 1 do
+      st.fend.(ws.act.(basel + idx)) <- ws.alpha.(rowl + idx)
     done;
     st.primed <- true;
     st.weight <- st.weight +. float_of_int tt;

@@ -9,9 +9,8 @@
     re-estimates; the MMHD ([s = n * m] states, state [x * m + y] for
     hidden component [x] and symbol [y]) has the fixed 0/1 indicator
     [b] ([b.(st * m + j) = 1] iff [st mod m = j]), which EM must not
-    touch.  Everything else — likelihood, posteriors, Viterbi, Eq. (5),
-    the EM step and streaming statistics — is defined here once for
-    both.
+    touch.  Everything else — likelihood, posteriors, Eq. (5), the EM
+    step and streaming statistics — is defined here once for both.
 
     The kernel provides the scaled forward–backward recursion, the
     loss-as-missing-value emission logic (Section V of the paper), the
@@ -21,23 +20,23 @@
     recursion and accumulates the E-step statistics (transition
     statistics, their denominators, per-symbol observation and loss
     counts) as it goes, so each statistic is summed in descending time
-    order.  All [O(T * s)] sweep state
-    lives in unboxed [Bigarray] float64 buffers preallocated in a
-    reusable {!workspace}.  States with zero emission probability for an
-    observation are skipped via per-symbol active-state lists, which
+    order.  The sweep state lives in flat float arrays preallocated in
+    a reusable {!workspace}.  States with zero emission probability for
+    an observation are skipped via per-symbol active-state lists, which
     restores the MMHD's [O(T * n * s)] sparse cost inside the generic
-    kernel.
+    kernel, and the forward and backward variables are stored compactly
+    over those lists: an instant's row holds only its active states
+    (n of the MMHD's n * m for an observed probe), so their live size is
+    the number of active (time, state) pairs, not [T * s].
 
     Hot-path layout: observations are collapsed into integer
     {e observation classes} (once per {!fit_from} call, once per call
     for the one-shot entry points) (symbol [j], or [m] for a loss)
     indexing a single class-major emission table and the active-state
     lists, so emission rows are computed once per class per sweep
-    and the sweeps never touch the boxed [int option] sequence; and the
-    workspace keeps a transposed copy of the transition matrix so the
-    forward recursion's inner sums walk contiguous rows, like the
-    backward pass and M-step do over the untransposed matrix.  These
-    are pure layout changes: results are bit-identical to the direct
+    and the sweeps never touch the boxed [int option] sequence; both
+    passes read the model's [pi] and [a] in place.  These are pure
+    layout changes: results are bit-identical to the direct
     formulation.
 
     Every sweep and every fit runs serially; the only parallelism is
@@ -118,13 +117,6 @@ val virtual_delay_pmf : ws:workspace -> model -> observation array -> float arra
     probes, averaged over all loss instants — the sweep's per-symbol
     loss counts summed over states and normalized.  Requires at least
     one loss ([Invalid_argument] otherwise). *)
-
-val viterbi : ws:workspace -> model -> observation array -> int array * float
-(** Most likely state sequence given the observations (losses handled
-    through the missing-value emission) and its log probability, by
-    log-space dynamic programming over the kernel's emission table.
-    For an MMHD, the decoded state's symbol component ([st mod m]) at a
-    loss instant is the single most likely virtual delay symbol. *)
 
 val em_step :
   ws:workspace -> update_b:bool -> model -> observation array -> model

@@ -1,13 +1,13 @@
-(** Bigarray-backed hot state and whole-sequence kernels for the shared
-    EM sweep (library-internal; the public surface is {!Em}).
+(** Hot state and whole-sequence kernels for the shared EM sweep
+    (library-internal; the public surface is {!Em}).
 
     The workspace record is exposed transparently so {!Em}'s M-step and
     posterior extractors can read the sweep buffers without a forest of
-    accessors. *)
-
-module Ba = Bigarray.Array1
-
-type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Ba.t
+    accessors.  [alpha] and [beta] are compact: row [t] holds
+    [act_len.(cls.(t))] values, one per state of its class's active
+    list ([act] from [cls.(t) * s]) in that list's order, and the rows
+    are packed in time order, so row [0] starts at offset [0] and row
+    [T - 1] at [total - act_len.(cls.(T - 1))]. *)
 
 type model = {
   s : int;
@@ -21,22 +21,21 @@ type model = {
 exception Zero_likelihood of int
 
 type workspace = {
-  mutable alpha : buf;
-  mutable beta : buf;
-  mutable scale : buf;
+  mutable alpha : float array;
+  mutable beta : float array;
+  mutable scale : float array;
   mutable cls : int array;
-  mutable e_all : buf;
-  mutable w : buf;
-  mutable a_r : buf;
-  mutable a_t : buf;
-  mutable pi_b : buf;
+  mutable cls_count : int array;
+  mutable total : int;
+  mutable e_all : float array;
+  mutable w : float array;
   mutable act : int array;
   mutable act_len : int array;
-  mutable xi : buf;
-  mutable gamma_sum : buf;
-  mutable count_obs : buf;
-  mutable count_loss : buf;
-  mutable tmp : buf;
+  mutable xi : float array;
+  mutable gamma_sum : float array;
+  mutable count_obs : float array;
+  mutable count_loss : float array;
+  mutable tmp : float array;
   mutable cap_t : int;
   mutable cap_s : int;
   mutable cap_m : int;
@@ -57,19 +56,23 @@ val reject_symbols : who:string -> m:int -> int option array -> unit
 
 val classify : workspace -> model -> int option array -> unit
 (** Collapse the observations into integer classes in [cls] (symbol
-    [j], or [m] for a loss).  Raises [Invalid_argument] naming the time
-    index of the first symbol outside [\[0, m)].  The classes depend on
-    the observations and [m] only, so a fit classifies once and then
-    only {!prepare}s each sweep's model. *)
+    [j], or [m] for a loss) and count each class in [cls_count].
+    Raises [Invalid_argument] naming the time index of the first symbol
+    outside [\[0, m)].  The classes depend on the observations and [m]
+    only, so a fit classifies once and then only {!prepare}s each
+    sweep's model. *)
 
 val prepare : workspace -> model -> unit
-(** Fill the emission table, loss weights, active-state lists and
-    transition copies for the model. *)
+(** Fill the emission table, loss weights and active-state lists for
+    the model, and set [total], the live length of the compact [alpha]
+    and [beta] (the sum over classes of count times active-list
+    length).  Requires a {!classify} of the sequence. *)
 
 val forward : workspace -> model -> tt:int -> unit
-(** Scaled forward recursion over [[0, tt)] from pi: fills [alpha] and
-    [scale].  It takes no logarithm; {!log_likelihood} does, for the
-    callers that read the likelihood.
+(** Scaled forward recursion over [[0, tt)] from pi, reading the
+    model's [pi] and [a] directly: fills the compact [alpha] (ascending
+    offsets from [0]) and [scale].  It takes no logarithm;
+    {!log_likelihood} does, for the callers that read the likelihood.
     @raise Zero_likelihood on an impossible observation. *)
 
 val log_likelihood : workspace -> tt:int -> float
@@ -80,7 +83,8 @@ val log_likelihood : workspace -> tt:int -> float
 
 val backward_estep : workspace -> model -> tt:int -> unit
 (** The scaled backward recursion over [[0, tt)] from the all-ones seed,
-    fused with the E-step: clears the accumulators and fills [xi],
-    [gamma_sum], [count_obs] and [count_loss] in the same descending-time
-    pass, forming each transition product once for both [beta] and [xi].
+    walking the compact [beta] down from its last row, fused with the
+    E-step: clears the accumulators and fills [xi], [gamma_sum],
+    [count_obs] and [count_loss] in the same descending-time pass,
+    forming each transition product once for both [beta] and [xi].
     Requires a completed {!forward} (true scales). *)

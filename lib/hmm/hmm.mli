@@ -9,8 +9,8 @@
     probability [b.(i * m + j)]; a probe whose delay symbol is [j] is
     lost (observed as missing) with probability [c.(j)].  The
     observable is therefore either [Some j] (delay symbol) or [None]
-    (loss).  Likelihood, posteriors, Viterbi decoding and the Eq. (5)
-    virtual delay pmf are {!Em}'s. *)
+    (loss).  Likelihood, posteriors and the Eq. (5) virtual delay pmf
+    are {!Em}'s. *)
 
 val init_random : Stats.Rng.t -> n:int -> m:int -> loss_fraction:float -> Em.model
 (** Random starting point: stochastic [pi], [a], [b] bounded away from

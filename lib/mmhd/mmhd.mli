@@ -14,8 +14,8 @@
     The model is an {!Em.model} with [s = n * m] states flattened as
     [st = x * m + y] (so [y = st mod m] and [x = st / m]), and the fixed
     0/1 emission matrix "state [st] emits [st mod m]", which EM never
-    re-estimates.  Likelihood, posteriors, Viterbi decoding and the
-    Eq. (5) virtual delay pmf are {!Em}'s. *)
+    re-estimates.  Likelihood, posteriors and the Eq. (5) virtual delay
+    pmf are {!Em}'s. *)
 
 val make : n:int -> m:int -> pi:float array -> a:float array -> c:float array -> Em.model
 (** The MMHD with initial distribution [pi] (length [n*m]), row-major

@@ -37,7 +37,7 @@ let m_chunks =
 
 let m_queue_wait =
   Obs.Histogram.make
-    ~help:"Delay between job submission and the start of each of its chunks"
+    ~help:"Delay between job submission and each participating domain's first chunk of it"
     "dcl_pool_queue_wait_seconds"
 
 let m_workers =
@@ -110,10 +110,15 @@ let set_capacity c =
    the job keeps the failure with the lowest item index, which is
    deterministic because chunks are issued in increasing index order —
    by the time item [i] is issued, every chunk containing a smaller
-   index has been issued and will run to completion. *)
+   index has been issued and will run to completion.  A domain calls
+   this at most once per job, so the first chunk it pulls here is its
+   pick-up of the job: only that chunk's start is a queue wait, since a
+   later chunk's delay since submission includes the chunks this domain
+   ran before it. *)
 let eval_chunks ~items_c j =
   let flag = Domain.DLS.get in_job_key in
   flag := true;
+  let first = ref true in
   while j.next < j.n do
     let lo = j.next in
     let hi = min j.n (lo + j.chunk) in
@@ -124,8 +129,9 @@ let eval_chunks ~items_c j =
     let t0 =
       if Obs.enabled () || tr then begin
         let t0 = Obs.Span.now_ns () in
+        let picked_up = !first && j.submitted_ns <> 0 in
         if Obs.enabled () then begin
-          if j.submitted_ns <> 0 then
+          if picked_up then
             Obs.Histogram.observe m_queue_wait
               (float_of_int (t0 - j.submitted_ns) *. 1e-9);
           Obs.Counter.incr m_chunks;
@@ -134,9 +140,9 @@ let eval_chunks ~items_c j =
         end;
         if tr then begin
           (* The queue-wait span reconstructs the gap between job
-             submission and this chunk starting, on the shard of the
-             domain that picked the chunk up; arg = first item index. *)
-          if j.submitted_ns <> 0 then begin
+             submission and this domain picking the job up, on the
+             shard of that domain; arg = first item index. *)
+          if picked_up then begin
             Obs.Trace.span_begin_at "pool.queue_wait" lo j.submitted_ns;
             Obs.Trace.span_end_at "pool.queue_wait" t0
           end;
@@ -146,6 +152,7 @@ let eval_chunks ~items_c j =
       end
       else 0
     in
+    first := false;
     let err =
       let i = ref lo in
       try

@@ -1,108 +1,10 @@
-(* Tests for the extension modules: Viterbi decoding, the generalized
-   delay-factor tests, stationarity screening, localization, ns trace
-   files, and the bootstrap. *)
+(* Tests for the extension modules: the generalized delay-factor tests,
+   stationarity screening, localization, ns trace files, and the
+   bootstrap. *)
 
 open Netsim
 
 let check_close eps = Alcotest.(check (float eps))
-
-(* --- Viterbi ------------------------------------------------------------- *)
-
-let hmm_ref : Em.model =
-  {
-    s = 2;
-    m = 3;
-    pi = [| 0.7; 0.3 |];
-    a = [| 0.9; 0.1; 0.2; 0.8 |];
-    b = [| 0.6; 0.35; 0.05; 0.05; 0.15; 0.8 |];
-    c = [| 0.01; 0.05; 0.4 |];
-  }
-
-let mmhd_ref =
-  Mmhd.make ~n:2 ~m:2 ~pi:[| 0.5; 0.2; 0.1; 0.2 |]
-    ~a:
-      [|
-        0.70; 0.20; 0.05; 0.05;
-        0.40; 0.40; 0.05; 0.15;
-        0.20; 0.05; 0.40; 0.35;
-        0.05; 0.05; 0.30; 0.60;
-      |]
-    ~c:[| 0.02; 0.30 |]
-
-let viterbi t obs = Em.viterbi ~ws:(Em.domain_ws ()) t obs
-
-(* Brute-force best path by enumeration for a tiny sequence.  An MMHD
-   is the same structure with 0/1 emissions, so this checks both. *)
-let brute_viterbi (t : Em.model) obs =
-  let emission i = function
-    | Some j -> t.b.((i * t.m) + j) *. (1. -. t.c.(j))
-    | None ->
-        let acc = ref 0. in
-        for j = 0 to t.m - 1 do
-          acc := !acc +. (t.b.((i * t.m) + j) *. t.c.(j))
-        done;
-        !acc
-  in
-  let tt = Array.length obs in
-  let best = ref (neg_infinity, [||]) in
-  let rec extend time path prob =
-    if time = tt then begin
-      if prob > fst !best then best := (prob, Array.of_list (List.rev path))
-    end
-    else
-      for i = 0 to t.s - 1 do
-        let step =
-          (match path with
-          | [] -> log t.pi.(i)
-          | prev :: _ -> log t.a.((prev * t.s) + i))
-          +. log (emission i obs.(time))
-        in
-        extend (time + 1) (i :: path) (prob +. step)
-      done
-  in
-  extend 0 [] 0.;
-  !best
-
-let test_hmm_viterbi_matches_brute_force () =
-  let obs = [| Some 0; Some 2; None; Some 2; Some 0; Some 1 |] in
-  let path, logp = viterbi hmm_ref obs in
-  let b_logp, b_path = brute_viterbi hmm_ref obs in
-  check_close 1e-9 "log prob" b_logp logp;
-  Alcotest.(check (array int)) "path" b_path path
-
-let test_hmm_viterbi_tracks_regimes () =
-  let obs = Array.append (Array.make 8 (Some 0)) (Array.make 8 (Some 2)) in
-  let path, _ = viterbi hmm_ref obs in
-  Alcotest.(check int) "starts calm" 0 path.(2);
-  Alcotest.(check int) "ends congested" 1 path.(13)
-
-let test_mmhd_viterbi_matches_brute_force () =
-  let obs = [| Some 0; Some 1; None; Some 1; Some 0; None; Some 0 |] in
-  let path, logp = viterbi mmhd_ref obs in
-  let b_logp, b_path = brute_viterbi mmhd_ref obs in
-  check_close 1e-9 "log prob" b_logp logp;
-  Alcotest.(check (array int)) "path" b_path path
-
-let test_mmhd_viterbi_consistency () =
-  (* At observed instants the decoded state must carry the observed
-     symbol. *)
-  let rng = Stats.Rng.create 5 in
-  let obs, _ = Mmhd.simulate rng mmhd_ref ~len:500 in
-  let path, logp = viterbi mmhd_ref obs in
-  Alcotest.(check bool) "finite log prob" true (Float.is_finite logp);
-  Array.iteri
-    (fun t o ->
-      match o with
-      | Some j -> Alcotest.(check int) "symbol consistent" j (path.(t) mod mmhd_ref.m)
-      | None -> ())
-    obs
-
-let test_mmhd_viterbi_attributes_loss () =
-  (* A loss surrounded by symbol-1 observations decodes to a symbol-1
-     state (symbol 1 has the high loss probability). *)
-  let obs = [| Some 1; Some 1; None; Some 1 |] in
-  let path, _ = viterbi mmhd_ref obs in
-  Alcotest.(check int) "loss decoded at symbol 1" 1 (path.(2) mod mmhd_ref.m)
 
 (* --- Generalized delay-factor tests -------------------------------------- *)
 
@@ -388,16 +290,6 @@ let test_bootstrap_invalid () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "viterbi",
-        [
-          Alcotest.test_case "hmm matches brute force" `Quick
-            test_hmm_viterbi_matches_brute_force;
-          Alcotest.test_case "hmm tracks regimes" `Quick test_hmm_viterbi_tracks_regimes;
-          Alcotest.test_case "mmhd matches brute force" `Quick
-            test_mmhd_viterbi_matches_brute_force;
-          Alcotest.test_case "mmhd consistency" `Quick test_mmhd_viterbi_consistency;
-          Alcotest.test_case "mmhd loss attribution" `Quick test_mmhd_viterbi_attributes_loss;
-        ] );
       ( "delay factor",
         [
           Alcotest.test_case "indexing" `Quick test_delay_factor_indexing;

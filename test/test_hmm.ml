@@ -199,15 +199,28 @@ let test_degenerate_single_state () =
   Em.validate fitted
 
 (* QCheck: likelihood of random small models matches brute force on
-   random short observation sequences. *)
+   random short observation sequences.  Half the cases are MMHDs, whose
+   0/1 emissions leave most states inactive at each instant, so the
+   oracle also checks the kernel's emission table and active-state
+   lists; their sequences are shorter because the enumeration costs
+   s^T with s = n * m. *)
 let model_and_obs_gen =
   QCheck.Gen.(
     let* seed = int_range 1 1_000_000 in
+    let* mmhd = bool in
     let rng = Stats.Rng.create seed in
-    let model = Hmm.init_random rng ~n:2 ~m:3 ~loss_fraction:0.2 in
-    let* len = int_range 2 8 in
-    let obs, _ = Hmm.simulate rng model ~len in
-    return (model, obs))
+    if mmhd then
+      let* n = int_range 1 2 in
+      let* m = int_range 2 3 in
+      let* len = int_range 2 6 in
+      let model = Mmhd.init_random rng ~n ~m ~loss_fraction:0.2 in
+      let obs, _ = Mmhd.simulate rng model ~len in
+      return (model, obs)
+    else
+      let model = Hmm.init_random rng ~n:2 ~m:3 ~loss_fraction:0.2 in
+      let* len = int_range 2 8 in
+      let obs, _ = Hmm.simulate rng model ~len in
+      return (model, obs))
 
 let prop_likelihood_matches_brute_force =
   QCheck.Test.make ~name:"scaled likelihood = brute force" ~count:100
@@ -222,11 +235,13 @@ let prop_likelihood_matches_brute_force =
    expectations of the transition counts over [0, T-2], their
    denominators, the per-(state, symbol) observation counts and the
    per-(state, symbol) loss counts — the quantities a sweep
-   accumulates. *)
+   accumulates — and the state posteriors, [T * s] row-major by
+   time. *)
 let brute_force_estep (t : Em.model) obs =
   let s = t.s and m = t.m and tt = Array.length obs in
   let xi = Array.make (s * s) 0. and gamma_sum = Array.make s 0. in
   let count_obs = Array.make (s * m) 0. and count_loss = Array.make (s * m) 0. in
+  let gamma = Array.make (tt * s) 0. in
   let states = Array.make tt 0 and symbols = Array.make tt 0 in
   let total = ref 0. in
   let add a i p = a.(i) <- a.(i) +. p in
@@ -236,6 +251,7 @@ let brute_force_estep (t : Em.model) obs =
       total := !total +. prob;
       for u = 0 to tt - 1 do
         let x = states.(u) in
+        add gamma ((u * s) + x) prob;
         if u <= tt - 2 then begin
           add xi ((x * s) + states.(u + 1)) prob;
           add gamma_sum x prob
@@ -261,10 +277,17 @@ let brute_force_estep (t : Em.model) obs =
   in
   walk 0 1.;
   let posterior a = Array.map (fun v -> v /. !total) a in
-  (posterior xi, posterior gamma_sum, posterior count_obs, posterior count_loss)
+  ( posterior xi,
+    posterior gamma_sum,
+    posterior count_obs,
+    posterior count_loss,
+    posterior gamma )
 
 (* Random small HMMs (s <= 3) and MMHDs (n <= 2), m <= 3, T <= 5, with
-   one position forced to a loss. *)
+   one position forced to a loss, and in about half the cases the first
+   or the last instant (or both) lost too: a loss class's active list
+   is the longest (every state with a lossy symbol), so those are the
+   cases where it starts or ends the compact sweep buffers. *)
 let estep_case_gen =
   QCheck.Gen.(
     let* seed = int_range 1 1_000_000 in
@@ -273,6 +296,7 @@ let estep_case_gen =
     let* m = int_range 1 3 in
     let* len = int_range 1 5 in
     let* lost = int_range 0 (len - 1) in
+    let* ends = int_range 0 3 in
     let rng = Stats.Rng.create seed in
     let model, (obs, _) =
       if mmhd then
@@ -283,6 +307,8 @@ let estep_case_gen =
         (model, Hmm.simulate rng model ~len)
     in
     obs.(lost) <- None;
+    if ends land 1 = 1 then obs.(0) <- None;
+    if ends land 2 = 2 then obs.(len - 1) <- None;
     return (model, obs))
 
 let print_estep_case ((t : Em.model), obs) =
@@ -292,13 +318,17 @@ let print_estep_case ((t : Em.model), obs) =
           (Array.map (function Some j -> string_of_int j | None -> "-") obs)))
 
 (* A fresh [Incremental.append] holds exactly one sweep's statistics;
-   they and the Eq. (5) pmf must equal the exact expectations. *)
+   they, the Eq. (5) pmf, the state posteriors at every instant, the
+   filtered end (the posterior at the last instant) and the batch-start
+   posterior (the M-step's new [pi]) must equal the exact
+   expectations. *)
 let prop_estep_matches_brute_force =
   QCheck.Test.make ~name:"E-step statistics = brute force" ~count:300
     (QCheck.make ~print:print_estep_case estep_case_gen) (fun ((t : Em.model), obs) ->
       let st = Em.Incremental.create ~s:t.s ~m:t.m in
       ignore (Em.Incremental.append ~ws:(ws ()) st t obs);
-      let xi, gamma_sum, count_obs, count_loss = brute_force_estep t obs in
+      let xi, gamma_sum, count_obs, count_loss, gamma = brute_force_estep t obs in
+      let row time = Array.sub gamma (time * t.s) t.s in
       let lost =
         Array.init t.m (fun j ->
             let acc = ref 0. in
@@ -319,6 +349,10 @@ let prop_estep_matches_brute_force =
       check "virtual_delay_pmf"
         (Array.map (fun v -> v /. total) lost)
         (Em.virtual_delay_pmf ~ws:(ws ()) t obs);
+      check "state_posteriors" gamma
+        (Array.concat (Array.to_list (Em.state_posteriors ~ws:(ws ()) t obs)));
+      check "filtered_end" (row (Array.length obs - 1)) (Em.Incremental.filtered_end st);
+      check "batch-start posterior" (row 0) (Em.Incremental.m_step st t).pi;
       true)
 
 let qcheck_cases =

@@ -109,6 +109,21 @@ let test_r5_bigarray () =
   check_diags "non-Bigarray alias is not captured" []
     (lint "module Ba = Stats.Matrix\nlet f b = Ba.unsafe_get b 0\n")
 
+let test_r5_em_array () =
+  check_diags "unsafe Array access in lib/em outside a fence" [ (1, "R5"); (2, "R5") ]
+    (lint ~path:"lib/em/em.ml"
+       "let f a = Array.unsafe_get a 0\nlet g a = Stdlib.Array.unsafe_set a 0 1.\n");
+  check_diags "unsafe Array access inside the fence" []
+    (lint ~path:"lib/em/em_kernel.ml"
+       "let f a =\n  (* lint: hot *)\n  Array.unsafe_get a 0\n(* lint: end-hot *)\n");
+  check_diags "checked Array access in lib/em is fine" []
+    (lint ~path:"lib/em/em.ml" "let f a = a.(0) +. Array.get a 1\n");
+  check_diags "the Array leg is confined to lib/em" []
+    (lint ~path:"lib/dcl/dcl.ml" "let f a = Array.unsafe_get a 0\n");
+  check_diags "suppressed with a reason" []
+    (lint ~path:"lib/em/em.ml"
+       "(* lint: allow R5 test reason *)\nlet f a = Array.unsafe_get a 0\n")
+
 let test_r6_mli () =
   check_diags "bare lib module" [ (1, "R6") ]
     (lint ~path:"lib/dcl/dcl.ml" ~mli_exists:false "let x = 1\n");
@@ -359,6 +374,7 @@ let () =
           Alcotest.test_case "R4 io containment" `Quick test_r4_io;
           Alcotest.test_case "R5 hot-region allocation" `Quick test_r5_hot_alloc;
           Alcotest.test_case "R5 Bigarray containment" `Quick test_r5_bigarray;
+          Alcotest.test_case "R5 lib/em Array containment" `Quick test_r5_em_array;
           Alcotest.test_case "R6 missing mli" `Quick test_r6_mli;
         ] );
       ( "suppression",

@@ -149,6 +149,27 @@ let test_chunk_rejects_nonpositive () =
   reject 0;
   reject (-3)
 
+let test_queue_wait_once_per_domain () =
+  (* One-item chunks make a domain pull many chunks of one job; the
+     queue wait is observed only at each domain's first, so a job adds
+     at most one observation per domain (the caller and every spawned
+     worker, all of which may join), however many chunks it has. *)
+  Obs.set_enabled true;
+  let waits = Obs.Histogram.make "dcl_pool_queue_wait_seconds" in
+  let chunks = Obs.Counter.make "dcl_pool_chunks_total" in
+  let workers = Obs.Gauge.make "dcl_pool_workers" in
+  let w0 = Obs.Histogram.count waits and c0 = Obs.Counter.value chunks in
+  for _ = 1 to 5 do
+    Stats.Pool.run ~chunk:1 ~participants:2 64 ignore
+  done;
+  let dw = Obs.Histogram.count waits - w0 in
+  let dc = int_of_float (Obs.Counter.value chunks -. c0) in
+  let domains = 1 + int_of_float (Obs.Gauge.value workers) in
+  Obs.set_enabled false;
+  Alcotest.(check int) "every one-item chunk counted" (5 * 64) dc;
+  Alcotest.(check bool) "at most one wait per domain per job" true
+    (dw >= 5 && dw <= 5 * domains)
+
 let test_set_capacity_rejects_nonpositive () =
   let reject c =
     Alcotest.check_raises
@@ -189,6 +210,8 @@ let () =
           qtest test_chunk_override_complete_and_exact;
           Alcotest.test_case "chunk rejects non-positive" `Quick
             test_chunk_rejects_nonpositive;
+          Alcotest.test_case "queue wait once per domain" `Quick
+            test_queue_wait_once_per_domain;
         ] );
       ( "capacity",
         [

@@ -76,6 +76,11 @@ let allocating name =
    dual constraint: they skip bounds checks, so they are confined TO
    the fences, where the index arithmetic is audited; an unsafe access
    in ordinary code is a diagnostic even though it does not allocate. *)
+(* R5, lib/em Array leg.  The EM sweep state is plain [float array]
+   buffers, and the same bargain holds there: [Array.unsafe_*] in
+   lib/em is confined to the hot fences. *)
+let array_unsafe name = has_prefix ~prefix:"Array.unsafe_" name
+
 let bigarray_access_whitelist =
   [ "get"; "set"; "unsafe_get"; "unsafe_set"; "dim"; "fill"; "blit"; "unsafe_fill"; "unsafe_blit" ]
 
@@ -218,6 +223,10 @@ let check_ident ctx ~loc name =
   if in_hot ctx line && allocating name then
     report ctx ~loc ~rule:"R5"
       (name ^ " allocates inside a (* lint: hot *) region");
+  if in_em ctx.x_rel && array_unsafe name && not (in_hot ctx line) then
+    report ctx ~loc ~rule:"R5"
+      (name
+     ^ " skips bounds checks outside a (* lint: hot *) fence; unsafe Array access in lib/em belongs inside an audited hot region");
   match bigarray_member ~aliases:ctx.x_ba_aliases name with
   | None -> ()
   | Some member ->
