@@ -214,34 +214,51 @@ let run_case ~smoke ~t ~n cases convergence first =
    O(s^2 + s*m) M-step).  Both start from the same informed model and
    are timed alternately, [stage_repeats] times each after one warm-up
    call; the median is the figure, the minimum and maximum its
-   spread. *)
+   spread.  The [append] case is the fleet's per-path unit instead: a
+   [append_t]-observation batch, its whole sweep timed through
+   [Em.Incremental.append] (forward, backward with the E-step
+   statistics, the likelihood, the carried filtered end), each run
+   repeating both calls [append_calls] times. *)
 
 let stage_repeats = 21
+let append_t = 64
+let append_calls = 1000
 
-let run_stages ~t ~n buf first =
+let run_stages ?(append = false) ~t ~n buf first =
   let m = 5 in
   let obs = synth_obs ~seed:(0x5EED + t + n) ~n ~m ~t in
   let t0 = Mmhd.init_informed (Stats.Rng.create 42) ~n ~m obs in
   let ws = Em.domain_ws () in
-  let forward () = ignore (Em.log_likelihood ~ws t0 obs) in
-  let sweep () = ignore (Em.em_step ~ws ~update_b:false t0 obs) in
+  let calls = if append then append_calls else 1 in
+  let repeat f () =
+    for _ = 1 to calls do
+      f ()
+    done
+  in
+  let forward = repeat (fun () -> ignore (Em.log_likelihood ~ws t0 obs)) in
+  let sweep_call, sweep =
+    if append then
+      let st = Em.Incremental.create ~s:t0.Em.s ~m in
+      ("Em.Incremental.append", repeat (fun () -> ignore (Em.Incremental.append ~ws st t0 obs)))
+    else ("Em.em_step", repeat (fun () -> ignore (Em.em_step ~ws ~update_b:false t0 obs)))
+  in
   forward ();
   sweep ();
   let fwd_runs, sweep_runs = alternate ~repeats:stage_repeats forward sweep in
   let ns_per_obs (med, lo, hi) =
-    let k = 1e9 /. float_of_int t in
+    let k = 1e9 /. float_of_int (t * calls) in
     (med *. k, lo *. k, hi *. k)
   in
   let fwd, fwd_lo, fwd_hi = ns_per_obs (median_min_max fwd_runs) in
   let swp, swp_lo, swp_hi = ns_per_obs (median_min_max sweep_runs) in
   if not first then Buffer.add_string buf ",\n";
   Printf.bprintf buf
-    "    {\"t\": %d, \"n\": %d, \"m\": %d, \"repeats\": %d,\n\
+    "    {\"t\": %d, \"n\": %d, \"m\": %d, \"repeats\": %d, \"calls\": %d, \"sweep_call\": %S,\n\
     \     \"forward_ns_per_obs\": %.2f, \"forward_ns_per_obs_min\": %.2f, \"forward_ns_per_obs_max\": %.2f,\n\
     \     \"sweep_ns_per_obs\": %.2f, \"sweep_ns_per_obs_min\": %.2f, \"sweep_ns_per_obs_max\": %.2f}"
-    t n m stage_repeats fwd fwd_lo fwd_hi swp swp_lo swp_hi;
-  Printf.eprintf "bench_em: stages T=%d n=%d: forward %.1f ns/obs, sweep %.1f ns/obs\n%!" t n
-    fwd swp
+    t n m stage_repeats calls sweep_call fwd fwd_lo fwd_hi swp swp_lo swp_hi;
+  Printf.eprintf "bench_em: stages T=%d n=%d: forward %.1f ns/obs, %s %.1f ns/obs\n%!" t n
+    fwd sweep_call swp
 
 (* --- Instrumentation overhead (--obs) --------------------------------
 
@@ -446,11 +463,12 @@ let () =
           first := false)
         ns)
     sizes;
+  List.iter (fun n -> run_stages ~append:true ~t:append_t ~n stages false) ns;
   let buf = Buffer.create 8192 in
   Printf.bprintf buf
     "{\n  \"bench\": \"em_fit\",\n  \"model\": \"mmhd\",\n\
     \  \"cores\": %d,\n\
-    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0); its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the Gc.allocated_bytes delta of one full fit (restarts included) run on an empty 8 MiB minor heap that it never fills, so no minor collection inflates it, and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, next to plain EM (em_step repeated until one step changes no parameter by more than eps, timed once) from the same start; sweeps count forward-backward passes, one EM step each, a rejected SQUAREM extrapolation included, and fallbacks counts the extrapolations the fit rejected (dcl_em_squarem_fallbacks_total). a case's fixed-sweep fit and its convergence fit are timed alternately, %d times each, after a warm-up fit: serial_seconds and seconds are the medians, with the minimum and maximum. each stages case times Em.log_likelihood (the forward pass) and Em.em_step (a whole sweep: forward, backward with the E-step statistics, M-step) from one informed start, %d times each, alternately, after a warm-up call; the figure is the median ns per observation, with the minimum and maximum.\",\n\
+    \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0); its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the Gc.allocated_bytes delta of one full fit (restarts included) run on an empty 8 MiB minor heap that it never fills, so no minor collection inflates it, and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, next to plain EM (em_step repeated until one step changes no parameter by more than eps, timed once) from the same start; sweeps count forward-backward passes, one EM step each, a rejected SQUAREM extrapolation included, and fallbacks counts the extrapolations the fit rejected (dcl_em_squarem_fallbacks_total). a case's fixed-sweep fit and its convergence fit are timed alternately, %d times each, after a warm-up fit: serial_seconds and seconds are the medians, with the minimum and maximum. each stages case times Em.log_likelihood (the forward pass) and Em.em_step (a whole sweep: forward, backward with the E-step statistics, M-step) from one informed start, %d times each, alternately, after a warm-up call; the figure is the median ns per observation, with the minimum and maximum. the stages cases with sweep_call Em.Incremental.append time the fleet's per-path unit instead of Em.em_step: a t-observation batch appended to one Em.Incremental state, each run repeating both calls calls times.\",\n\
     \  \"cases\": [\n"
     cores fit_repeats stage_repeats;
   Buffer.add_buffer buf cases;

@@ -27,7 +27,16 @@
     kernel, and the forward and backward variables are stored compactly
     over those lists: an instant's row holds only its active states
     (n of the MMHD's n * m for an observed probe), so their live size is
-    the number of active (time, state) pairs, not [T * s].
+    the number of active (time, state) pairs, not [T * s].  Scaling is
+    lazy: a forward row is normalized only at both ends and near
+    underflow, so a likelihood read takes a logarithm per
+    renormalization, not per probe.  Results match per-step scaling up
+    to rounding, except that a state whose filtered probability is
+    below about 2{^-766} may be flushed to 0 where per-step scaling
+    keeps it down to 2{^-1022}.  A forward row sum below 2{^-512},
+    which takes an observation less likely than 2{^-256} given the
+    past, reruns the pass with per-step scaling, so {!Zero_likelihood}
+    is raised where per-step scaling raises it.
 
     Hot-path layout: observations are collapsed into integer
     {e observation classes} (once per {!fit_from} call, once per call
@@ -105,7 +114,8 @@ val check_symbols : who:string -> m:int -> observation array -> unit
     [\[0, m)] (naming its time index). *)
 
 val log_likelihood : ws:workspace -> model -> observation array -> float
-(** Scaled-forward log-likelihood (forward pass only).
+(** Scaled-forward log-likelihood (forward pass only): the sum of the
+    logarithms of its renormalization scales, in ascending time.
     @raise Zero_likelihood on an impossible observation. *)
 
 val state_posteriors : ws:workspace -> model -> observation array -> float array array

@@ -12,7 +12,7 @@
    running offset.  A sweep is two passes over the whole sequence, the
    forward recursion and then the backward recursion fused with the
    E-step statistics, each run serially; the only parallelism is the
-   fleet's fan-out over paths. *)
+   fleet's fan-out over paths.  Forward scaling is lazy ([forward]). *)
 
 type model = {
   s : int;
@@ -34,7 +34,7 @@ type workspace = {
      rows packed in time order. *)
   mutable alpha : float array;
   mutable beta : float array;
-  mutable scale : float array; (* T *)
+  mutable scale : float array; (* T, 1 where a row was left unnormalized *)
   (* Observation classes: cls.(t) = j for [Some j], m for [None].  A
      class is both the row of the emission table and the row of the
      active-state table, so the sweeps never touch the boxed
@@ -222,15 +222,27 @@ let prepare ws (t : model) =
   done;
   ws.total <- !total
 
-(* Scaled forward recursion (Rabiner's \hat{alpha}) over the whole
-   [tt]-step sequence, seeded from pi: writes every compact alpha row
-   and every scale.  Row [time] starts at the running offset [off]; a
-   class [r] addresses both its emission row and its active-state row
-   at [r * s], so one [base] serves both tables.  Each row's scale sum
-   stays in a register: it is stored for [log_likelihood] and the
-   backward pass, tested, and inverted to normalize the row.  It takes
-   no logarithm; [log_likelihood] reads the scales when a caller needs
-   the likelihood. *)
+(* Divide the row at [off] by [scale.(time)]; no float crosses the call. *)
+let normalize_row alpha scale ~time ~off ~len =
+  let inv = 1. /. Array.unsafe_get scale time in
+  for idx = off to off + len - 1 do
+    Array.unsafe_set alpha idx (Array.unsafe_get alpha idx *. inv)
+  done
+
+(* Lazily scaled forward recursion over the whole [tt]-step sequence,
+   seeded from pi: writes every compact alpha row and every scale.  Row
+   [time] starts at the running offset [off]; a class [r] addresses both
+   its emission row and its active-state row at [r * s].  A row is
+   normalized (its sum stored as its scale) only at [0], at [tt - 1] and
+   below [renorm_floor]; elsewhere its scale is 1 and its sum waits in
+   [pending], so a step has no division.  Such a row holds a filtered
+   probability p as p times its sum (>= 2^-256): it flushes p below
+   about 2^-766, where per-step scaling keeps p down to 2^-1022.
+   Guard: a sum below [guard_floor] restarts the pass at row 1 with
+   every row normalized ([floor] at infinity: per-step scaling), so
+   only per-step scaling raises [Zero_likelihood]. *)
+let renorm_floor = 0x1p-256 and guard_floor = 0x1p-512
+
 let forward ws (t : model) ~tt =
   let s = t.s and a = t.a and pi = t.pi in
   let cls = ws.cls and act = ws.act and act_len = ws.act_len in
@@ -244,16 +256,13 @@ let forward ws (t : model) ~tt =
     Array.unsafe_set alpha idx v;
     s0 := !s0 +. v
   done;
-  let s0 = !s0 in
-  Array.unsafe_set scale 0 s0;
-  if s0 <= 0. then zero_likelihood 0;
-  let inv = 1. /. s0 in
-  for idx = 0 to len0 - 1 do
-    Array.unsafe_set alpha idx (Array.unsafe_get alpha idx *. inv)
-  done;
-  let off = ref 0 in
-  for time = 1 to tt - 1 do
-    let r = Array.unsafe_get cls time and rp = Array.unsafe_get cls (time - 1) in
+  Array.unsafe_set scale 0 !s0;
+  if !s0 <= 0. then zero_likelihood 0;
+  normalize_row alpha scale ~time:0 ~off:0 ~len:len0;
+  let off = ref 0 and pending = ref 0. and time = ref 1 and floor = ref renorm_floor in
+  while !time < tt do
+    let time_ = !time in
+    let r = Array.unsafe_get cls time_ and rp = Array.unsafe_get cls (time_ - 1) in
     let base = r * s and len = Array.unsafe_get act_len r in
     let basep = rp * s and lenp = Array.unsafe_get act_len rp in
     let offp = !off in
@@ -273,22 +282,43 @@ let forward ws (t : model) ~tt =
       sc := !sc +. v
     done;
     let sc = !sc in
-    Array.unsafe_set scale time sc;
-    if sc <= 0. then zero_likelihood time;
-    let inv = 1. /. sc in
-    for idx = 0 to len - 1 do
-      Array.unsafe_set alpha (row + idx) (Array.unsafe_get alpha (row + idx) *. inv)
-    done;
-    off := row
-  done
+    if sc >= !floor then begin
+      Array.unsafe_set scale time_ 1.;
+      pending := sc;
+      off := row;
+      time := time_ + 1
+    end
+    else if sc < guard_floor && !floor < Float.infinity then begin
+      (* Row 0 is normalized and still in place. *)
+      floor := Float.infinity;
+      pending := 0.;
+      off := 0;
+      time := 1
+    end
+    else begin
+      if sc <= 0. then zero_likelihood time_;
+      Array.unsafe_set scale time_ sc;
+      normalize_row alpha scale ~time:time_ ~off:row ~len;
+      pending := 0.;
+      off := row;
+      time := time_ + 1
+    end
+  done;
+  (* The last row is always normalized. *)
+  if !pending > 0. then begin
+    Array.unsafe_set scale (tt - 1) !pending;
+    normalize_row alpha scale ~time:(tt - 1) ~off:!off
+      ~len:(Array.unsafe_get act_len (Array.unsafe_get cls (tt - 1)))
+  end
 
 (* The log-likelihood of the last forward pass over [tt] steps: the sum
-   of its log scales, added in ascending time. *)
+   of its log scales other than 1 (each an exact +0), in ascending time. *)
 let log_likelihood ws ~tt =
   let scale = ws.scale in
   let ll = ref (log (Array.unsafe_get scale 0)) in
   for time = 1 to tt - 1 do
-    ll := !ll +. log (Array.unsafe_get scale time)
+    let sc = Array.unsafe_get scale time in
+    if not (Float.equal sc 1.) then ll := !ll +. log sc
   done;
   !ll
 
@@ -299,8 +329,9 @@ let log_likelihood ws ~tt =
    [total - act_len]), and then at each [time], with row [time] at the
    running offset [off]:
    - for [time <= tt - 2], [tmp] takes
-     e(st', o_{time+1}) * beta_{time+1}(st') / scale_{time+1} over the
-     row after, indexed like that row; every product
+     e(st', o_{time+1}) * beta_{time+1}(st') / scale_{time+1} (no
+     division by a scale of 1) over the row after, indexed like that
+     row; every product
      p = a(st, st') * tmp(st') over active pairs is formed once, summed
      into beta_time(st) and added, times alpha_time(st), to xi;
      gamma_sum (the transition-count denominator) takes
@@ -341,7 +372,8 @@ let backward_estep ws (t : model) ~tt =
       let base1 = r1 * s and len1 = Array.unsafe_get act_len r1 in
       let off1 = !off in
       let row = off1 - len in
-      let inv = 1. /. Array.unsafe_get scale (time + 1) in
+      let sc1 = Array.unsafe_get scale (time + 1) in
+      let inv = if Float.equal sc1 1. then 1. else 1. /. sc1 in
       for idx1 = 0 to len1 - 1 do
         let st' = Array.unsafe_get act (base1 + idx1) in
         Array.unsafe_set tmp idx1

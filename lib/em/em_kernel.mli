@@ -69,17 +69,22 @@ val prepare : workspace -> model -> unit
     length).  Requires a {!classify} of the sequence. *)
 
 val forward : workspace -> model -> tt:int -> unit
-(** Scaled forward recursion over [[0, tt)] from pi, reading the
+(** Lazily scaled forward recursion over [[0, tt)] from pi, reading the
     model's [pi] and [a] directly: fills the compact [alpha] (ascending
-    offsets from [0]) and [scale].  It takes no logarithm;
-    {!log_likelihood} does, for the callers that read the likelihood.
+    offsets from [0]) and [scale].  Row [t] is normalized (its sum in
+    [scale.(t)]) only at [0], at [tt - 1] and below 2{^-256}; elsewhere
+    [scale.(t)] is 1.  A row sum below 2{^-512} restarts the pass with
+    every row normalized (per-step scaling), and only that pass raises
+    [Zero_likelihood].
+    It takes no logarithm; {!log_likelihood} does, for the callers that
+    read the likelihood.
     @raise Zero_likelihood on an impossible observation. *)
 
 val log_likelihood : workspace -> tt:int -> float
 (** The log-likelihood of the last {!forward} pass over [[0, tt)]: the
-    sum of its log scales, added in ascending time.  Valid until the
-    next forward pass overwrites [scale]; {!backward_estep} leaves it
-    intact. *)
+    sum of its log scales other than 1, added in ascending time.  Valid
+    until the next forward pass overwrites [scale]; {!backward_estep}
+    leaves it intact. *)
 
 val backward_estep : workspace -> model -> tt:int -> unit
 (** The scaled backward recursion over [[0, tt)] from the all-ones seed,

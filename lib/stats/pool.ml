@@ -8,11 +8,12 @@
    [Domain.DLS] by [Em.domain_ws] — warm across jobs.
 
    A job is a range [0 .. n-1] of independent items.  The caller
-   submits it, workers and the caller pull index-range chunks off the
-   job under a mutex, evaluate them, and the caller returns when every
-   item has been evaluated.  Because each item writes only its own
-   result slot, the result is independent of which domain ran which
-   chunk; scheduling is dynamic but the outcome is deterministic. *)
+   submits it; the caller and up to [participants - 1] workers, one per
+   seat of the job, pull index-range chunks off the job under a mutex,
+   evaluate them, and the caller returns when every item has been
+   evaluated.  Because each item writes only its own result slot, the
+   result is independent of which domain ran which chunk; scheduling
+   is dynamic but the outcome is deterministic. *)
 
 type job = {
   run : int -> unit;
@@ -20,6 +21,7 @@ type job = {
   chunk : int;
   mutable next : int; (* first unissued index; [n] once exhausted *)
   mutable in_flight : int; (* chunks currently being evaluated *)
+  mutable seats : int; (* pool workers that may still join: participants - 1 *)
   mutable failed : (int * exn) option; (* lowest-index failure *)
   submitted_ns : int; (* Obs.Span.now_ns at submission; 0 when obs is off *)
   mutable busy_ns : int; (* total chunk-evaluation time (under [mutex]) *)
@@ -190,7 +192,8 @@ let rec worker_loop items_c =
   let job = ref None in
   while
     (match !current with
-    | Some j when j.next < j.n -> job := Some j
+    | Some j when j.next < j.n && j.seats > 0 ->
+        j.seats <- j.seats - 1; job := Some j
     | _ -> ());
     !job = None && not !quit
   do
@@ -247,7 +250,7 @@ let run ?chunk ~participants n runit =
           (fun () ->
             let participants = max 1 (min participants n) in
             ensure_workers (participants - 1);
-            if !spawned = 0 then None
+            if !spawned = 0 || participants = 1 then None
             else begin
               (* Small chunks (a quarter of an even split) let finished
                  domains steal remaining work from slow ones.  Callers with
@@ -272,6 +275,7 @@ let run ?chunk ~participants n runit =
                   chunk;
                   next = 0;
                   in_flight = 0;
+                  seats = participants - 1;
                   failed = None;
                   submitted_ns;
                   busy_ns = 0;
@@ -302,9 +306,9 @@ let run ?chunk ~participants n runit =
       in
       match finished with
       | None ->
-          (* No workers to hand the job to (single-core machine or zero
-             capacity): the caller evaluates every item itself.  Still a
-             submitted pool job, so account for it. *)
+          (* No workers to hand the job to (single-core machine, zero
+             capacity or one participant): the caller evaluates every
+             item itself.  Still a submitted pool job, so account for it. *)
           if Obs.enabled () then begin
             Obs.Counter.incr m_jobs;
             Obs.Counter.add m_items n;

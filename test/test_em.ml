@@ -1,6 +1,7 @@
 (* Tests for the shared EM kernel: degenerate-restart skipping, the
-   SQUAREM-accelerated fit loop, and workspace reuse across
-   differently-sized models. *)
+   SQUAREM-accelerated fit loop, lazy forward scaling against a
+   log-domain reference, and workspace reuse across differently-sized
+   models. *)
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -281,6 +282,179 @@ let test_fallback () =
       done);
   Alcotest.(check bool) "some start falls back" true (!found > 0)
 
+(* --- lazy forward scaling against a log-domain reference ---------------- *)
+
+(* The forward-backward recursion in the log domain (logsumexp), with
+   the kernel's emission model: e(st, Some j) = b(st, j) (1 - c_j) and
+   e(st, None) = sum_j b(st, j) c_j.  Each log row is shifted by its
+   own logsumexp to keep its values near zero (an exact identity in
+   the log domain, whatever the kernel's scaling), and the shifts of
+   the forward rows are summed with Kahan compensation into the
+   log-likelihood.  Returns the log-likelihood and the state
+   posteriors. *)
+let log_domain_reference (t : Em.model) obs =
+  let s = t.Em.s and m = t.Em.m in
+  let tt = Array.length obs in
+  let log_e st = function
+    | Some j -> log (t.Em.b.((st * m) + j) *. (1. -. t.Em.c.(j)))
+    | None ->
+        let acc = ref 0. in
+        for j = 0 to m - 1 do
+          acc := !acc +. (t.Em.b.((st * m) + j) *. t.Em.c.(j))
+        done;
+        log !acc
+  in
+  let logsumexp f =
+    let mx = ref Float.neg_infinity in
+    for k = 0 to s - 1 do
+      mx := Float.max !mx (f k)
+    done;
+    if Float.is_finite !mx then begin
+      let acc = ref 0. in
+      for k = 0 to s - 1 do
+        acc := !acc +. exp (f k -. !mx)
+      done;
+      !mx +. log !acc
+    end
+    else !mx
+  in
+  let shift row =
+    let c = logsumexp (Array.get row) in
+    Array.iteri (fun k v -> row.(k) <- v -. c) row;
+    c
+  in
+  let la = Array.make_matrix tt s 0. and lb = Array.make_matrix tt s 0. in
+  let log_a i j = log t.Em.a.((i * s) + j) in
+  let ll = ref 0. and comp = ref 0. in
+  let add c =
+    let y = c -. !comp in
+    let sum = !ll +. y in
+    comp := sum -. !ll -. y;
+    ll := sum
+  in
+  for st = 0 to s - 1 do
+    la.(0).(st) <- log t.Em.pi.(st) +. log_e st obs.(0)
+  done;
+  add (shift la.(0));
+  for time = 1 to tt - 1 do
+    for j = 0 to s - 1 do
+      la.(time).(j) <-
+        logsumexp (fun i -> la.(time - 1).(i) +. log_a i j) +. log_e j obs.(time)
+    done;
+    add (shift la.(time))
+  done;
+  for time = tt - 2 downto 0 do
+    for i = 0 to s - 1 do
+      lb.(time).(i) <-
+        logsumexp (fun j -> log_a i j +. log_e j obs.(time + 1) +. lb.(time + 1).(j))
+    done;
+    ignore (shift lb.(time))
+  done;
+  let post time =
+    let g = Array.init s (fun st -> la.(time).(st) +. lb.(time).(st)) in
+    ignore (shift g);
+    Array.map exp g
+  in
+  (!ll, Array.init tt post)
+
+(* [Em.log_likelihood] within 1e-9 relative and every posterior within
+   1e-9 of the reference. *)
+let check_against_reference name (t : Em.model) obs =
+  let ws = Em.workspace () in
+  let ll_ref, post_ref = log_domain_reference t obs in
+  let ll = Em.log_likelihood ~ws t obs in
+  Alcotest.(check (float (1e-9 *. Float.abs ll_ref))) (name ^ ": logL") ll_ref ll;
+  let post = Em.state_posteriors ~ws t obs in
+  let worst = ref 0. in
+  Array.iteri
+    (fun time row ->
+      Array.iteri
+        (fun st p -> worst := Float.max !worst (Float.abs (p -. post_ref.(time).(st))))
+        row)
+    post;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: posteriors within 1e-9 (worst %.3g)" name !worst)
+    true (!worst <= 1e-9);
+  ll_ref
+
+let test_long_sequence_reference () =
+  (* 20,000 probes of a random MMHD: the likelihood falls through the
+     kernel's renormalization floor (2^-256) many times, checked from
+     the reference's own log-likelihood. *)
+  let obs = mmhd_obs ~seed:31 ~len:20_000 in
+  let t = Mmhd.init_informed (Stats.Rng.create 5) ~n:2 ~m:4 obs in
+  let ll = check_against_reference "T = 20000" t obs in
+  Alcotest.(check bool) "crosses the floor at least 50 times" true
+    (-.ll /. (256. *. log 2.) >= 50.)
+
+(* State 0 emits only symbol 0 (at 1 - c_0 = 1/2), state 1 only
+   symbol 1, and the chain leaves state 0 with probability [leave]:
+   after k symbols 0 the unnormalized forward sum is about 2^-k, so a
+   symbol 1 there multiplies it by [leave]. *)
+let two_regime ~leave : Em.model =
+  {
+    Em.s = 2;
+    m = 2;
+    pi = [| 1.; 0. |];
+    a = [| 1. -. leave; leave; 0.5; 0.5 |];
+    b = [| 1.; 0.; 0.; 1. |];
+    c = [| 0.5; 0.1 |];
+  }
+
+(* Blocks of [k] symbols 0 followed by a symbol 1, a loss and another
+   symbol 1, for each [k] of [ks]. *)
+let blocks ks =
+  Array.concat
+    (List.map (fun k -> Array.append (Array.make k (Some 0)) [| Some 1; None; Some 1 |]) ks)
+
+let test_underflow_guard () =
+  (* A 1e-300 transition taken after 100-250 unnormalized steps: the
+     product of the forward sum (2^-101 .. 2^-251) and 1e-300 is below
+     the smallest subnormal, so the pass must restart with every row
+     normalized.  No spurious Zero_likelihood, and the reference
+     agrees. *)
+  let t = two_regime ~leave:1e-300 in
+  Em.validate t;
+  ignore (check_against_reference "1e-300 transition" t (blocks [ 100; 150; 200; 250 ]));
+  (* State 1 starts at 1e-300 and both states emit symbol 0 alike, so
+     its filtered probability stays 1e-300 while the forward sum falls
+     by 4 a step: an unnormalized row holds it below the smallest
+     subnormal after 40 steps, and by step 300 that 0 has been carried
+     through renormalized rows.  Symbol 2, which only state 1 emits, must then
+     read as likely, not impossible. *)
+  let t : Em.model =
+    {
+      Em.s = 2;
+      m = 3;
+      pi = [| 1.; 1e-300 |];
+      a = [| 1.; 0.; 0.; 1. |];
+      b = [| 0.5; 0.5; 0.; 0.5; 0.; 0.5 |];
+      c = [| 0.5; 0.1; 0.1 |];
+    }
+  in
+  Em.validate t;
+  List.iter
+    (fun k ->
+      let obs = Array.append (Array.make k (Some 0)) [| Some 2 |] in
+      ignore (check_against_reference (Printf.sprintf "1e-300 state, %d symbols 0" k) t obs))
+    [ 50; 300 ]
+
+let test_impossible_observation_index () =
+  (* With the transition out of state 0 exactly zero, the first symbol 1
+     is impossible: raised at its index, whether the row before it was
+     left unnormalized (k = 200) or the sequence has renormalized
+     several times first (k = 1000). *)
+  let t = two_regime ~leave:0. in
+  Em.validate t;
+  let ws = Em.workspace () in
+  List.iter
+    (fun k ->
+      match Em.log_likelihood ~ws t (blocks [ k ]) with
+      | _ -> Alcotest.fail "expected Zero_likelihood"
+      | exception Em.Zero_likelihood time ->
+          Alcotest.(check int) (Printf.sprintf "index after %d symbols 0" k) k time)
+    [ 200; 1000 ]
+
 (* --- workspace reuse across sizes -------------------------------------- *)
 
 let test_workspace_reuse_across_sizes () =
@@ -323,6 +497,14 @@ let () =
           Alcotest.test_case "floors keep fit alive" `Quick
             test_em_floors_keep_fit_alive;
           Alcotest.test_case "out-of-range symbols" `Quick test_out_of_range_symbols;
+        ] );
+      ( "scaling",
+        [
+          Alcotest.test_case "log-domain reference, T = 20000" `Quick
+            test_long_sequence_reference;
+          Alcotest.test_case "underflow guard" `Quick test_underflow_guard;
+          Alcotest.test_case "impossible observation index" `Quick
+            test_impossible_observation_index;
         ] );
       ( "workspace",
         [

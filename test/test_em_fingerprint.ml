@@ -43,7 +43,7 @@ let test_mmhd_fit () =
   let h = fold_array 0L model.Em.pi in
   let h = fold_array h model.Em.a in
   let h = fold_array h model.Em.c in
-  check "Mmhd.fit" "62b5479d82daeb48" (fold_stats h stats)
+  check "Mmhd.fit" "f64a62e7722927f1" (fold_stats h stats)
 
 let test_hmm_fit () =
   let model, stats =
@@ -53,13 +53,13 @@ let test_hmm_fit () =
   let h = fold_array h model.Em.a in
   let h = fold_array h model.Em.b in
   let h = fold_array h model.Em.c in
-  check "Hmm.fit" "79abc6e85112d61d" (fold_stats h stats)
+  check "Hmm.fit" "3d011e7a94f07e21" (fold_stats h stats)
 
 let informed () = Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:5 trace
 
 let test_log_likelihood () =
   let ll = Em.log_likelihood ~ws:(Em.workspace ()) (informed ()) trace in
-  check "Em.log_likelihood" "c0bab89c4bef3bda" (fold 0L ll)
+  check "Em.log_likelihood" "c0bab89c4bef3bdc" (fold 0L ll)
 
 (* Three equal batches through one online-EM round each: decay, append
    (carrying the filtered end-distribution), M-step. *)
@@ -88,7 +88,7 @@ let test_incremental () =
   let h = fold_array h (Em.Incremental.filtered_end st) in
   let h = fold h (Em.Incremental.weight st) in
   let h = fold h (Em.Incremental.log_likelihood st) in
-  check "Em.Incremental" "41c9dc569b805547" h
+  check "Em.Incremental" "a942280c08101763" h
 
 (* [Em.fit_from] on a random HMM start that the SQUAREM cycle rejects
    often: seed 1 of the random 2-state, 3-symbol HMM family of
@@ -115,7 +115,7 @@ let test_fallback_fit () =
   let h = fold_array h model.Em.a in
   let h = fold_array h model.Em.b in
   let h = fold_array h model.Em.c in
-  check "Em.fit_from fallbacks" "d068729e9447f0ff" (fold_stats h stats)
+  check "Em.fit_from fallbacks" "9d2e6af617119a85" (fold_stats h stats)
 
 (* The symbol trace as a probe trace: symbol [j] becomes an end-end
    delay of 0.105 + 0.01 j seconds, a loss stays a loss. *)
@@ -152,13 +152,13 @@ let check_identify name pinned model =
   check name pinned h
 
 let test_identify_mmhd () =
-  check_identify "Identify mmhd" "fed9df8448e39e66" Dcl.Identify.Model_mmhd
+  check_identify "Identify mmhd" "bf7340306bdd1a7e" Dcl.Identify.Model_mmhd
 
 let test_identify_markov () =
-  check_identify "Identify markov" "8eac396533c6f363" Dcl.Identify.Model_markov
+  check_identify "Identify markov" "3dda522914d00805" Dcl.Identify.Model_markov
 
 let test_identify_hmm () =
-  check_identify "Identify hmm" "93bf666f37463504" Dcl.Identify.Model_hmm
+  check_identify "Identify hmm" "22ae69705e12e6b7" Dcl.Identify.Model_hmm
 
 let () =
   Alcotest.run "em_fingerprint"

@@ -200,6 +200,18 @@ let test_cli_typed_fixture_corpus () =
   Alcotest.(check int) "typed violations fail a plain lint" 1
     (Dcl_lint.Cli.run [ "--json"; "--cmt"; corpus; corpus ])
 
+let test_r5_em_array_alias () =
+  (* An Array.unsafe_* alias bound inside a lib/em fence and applied
+     outside it is flagged by the typed pass (the parse pass sees only
+     the fenced binding); a reasoned allow silences it. *)
+  let corpus = corpus_dir "lint_fixtures_typed" in
+  let lint_file name =
+    Dcl_lint.Cli.run [ "--json"; "--only"; "R5"; "--cmt"; corpus; Filename.concat corpus name ]
+  in
+  Alcotest.(check int) "alias applied outside the fence" 1
+    (lint_file "r5_array_alias_violation.ml");
+  Alcotest.(check int) "suppressed alias" 0 (lint_file "r5_array_alias_suppressed.ml")
+
 let test_cli_only () =
   let r3 = Filename.concat (corpus_dir "lint_fixtures") "r3_violation.ml" in
   Alcotest.(check int) "--only with an unknown rule exits 2" 2
@@ -375,6 +387,7 @@ let () =
           Alcotest.test_case "R5 hot-region allocation" `Quick test_r5_hot_alloc;
           Alcotest.test_case "R5 Bigarray containment" `Quick test_r5_bigarray;
           Alcotest.test_case "R5 lib/em Array containment" `Quick test_r5_em_array;
+          Alcotest.test_case "R5 lib/em Array alias" `Quick test_r5_em_array_alias;
           Alcotest.test_case "R6 missing mli" `Quick test_r6_mli;
         ] );
       ( "suppression",

@@ -152,23 +152,51 @@ let test_chunk_rejects_nonpositive () =
 let test_queue_wait_once_per_domain () =
   (* One-item chunks make a domain pull many chunks of one job; the
      queue wait is observed only at each domain's first, so a job adds
-     at most one observation per domain (the caller and every spawned
-     worker, all of which may join), however many chunks it has. *)
+     at most one observation per participating domain (the caller and
+     at most one worker), however many chunks it has. *)
   Obs.set_enabled true;
   let waits = Obs.Histogram.make "dcl_pool_queue_wait_seconds" in
   let chunks = Obs.Counter.make "dcl_pool_chunks_total" in
-  let workers = Obs.Gauge.make "dcl_pool_workers" in
   let w0 = Obs.Histogram.count waits and c0 = Obs.Counter.value chunks in
   for _ = 1 to 5 do
     Stats.Pool.run ~chunk:1 ~participants:2 64 ignore
   done;
   let dw = Obs.Histogram.count waits - w0 in
   let dc = int_of_float (Obs.Counter.value chunks -. c0) in
-  let domains = 1 + int_of_float (Obs.Gauge.value workers) in
   Obs.set_enabled false;
   Alcotest.(check int) "every one-item chunk counted" (5 * 64) dc;
   Alcotest.(check bool) "at most one wait per domain per job" true
-    (dw >= 5 && dw <= 5 * domains)
+    (dw >= 5 && dw <= 5 * 2)
+
+(* Distinct domains that ran items of one [participants]-wide job of
+   [n] one-item chunks.  Each item spins for a while so every waiting
+   worker has time to wake and try to join. *)
+let domains_of_job ~participants n =
+  let ran = Array.make n (-1) in
+  Stats.Pool.run ~chunk:1 ~participants n (fun i ->
+      let x = ref 0 in
+      for k = 1 to 20_000 do
+        x := !x lxor k
+      done;
+      ignore (Sys.opaque_identity !x);
+      ran.(i) <- (Domain.self () :> int));
+  List.sort_uniq compare (Array.to_list ran)
+
+let test_participants_cap_domains () =
+  (* A wider job first spawns every worker the capacity allows; later,
+     narrower jobs must still run on at most [participants] domains,
+     and a one-participant job inline on the caller. *)
+  ignore (domains_of_job ~participants:4 64);
+  for _ = 1 to 5 do
+    let used = domains_of_job ~participants:2 64 in
+    Alcotest.(check bool)
+      (Printf.sprintf "participants 2 ran on %d domains" (List.length used))
+      true
+      (List.length used <= 2)
+  done;
+  Alcotest.(check (list int)) "participants 1 runs inline"
+    [ (Domain.self () :> int) ]
+    (domains_of_job ~participants:1 64)
 
 let test_set_capacity_rejects_nonpositive () =
   let reject c =
@@ -212,6 +240,8 @@ let () =
             test_chunk_rejects_nonpositive;
           Alcotest.test_case "queue wait once per domain" `Quick
             test_queue_wait_once_per_domain;
+          Alcotest.test_case "participants cap the domains" `Quick
+            test_participants_cap_domains;
         ] );
       ( "capacity",
         [

@@ -21,9 +21,10 @@
    Typed R3: polymorphic [=] / [<>] / [compare] whose first operand
    *types* as float — catches [let eq (a : float) b = a = b], which no
    syntactic heuristic can.  Typed R5: a let-binding that aliases a
-   Bigarray [unsafe_*] accessor is tracked by its [Ident], and any use
-   of the alias outside a (* lint: hot *) fence is flagged, closing the
-   rename loophole of the name-based pass. *)
+   Bigarray [unsafe_*] accessor (or, in lib/em, an [Array.unsafe_*]
+   one) is tracked by its [Ident], and any use of the alias outside a
+   (* lint: hot *) fence is flagged, closing the rename loophole of the
+   name-based pass. *)
 
 open Lint_common
 open Lint_tast
@@ -80,15 +81,18 @@ let check (u : unit_ctx) =
   let fi = u.u_fi in
   let diags = ref [] in
   let lib = in_lib fi.f_rel in
-  (* Pass A: collect let-bound aliases of Bigarray unsafe accessors,
-     wherever they appear in the unit. *)
+  let unsafe_accessor name =
+    is_unsafe_bigarray name || (in_em fi.f_rel && Lint_parse.array_unsafe name)
+  in
+  (* Pass A: collect let-bound aliases of unsafe accessors, wherever
+     they appear in the unit. *)
   let aliases = ref [] in
   let open Tast_iterator in
   let collect_vb self (vb : Typedtree.value_binding) =
     (match (pat_var vb.vb_pat, vb.vb_expr.exp_desc) with
     | Some (id, name_loc), Texp_ident (p, _, _) ->
         let target = norm_path p in
-        if is_unsafe_bigarray target then aliases := (id, name_loc.txt, target) :: !aliases
+        if unsafe_accessor target then aliases := (id, name_loc.txt, target) :: !aliases
     | _ -> ());
     default_iterator.value_binding self vb
   in
@@ -148,8 +152,8 @@ let check (u : unit_ctx) =
                  then
                    report_at diags ~file:fi.f_path ~loc:e.exp_loc ~rule:"R5"
                      (aname ^ " aliases " ^ target
-                    ^ "; unsafe Bigarray access (even renamed) belongs inside an \
-                       audited (* lint: hot *) fence"))
+                    ^ "; unsafe access (even renamed) belongs inside an audited \
+                       (* lint: hot *) fence"))
                !aliases
          | _ -> ());
         default_iterator.expr self e
