@@ -318,6 +318,7 @@ let log_likelihood ws ~tt =
   let ll = ref (log (Array.unsafe_get scale 0)) in
   for time = 1 to tt - 1 do
     let sc = Array.unsafe_get scale time in
+    (* lint: allow R3 a scale of exactly 1 is the marker of a step the lazy pass left unnormalized; skipping its log (+0) is exact *)
     if not (Float.equal sc 1.) then ll := !ll +. log sc
   done;
   !ll
@@ -373,6 +374,7 @@ let backward_estep ws (t : model) ~tt =
       let off1 = !off in
       let row = off1 - len in
       let sc1 = Array.unsafe_get scale (time + 1) in
+      (* lint: allow R3 a scale of exactly 1 marks an unnormalized step, whose inverse is exactly 1 *)
       let inv = if Float.equal sc1 1. then 1. else 1. /. sc1 in
       for idx1 = 0 to len1 - 1 do
         let st' = Array.unsafe_get act (base1 + idx1) in

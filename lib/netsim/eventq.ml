@@ -1,73 +1,76 @@
-type 'a entry = { time : float; seq : int; payload : 'a }
-
+(* A binary min-heap stored as three parallel arrays, so times sit
+   unboxed in a [float array] and a sift compares two array reads
+   instead of chasing entry records.  Slots at indices >= [size] are
+   stale: they may still reference payloads that already fired. *)
 type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap] slots at indices >= size are stale and unreachable. *)
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable payloads : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
-(* lint: allow R3 exact tie on timestamps falls through to seq; a tolerance would reorder events *)
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Does slot [i] fire before an event at ([time], [seq])? *)
+let[@inline] before t i time seq =
+  let ti = t.times.(i) in
+  (* lint: allow R3 exact tie on timestamps falls through to seq; a tolerance would reorder events *)
+  ti < time || (Float.equal ti time && t.seqs.(i) < seq)
 
-let grow t entry =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 64 else 2 * cap in
-    let nh = Array.make ncap entry in
-    Array.blit t.heap 0 nh 0 t.size;
-    t.heap <- nh
-  end
+let[@inline] set t i time seq payload =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.payloads.(i) <- payload
 
-let push t ~time payload =
-  let entry = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  grow t entry;
-  (* Sift up. *)
+let fresh_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let push t ~time ~seq payload =
+  if t.size = Array.length t.times then begin
+    let extend a filler =
+      let b = Array.make (max 64 (2 * t.size)) filler in
+      Array.blit a 0 b 0 t.size;
+      b
+    in
+    t.times <- extend t.times 0.;
+    t.seqs <- extend t.seqs 0;
+    t.payloads <- extend t.payloads payload
+  end;
+  (* Sift the hole at the new last slot up past every later parent. *)
   let i = ref t.size in
   t.size <- t.size + 1;
-  t.heap.(!i) <- entry;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if before entry t.heap.(parent) then begin
-      t.heap.(!i) <- t.heap.(parent);
-      t.heap.(parent) <- entry;
-      i := parent
-    end
-    else continue := false
-  done
+  while !i > 0 && not (before t ((!i - 1) / 2) time seq) do
+    let p = (!i - 1) / 2 in
+    set t !i t.times.(p) t.seqs.(p) t.payloads.(p);
+    i := p
+  done;
+  set t !i time seq payload
+
+let min_time t = if t.size = 0 then infinity else t.times.(0)
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      let last = t.heap.(t.size) in
-      t.heap.(0) <- last;
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-        if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.heap.(!i) in
-          t.heap.(!i) <- t.heap.(!smallest);
-          t.heap.(!smallest) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
-    Some (top.time, top.payload)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+  if t.size = 0 then invalid_arg "Eventq.pop: empty queue";
+  let top = t.payloads.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    (* Sift the hole at the root down, then fill it with the last entry. *)
+    let time = t.times.(n) and seq = t.seqs.(n) and payload = t.payloads.(n) in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < n && before t (l + 1) t.times.(l) t.seqs.(l) then l + 1 else l in
+      if c < n && before t c time seq then begin
+        set t !i t.times.(c) t.seqs.(c) t.payloads.(c);
+        i := c
+      end
+      else continue := false
+    done;
+    set t !i time seq payload
+  end;
+  top

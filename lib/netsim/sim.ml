@@ -35,54 +35,59 @@ let flush_loop_stats ~track ~events ~depth_max =
     Obs.Gauge.set_max m_depth_max (float_of_int depth_max)
   end
 
-let at t time f =
+(* Push [f] under [seq] at [time], which may lie in the past by
+   rounding only (it is then clamped to the clock). *)
+let schedule t ~seq time f =
   if time < t.now -. 1e-12 then
-    invalid_arg
-      (Printf.sprintf "Sim.at: scheduling in the past (%.9f < %.9f)" time t.now);
-  Eventq.push t.events ~time:(Float.max time t.now) f
+    invalid_arg (Printf.sprintf "Sim: scheduling in the past (%.9f < %.9f)" time t.now);
+  Eventq.push t.events ~time:(Float.max time t.now) ~seq f
+
+let at t time f = schedule t ~seq:(Eventq.fresh_seq t.events) time f
 
 let after t d f =
   if d < 0. then invalid_arg "Sim.after: negative delay";
   at t (t.now +. d) f
 
-let run_until t horizon =
-  let track = Obs.enabled () in
-  let events = ref 0 and depth_max = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Eventq.peek_time t.events with
-    | Some time when time <= horizon -> (
-        if track then begin
-          let d = Eventq.length t.events in
-          if d > !depth_max then depth_max := d
-        end;
-        match Eventq.pop t.events with
-        | Some (time, f) ->
-            t.now <- time;
-            incr events;
-            f ()
-        | None -> continue := false)
-    | Some _ | None -> continue := false
-  done;
-  flush_loop_stats ~track ~events:!events ~depth_max:!depth_max;
-  t.now <- Float.max t.now horizon
+let every t ~at:start ~period ~until f =
+  if period <= 0. then invalid_arg "Sim.every: period <= 0";
+  (* The stream keeps the number taken now, so each launch breaks a time
+     tie as it would had the whole window been pushed by this call. *)
+  let seq = Eventq.fresh_seq t.events in
+  let rec fire i () =
+    let next = start +. (float_of_int (i + 1) *. period) in
+    if next < until then schedule t ~seq next (fire (i + 1));
+    f i
+  in
+  if start < until then schedule t ~seq start (fire 0)
 
-let run t =
+(* Fire events in (time, seq) order while the earliest is at or before
+   [horizon].  The time is read before the pop, so per event the loop
+   allocates only the clock's boxed float. *)
+let drain t horizon =
   let track = Obs.enabled () in
   let events = ref 0 and depth_max = ref 0 in
   let continue = ref true in
   while !continue do
-    (if track then
-       let d = Eventq.length t.events in
-       if d > !depth_max then depth_max := d);
-    match Eventq.pop t.events with
-    | Some (time, f) ->
-        t.now <- time;
-        incr events;
-        f ()
-    | None -> continue := false
+    let time = Eventq.min_time t.events in
+    if time <= horizon && not (Eventq.is_empty t.events) then begin
+      if track then begin
+        let d = Eventq.length t.events in
+        if d > !depth_max then depth_max := d
+      end;
+      let f = Eventq.pop t.events in
+      t.now <- time;
+      incr events;
+      f ()
+    end
+    else continue := false
   done;
   flush_loop_stats ~track ~events:!events ~depth_max:!depth_max
+
+let run_until t horizon =
+  drain t horizon;
+  t.now <- Float.max t.now horizon
+
+let run t = drain t infinity
 
 let fresh_packet_id t =
   let id = t.next_packet_id in

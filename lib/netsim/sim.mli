@@ -22,6 +22,14 @@ val at : t -> float -> (unit -> unit) -> unit
 val after : t -> float -> (unit -> unit) -> unit
 (** [after t d f] schedules [f] at [now t +. d].  Requires [d >= 0]. *)
 
+val every : t -> at:float -> period:float -> until:float -> (int -> unit) -> unit
+(** [every t ~at ~period ~until f] runs [f i] at [at +. float i *. period]
+    for each [i = 0, 1, ...] with that time before [until].  Each firing
+    schedules the next before running [f], so the stream holds one
+    pending event; a launch still fires, among events at its instant,
+    where it would had the whole window been scheduled by this call.
+    Requires [period > 0] and, unless the window is empty, [at >= now t]. *)
+
 val run_until : t -> float -> unit
 (** Execute events in order until the clock would pass the horizon;
     leaves the clock at the horizon.  Events scheduled exactly at the

@@ -157,23 +157,19 @@ let run ?(sizes = default_sizes) ?(probes_per_size = 16) ?(interval = 0.03) net 
                ~dst:pkt.Packet.src ~size:56 ~kind:Packet.Icmp_ttl_exceeded
                ~seq:pkt.Packet.seq ~sent_at:(Sim.now sim) ())
       | Packet.Icmp_ttl_exceeded | Packet.Tcp_data | Packet.Tcp_ack -> ());
+  (* Probe [i] goes out at [start + i * interval], hop-major, then by
+     size, then by repetition: exactly the order of [seq_of], offset by
+     the hop-0 block that [seq_of] skips. *)
   let total = hops * Array.length c.sizes * probes_per_size in
-  let count = ref 0 in
-  for hop = 1 to hops do
-    Array.iteri
-      (fun size_idx size ->
-        for rep = 0 to probes_per_size - 1 do
-          let at = Sim.now sim +. (float_of_int !count *. interval) in
-          incr count;
-          let seq = seq_of c ~hop ~size_idx ~rep in
-          Sim.at sim at (fun () ->
-              Hashtbl.replace c.sent seq (Sim.now sim);
-              Net.inject net
-                (Packet.make ~id:(Sim.fresh_packet_id sim) ~flow:c.flow ~src:c.src ~dst:c.dst
-                   ~size ~kind:Packet.Udp ~seq ~sent_at:(Sim.now sim) ~ttl:hop ()))
-        done)
-      c.sizes
-  done;
+  let start = Sim.now sim in
+  let until = start +. (float_of_int total *. interval) in
+  let seq0 = seq_of c ~hop:1 ~size_idx:0 ~rep:0 in
+  Sim.every sim ~at:start ~period:interval ~until (fun i ->
+      let seq = seq0 + i in
+      let hop, size_idx, _ = decode c seq in
+      Hashtbl.replace c.sent seq (Sim.now sim);
+      Net.inject net
+        (Packet.make ~id:(Sim.fresh_packet_id sim) ~flow:c.flow ~src:c.src ~dst:c.dst
+           ~size:c.sizes.(size_idx) ~kind:Packet.Udp ~seq ~sent_at:(Sim.now sim) ~ttl:hop ()));
   (* Collect after the last probe plus generous slack for replies. *)
-  let finish_at = Sim.now sim +. (float_of_int total *. interval) +. 5. in
-  Sim.at sim finish_at (fun () -> k (estimate c))
+  Sim.at sim (until +. 5.) (fun () -> k (estimate c))

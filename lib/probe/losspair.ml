@@ -48,10 +48,8 @@ let record t idx (first : Shadow.result) (second : Shadow.result) =
 
 let start t ~at ~until =
   if until <= at then invalid_arg "Losspair.start: empty probing window";
-  let n = int_of_float (ceil ((until -. at) /. t.pair_interval)) in
-  for i = 0 to n - 1 do
-    let t0 = at +. (float_of_int i *. t.pair_interval) in
-    if t0 < until then begin
+  let sim = Net.sim t.net in
+  Sim.every sim ~at ~period:t.pair_interval ~until (fun _ ->
       let idx = t.pairs_sent in
       t.pairs_sent <- t.pairs_sent + 1;
       (* Both results are needed before classifying; the second probe
@@ -63,11 +61,9 @@ let start t ~at ~until =
         | None -> slot := Some r
         | Some first -> record t idx first r
       in
-      Shadow.launch t.net ~path:t.path ~size:t.size ~rng:t.rng ~at:t0 ~k:on_result;
-      Shadow.launch t.net ~path:t.path ~size:t.size ~rng:t.rng ~at:(t0 +. t.gap)
-        ~k:on_result
-    end
-  done
+      let launch () = Shadow.launch t.net ~path:t.path ~size:t.size ~rng:t.rng ~k:on_result in
+      Sim.at sim (Sim.now sim +. t.gap) launch;
+      launch ())
 
 let pairs_sent t = t.pairs_sent
 let loss_pairs t = t.loss_pairs

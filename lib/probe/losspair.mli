@@ -24,6 +24,11 @@ val create :
     after the pair has been serialized once). *)
 
 val start : t -> at:float -> until:float -> unit
+(** Send a pair at [at +. float i *. pair_interval] for [i = 0, 1, ...]
+    up to (excluding) [until], the second probe [gap] seconds after the
+    first.  The window is one {!Netsim.Sim.every} stream, so the engine
+    holds one pending pair launch for it (plus a pending second probe
+    within a pair), not the whole window. *)
 
 val pairs_sent : t -> int
 val loss_pairs : t -> int

@@ -27,16 +27,11 @@ let create ?(size = 10) net ~src ~dst ~interval () =
 
 let start t ~at ~until =
   if until <= at then invalid_arg "Prober.start: empty probing window";
-  let n = int_of_float (ceil ((until -. at) /. t.interval)) in
-  for i = 0 to n - 1 do
-    let send_time = at +. (float_of_int i *. t.interval) in
-    if send_time < until then begin
+  Sim.every (Net.sim t.net) ~at ~period:t.interval ~until (fun _ ->
       let idx = t.launched in
       t.launched <- t.launched + 1;
-      Shadow.launch t.net ~path:t.path ~size:t.size ~rng:t.rng ~at:send_time
-        ~k:(fun r -> t.results <- (idx, r) :: t.results)
-    end
-  done
+      Shadow.launch t.net ~path:t.path ~size:t.size ~rng:t.rng ~k:(fun r ->
+          t.results <- (idx, r) :: t.results))
 
 let record_of_result (r : Shadow.result) =
   let vqd = Shadow.total_queuing r in

@@ -12,8 +12,10 @@ val create :
     computed. *)
 
 val start : t -> at:float -> until:float -> unit
-(** Schedule probes at [at], [at+interval], ... up to (excluding)
-    [until].  Results accumulate as the simulation runs. *)
+(** Send probes at [at +. float i *. interval] for [i = 0, 1, ...] up
+    to (excluding) [until].  The window is one {!Netsim.Sim.every}
+    stream, so the engine holds one pending launch for it, not the
+    whole window.  Results accumulate as the simulation runs. *)
 
 val trace : t -> Trace.t
 (** Snapshot of the completed probes, in send order.  Call after the

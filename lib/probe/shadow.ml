@@ -15,8 +15,9 @@ let base_delay ~size path =
 let total_queuing r = Array.fold_left ( +. ) 0. r.hop_queuing
 let end_to_end_delay r = r.base_delay +. total_queuing r
 
-let launch net ~path ~size ~rng ~at ~k =
+let launch net ~path ~size ~rng ~k =
   let sim = Net.sim net in
+  let sent_at = Sim.now sim in
   let links = Array.of_list path in
   let n = Array.length links in
   if n = 0 then invalid_arg "Shadow.launch: empty path";
@@ -25,7 +26,7 @@ let launch net ~path ~size ~rng ~at ~k =
   let base = base_delay ~size path in
   let rec arrive hop =
     if hop = n then
-      k { sent_at = at; hop_queuing = Array.copy hop_queuing; loss_hop = !loss_hop; base_delay = base }
+      k { sent_at; hop_queuing = Array.copy hop_queuing; loss_hop = !loss_hop; base_delay = base }
     else begin
       let link = links.(hop) in
       let backlog = Link.unfinished_work link in
@@ -52,4 +53,4 @@ let launch net ~path ~size ~rng ~at ~k =
       Sim.after sim hop_time (fun () -> arrive (hop + 1))
     end
   in
-  Sim.at sim at (fun () -> arrive 0)
+  arrive 0

@@ -31,12 +31,14 @@ val launch :
   path:Netsim.Link.t list ->
   size:int ->
   rng:Stats.Rng.t ->
-  at:float ->
   k:(result -> unit) ->
   unit
-(** Schedule a shadow probe departing at absolute time [at]; [k] runs
-    at the (virtual) arrival instant with the completed record.  [rng]
-    resolves probabilistic RED drop decisions. *)
+(** Send a shadow probe now: it reads the first link's state at
+    [Sim.now] before returning, and [k] runs at the (virtual) arrival
+    instant with the completed record.  To send later, call it from an
+    event scheduled at the departure time ({!Netsim.Sim.at},
+    {!Netsim.Sim.every}).  [rng] resolves probabilistic RED drop
+    decisions. *)
 
 val total_queuing : result -> float
 (** Sum of per-hop queuing delays — the probe's (virtual) end-end

@@ -212,6 +212,18 @@ let test_r5_em_array_alias () =
     (lint_file "r5_array_alias_violation.ml");
   Alcotest.(check int) "suppressed alias" 0 (lint_file "r5_array_alias_suppressed.ml")
 
+let test_r3_float_equal () =
+  (* [Float.equal] / [Float.compare] are exact float comparisons under
+     another name: the typed pass flags them, and a reasoned allow
+     marks a deliberate exact test. *)
+  let corpus = corpus_dir "lint_fixtures_typed" in
+  let lint_file name =
+    Dcl_lint.Cli.run [ "--json"; "--only"; "R3"; "--cmt"; corpus; Filename.concat corpus name ]
+  in
+  Alcotest.(check int) "Float.equal and Float.compare" 1
+    (lint_file "r3_float_equal_violation.ml");
+  Alcotest.(check int) "suppressed exact test" 0 (lint_file "r3_float_equal_suppressed.ml")
+
 let test_cli_only () =
   let r3 = Filename.concat (corpus_dir "lint_fixtures") "r3_violation.ml" in
   Alcotest.(check int) "--only with an unknown rule exits 2" 2
@@ -383,6 +395,7 @@ let () =
           Alcotest.test_case "R1 rng containment" `Quick test_r1_rng;
           Alcotest.test_case "R2 concurrency containment" `Quick test_r2_concurrency;
           Alcotest.test_case "R3 float comparison" `Quick test_r3_float_cmp;
+          Alcotest.test_case "R3 Float.equal" `Quick test_r3_float_equal;
           Alcotest.test_case "R4 io containment" `Quick test_r4_io;
           Alcotest.test_case "R5 hot-region allocation" `Quick test_r5_hot_alloc;
           Alcotest.test_case "R5 Bigarray containment" `Quick test_r5_bigarray;

@@ -12,40 +12,75 @@ let mk_packet sim ~src ~dst ?(size = 1000) ?(flow = 0) ?(seq = 0) () =
 
 (* --- Eventq ------------------------------------------------------------ *)
 
+let push q ~time x = Eventq.push q ~time ~seq:(Eventq.fresh_seq q) x
+
 let test_eventq_order () =
   let q = Eventq.create () in
-  Eventq.push q ~time:3. "c";
-  Eventq.push q ~time:1. "a";
-  Eventq.push q ~time:2. "b";
-  let pops = List.init 3 (fun _ -> Option.get (Eventq.pop q)) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (List.map snd pops);
+  push q ~time:3. "c";
+  push q ~time:1. "a";
+  push q ~time:2. "b";
+  let pops =
+    List.init 3 (fun _ ->
+        let time = Eventq.min_time q in
+        (time, Eventq.pop q))
+  in
+  Alcotest.(check (list (pair (float 0.) string)))
+    "sorted" [ (1., "a"); (2., "b"); (3., "c") ] pops;
   Alcotest.(check bool) "empty after" true (Eventq.is_empty q)
 
 let test_eventq_fifo_ties () =
   let q = Eventq.create () in
-  List.iter (fun s -> Eventq.push q ~time:1. s) [ "x"; "y"; "z" ];
-  let pops = List.init 3 (fun _ -> snd (Option.get (Eventq.pop q))) in
-  Alcotest.(check (list string)) "insertion order on ties" [ "x"; "y"; "z" ] pops
+  List.iter (fun s -> push q ~time:1. s) [ "x"; "y"; "z" ];
+  let pops = List.init 3 (fun _ -> Eventq.pop q) in
+  Alcotest.(check (list string)) "insertion order on ties" [ "x"; "y"; "z" ] pops;
+  let early = Eventq.fresh_seq q in
+  push q ~time:2. "late";
+  Eventq.push q ~time:2. ~seq:early "early";
+  let pops = List.init 2 (fun _ -> Eventq.pop q) in
+  Alcotest.(check (list string)) "a number taken earlier fires first" [ "early"; "late" ] pops
 
 let test_eventq_peek () =
   let q = Eventq.create () in
-  Alcotest.(check (option (float 0.))) "empty peek" None (Eventq.peek_time q);
-  Eventq.push q ~time:5. ();
-  Alcotest.(check (option (float 0.))) "peek" (Some 5.) (Eventq.peek_time q);
+  Alcotest.(check (float 0.)) "empty min_time" infinity (Eventq.min_time q);
+  Alcotest.check_raises "empty pop" (Invalid_argument "Eventq.pop: empty queue") (fun () ->
+      Eventq.pop q);
+  push q ~time:5. ();
+  Alcotest.(check (float 0.)) "min_time" 5. (Eventq.min_time q);
   Alcotest.(check int) "length" 1 (Eventq.length q)
 
-let prop_eventq_sorted =
-  QCheck.Test.make ~name:"pops are time-sorted" ~count:100
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 200) (float_bound_inclusive 1000.))
-    (fun times ->
+(* Interleaved pushes and pops over few distinct times (so most events
+   tie), checked pop by pop against a reference model: the pending
+   (time, insertion index) pairs kept stable-sorted by time, whose head
+   is the event that must fire next. *)
+let prop_eventq_exact_order =
+  QCheck.Test.make ~name:"push/pop order is stable sort" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 0 300)
+        (option ~ratio:0.6 (map (fun k -> 0.5 *. float_of_int k) (int_bound 7))))
+    (fun ops ->
       let q = Eventq.create () in
-      List.iteri (fun i t -> Eventq.push q ~time:t i) times;
-      let rec drain last =
-        match Eventq.pop q with
-        | None -> true
-        | Some (t, _) -> t >= last && drain t
+      let model = ref [] and next = ref 0 in
+      let pop_matches () =
+        match !model with
+        | [] -> Eventq.is_empty q
+        | (time, idx) :: rest ->
+            model := rest;
+            let min_time = Eventq.min_time q in
+            Float.equal min_time time && Eventq.pop q = idx
       in
-      drain neg_infinity)
+      List.for_all
+        (function
+          | Some time ->
+              push q ~time !next;
+              model := List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+                  (!model @ [ (time, !next) ]);
+              incr next;
+              Eventq.length q = List.length !model
+          | None -> pop_matches ())
+        ops
+      &&
+      let rec drain () = Eventq.is_empty q || (pop_matches () && drain ()) in
+      drain () && !model = [])
 
 (* --- Sim --------------------------------------------------------------- *)
 
@@ -90,6 +125,50 @@ let test_sim_nested_scheduling () =
   Sim.run sim;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   check_float "time" 2. (Sim.now sim)
+
+let test_sim_every () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s = log := (Sim.now sim, s) :: !log in
+  Sim.at sim 3. (fun () -> note "before");
+  Sim.every sim ~at:1. ~period:1. ~until:4. (fun i -> note (Printf.sprintf "tick %d" i));
+  Sim.at sim 3. (fun () -> note "after");
+  (* Pushed at t = 2.5, when tick 2 is already pending: the stream still
+     keeps the tie order it took at the [every] call. *)
+  Sim.at sim 2.5 (fun () -> Sim.at sim 3. (fun () -> note "late"));
+  Sim.run sim;
+  Alcotest.(check (list (pair (float 0.) string)))
+    "ticks at start + i * period, ties as if pre-scheduled"
+    [ (1., "tick 0"); (2., "tick 1"); (3., "before"); (3., "tick 2"); (3., "after"); (3., "late") ]
+    (List.rev !log);
+  let times = ref [] in
+  Sim.every sim ~at:10. ~period:0.1 ~until:11. (fun _ -> times := Sim.now sim :: !times);
+  Sim.run_until sim 11.;
+  Alcotest.(check (list (float 0.)))
+    "exact send times, window end excluded"
+    (List.init 10 (fun i -> 10. +. (float_of_int i *. 0.1)))
+    (List.rev !times);
+  Alcotest.check_raises "start in the past"
+    (Invalid_argument "Sim: scheduling in the past (1.000000000 < 11.000000000)")
+    (fun () -> Sim.every sim ~at:1. ~period:1. ~until:20. ignore);
+  Alcotest.check_raises "non-positive period" (Invalid_argument "Sim.every: period <= 0")
+    (fun () -> Sim.every sim ~at:12. ~period:0. ~until:20. ignore)
+
+(* The event loop reads the earliest time before popping, so an event
+   costs the loop no allocation beyond the clock's boxed float. *)
+let test_sim_loop_allocation () =
+  let sim = Sim.create () in
+  let n = 10_000 in
+  let noop () = () in
+  for i = 1 to n do
+    Sim.at sim (float_of_int i) noop
+  done;
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per event <= 2" per_event)
+    true (per_event <= 2.)
 
 let test_sim_fresh_ids () =
   let sim = Sim.create () in
@@ -399,7 +478,7 @@ let test_net_conservation_under_load () =
   let dropped = Array.fold_left (fun acc l -> acc + Link.drops l) 0 links in
   Alcotest.(check int) "sent = received + dropped" sent (!received + dropped)
 
-let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_eventq_sorted ]
+let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_eventq_exact_order ]
 
 let () =
   Alcotest.run "netsim"
@@ -417,6 +496,8 @@ let () =
           Alcotest.test_case "past scheduling" `Quick test_sim_past_scheduling;
           Alcotest.test_case "nested scheduling" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "fresh ids" `Quick test_sim_fresh_ids;
+          Alcotest.test_case "every" `Quick test_sim_every;
+          Alcotest.test_case "loop allocation" `Quick test_sim_loop_allocation;
         ] );
       ("packet", [ Alcotest.test_case "invalid size" `Quick test_packet_invalid_size ]);
       ( "link",

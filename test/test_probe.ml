@@ -21,8 +21,9 @@ let test_shadow_idle_path () =
   let sim, net, a, _, c, _, _ = chain () in
   let path = Net.path_links net ~src:a ~dst:c in
   let result = ref None in
-  Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1) ~at:1. ~k:(fun r ->
-      result := Some r);
+  Sim.at sim 1. (fun () ->
+      Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1) ~k:(fun r ->
+          result := Some r));
   Sim.run sim;
   match !result with
   | None -> Alcotest.fail "shadow did not complete"
@@ -48,8 +49,9 @@ let test_shadow_sees_queue () =
   ignore l2;
   let path = Net.path_links net ~src:a ~dst:c in
   let result = ref None in
-  Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1) ~at:0.99
-    ~k:(fun r -> result := Some r);
+  Sim.at sim 0.99 (fun () ->
+      Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1) ~k:(fun r ->
+          result := Some r));
   Sim.run sim;
   match !result with
   | None -> Alcotest.fail "no result"
@@ -69,9 +71,9 @@ let test_shadow_loss_mark () =
   let path = Net.path_links net ~src:a ~dst:c in
   let result = ref None in
   (* Arrive at l2 just after it fills: launch so hop-1 arrival ~1.0001. *)
-  Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1)
-    ~at:(1.0001 -. 0.005 -. 0.00008)
-    ~k:(fun r -> result := Some r);
+  Sim.at sim (1.0001 -. 0.005 -. 0.00008) (fun () ->
+      Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1) ~k:(fun r ->
+          result := Some r));
   Sim.run sim;
   match !result with
   | None -> Alcotest.fail "no result"
@@ -85,8 +87,8 @@ let test_shadow_transparent () =
   let sim, net, a, _, c, _, l2 = chain () in
   let path = Net.path_links net ~src:a ~dst:c in
   for i = 0 to 99 do
-    Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1)
-      ~at:(0.01 *. float_of_int i) ~k:(fun _ -> ())
+    Sim.at sim (0.01 *. float_of_int i) (fun () ->
+        Probe.Shadow.launch net ~path ~size:10 ~rng:(Stats.Rng.create 1) ~k:(fun _ -> ()))
   done;
   Sim.run sim;
   Alcotest.(check int) "no arrivals recorded" 0 (Link.arrivals l2);
@@ -96,8 +98,7 @@ let test_shadow_empty_path () =
   let _, net, _, _, _, _, _ = chain () in
   Alcotest.check_raises "empty path" (Invalid_argument "Shadow.launch: empty path")
     (fun () ->
-      Probe.Shadow.launch net ~path:[] ~size:10 ~rng:(Stats.Rng.create 1) ~at:0.
-        ~k:(fun _ -> ()))
+      Probe.Shadow.launch net ~path:[] ~size:10 ~rng:(Stats.Rng.create 1) ~k:(fun _ -> ()))
 
 (* --- Trace ------------------------------------------------------------- *)
 
@@ -318,6 +319,38 @@ let test_losspair_no_losses () =
   Alcotest.(check (option (float 0.))) "no estimate" None
     (Probe.Losspair.estimate_max_queuing_delay lp)
 
+(* A 1,000 s window is 50,000 probes (25,000 pairs); a stream that
+   scheduled its window up front would hold them all in the event
+   queue at once.  One pending launch per stream keeps the high-water
+   mark at the launch plus the shadows in flight. *)
+let queue_depth_max start =
+  let sim, net, a, _, c, _, _ = chain () in
+  let depth = Obs.Gauge.make "dcl_sim_queue_depth_max" in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      Obs.Gauge.set depth 0.;
+      start net ~src:a ~dst:c;
+      Sim.run_until sim 1002.;
+      Obs.Gauge.value depth)
+
+let test_prober_bounded_queue () =
+  let depth =
+    queue_depth_max (fun net ~src ~dst ->
+        let p = Probe.Prober.create net ~src ~dst ~interval:0.02 () in
+        Probe.Prober.start p ~at:1. ~until:1001.)
+  in
+  Alcotest.(check bool) (Printf.sprintf "queue depth max %.0f <= 4" depth) true (depth <= 4.)
+
+let test_losspair_bounded_queue () =
+  let depth =
+    queue_depth_max (fun net ~src ~dst ->
+        let lp = Probe.Losspair.create net ~src ~dst ~pair_interval:0.04 () in
+        Probe.Losspair.start lp ~at:1. ~until:1001.)
+  in
+  Alcotest.(check bool) (Printf.sprintf "queue depth max %.0f <= 4" depth) true (depth <= 4.)
+
 let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_trace_roundtrip ]
 
 let () =
@@ -346,12 +379,14 @@ let () =
           Alcotest.test_case "count and order" `Quick test_prober_count_and_order;
           Alcotest.test_case "idle path delays" `Quick test_prober_idle_path_delays;
           Alcotest.test_case "invalid window" `Quick test_prober_invalid_window;
+          Alcotest.test_case "bounded event queue" `Quick test_prober_bounded_queue;
         ] );
       ( "losspair",
         [
           Alcotest.test_case "accounting" `Quick test_losspair_accounting;
           Alcotest.test_case "estimate near Qmax" `Quick test_losspair_estimate_near_qmax;
           Alcotest.test_case "no losses" `Quick test_losspair_no_losses;
+          Alcotest.test_case "bounded event queue" `Quick test_losspair_bounded_queue;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -41,7 +41,9 @@ let rule_help =
     ( "R2",
       "Domain/Mutex/Condition/Atomic only in pool.ml, par.ml, lib/obs/, \
        lib/fleet/" );
-    ("R3", "no =, <>, compare on floats; no hand-rolled abs_float epsilon");
+    ( "R3",
+      "no =, <>, compare, Float.equal, Float.compare on floats; no hand-rolled \
+       abs_float epsilon" );
     ("R4", "no exit / printf / prerr in lib/");
     ( "R5",
       "no allocating combinators or Bigarray create/sub inside (* lint: hot *) \

@@ -20,7 +20,8 @@
 
    Typed R3: polymorphic [=] / [<>] / [compare] whose first operand
    *types* as float — catches [let eq (a : float) b = a = b], which no
-   syntactic heuristic can.  Typed R5: a let-binding that aliases a
+   syntactic heuristic can — and every applied [Float.equal] /
+   [Float.compare], which are the same exact comparison by name.  Typed R5: a let-binding that aliases a
    Bigarray [unsafe_*] accessor (or, in lib/em, an [Array.unsafe_*]
    one) is tracked by its [Ident], and any use of the alias outside a
    (* lint: hot *) fence is flagged, closing the rename loophole of the
@@ -135,6 +136,12 @@ let check (u : unit_ctx) =
               ("polymorphic " ^ op
              ^ " on operands that type as float; exact float equality corrupts \
                 the F(2d*) threshold logic — use Stats.Float_cmp");
+            default_iterator.expr self e
+        | Some (("Float.equal" | "Float.compare") as op) when not (float_cmp_home fi.f_rel) ->
+            report_at diags ~file:fi.f_path ~loc:e.exp_loc ~rule:"R3"
+              (op
+             ^ " is an exact float comparison; use Stats.Float_cmp, or mark a \
+                deliberate exact test with a reasoned lint: allow R3");
             default_iterator.expr self e
         | _ -> default_iterator.expr self e)
     | Texp_ident (p, _, _) ->
