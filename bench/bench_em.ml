@@ -74,8 +74,8 @@ let synth_obs ~seed ~n ~m ~t =
   (* EM needs at least one loss and one observation; the simulated loss
      fraction makes both overwhelmingly likely, but force the corner
      for tiny smoke sizes. *)
-  obs.(0) <- None;
-  obs.(1) <- Some 0;
+  obs.(0) <- m;
+  obs.(1) <- 0;
   obs
 
 let model_fingerprint (model : Em.model) =
@@ -467,10 +467,11 @@ let () =
   let buf = Buffer.create 8192 in
   Printf.bprintf buf
     "{\n  \"bench\": \"em_fit\",\n  \"model\": \"mmhd\",\n\
+    \  \"profile\": %S,\n\
     \  \"cores\": %d,\n\
     \  \"note\": \"each case is one serial 4-restart MMHD fit on the calling domain, every restart running exactly max_iter sweeps (eps = 0); its winner is asserted bit-identical to the winner of the allocation run on the same input. serial_alloc_bytes is the Gc.allocated_bytes delta of one full fit (restarts included) run on an empty 8 MiB minor heap that it never fills, so no minor collection inflates it, and alloc_bytes_per_obs_iter divides it by t * max_iter * restarts. each convergence case is one fit from one informed start at the default eps and max_iter, next to plain EM (em_step repeated until one step changes no parameter by more than eps, timed once) from the same start; sweeps count forward-backward passes, one EM step each, a rejected SQUAREM extrapolation included, and fallbacks counts the extrapolations the fit rejected (dcl_em_squarem_fallbacks_total). a case's fixed-sweep fit and its convergence fit are timed alternately, %d times each, after a warm-up fit: serial_seconds and seconds are the medians, with the minimum and maximum. each stages case times Em.log_likelihood (the forward pass) and Em.em_step (a whole sweep: forward, backward with the E-step statistics, M-step) from one informed start, %d times each, alternately, after a warm-up call; the figure is the median ns per observation, with the minimum and maximum. the stages cases with sweep_call Em.Incremental.append time the fleet's per-path unit instead of Em.em_step: a t-observation batch appended to one Em.Incremental state, each run repeating both calls calls times.\",\n\
     \  \"cases\": [\n"
-    cores fit_repeats stage_repeats;
+    Build_profile.name cores fit_repeats stage_repeats;
   Buffer.add_buffer buf cases;
   Buffer.add_string buf "\n  ],\n  \"convergence\": [\n";
   Buffer.add_buffer buf convergence;

@@ -122,7 +122,7 @@ let run_speedup ~smoke buf =
         for e = 0 to epochs - 1 do
           for p = 0 to paths - 1 do
             histories.(p) <- Array.append histories.(p) batches.(p).(e);
-            if Array.exists (fun o -> o <> None) histories.(p) then begin
+            if Array.exists (fun o -> o <> m) histories.(p) then begin
               let t0 = Mmhd.init_informed refit_rng ~n ~m histories.(p) in
               ignore (Mmhd.fit_from ~eps:1e-3 ~max_iter t0 histories.(p))
             end
@@ -527,8 +527,8 @@ let () =
      determinism runs genuinely interleave. *)
   Stats.Pool.set_capacity (max 8 (Stats.Pool.size ()));
   let buf = Buffer.create 4096 in
-  Printf.bprintf buf "{\n  \"bench\": \"fleet\",\n  \"cores\": %d,\n"
-    (Stats.Pool.size ());
+  Printf.bprintf buf "{\n  \"bench\": \"fleet\",\n  \"profile\": %S,\n  \"cores\": %d,\n"
+    Build_profile.name (Stats.Pool.size ());
   if not gated_only then begin
     run_determinism ~smoke buf;
     run_speedup ~smoke buf;

@@ -153,7 +153,7 @@ let () =
   in
   let json =
     Printf.sprintf
-      "{\n  \"bench\": \"netsim\",\n  \"cores\": %d,\n  \"repeats\": %d,\n  \"depth_bound\": %d,\n\
+      "{\n  \"bench\": \"netsim\",\n  \"profile\": %S,\n  \"cores\": %d,\n  \"repeats\": %d,\n  \"depth_bound\": %d,\n\
       \  \"note\": \"each scenario is one Scenarios run of perfbench identify-paper's trace \
        (sim_seconds of probing), with Obs collection on. repeats alternate across the six \
        scenarios; events_per_s is the median over the repeats with the minimum and maximum, \
@@ -163,7 +163,7 @@ let () =
        is the median Gc.minor_words delta of a whole run per event, set-up and trace assembly \
        included.\",\n\
       \  \"scenarios\": [\n%s\n  ]\n}\n"
-      (Stats.Pool.size ()) repeats depth_bound (String.concat ",\n" rows)
+      Build_profile.name (Stats.Pool.size ()) repeats depth_bound (String.concat ",\n" rows)
   in
   let path = if smoke then "BENCH_sim.smoke.json" else "BENCH_sim.json" in
   let oc = open_out path in

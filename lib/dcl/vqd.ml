@@ -28,11 +28,6 @@ let quantile_symbol t q =
   let rec find j = if j >= m - 1 || t.cdf.(j) >= q then j else find (j + 1) in
   find 0
 
-let mean_queuing t =
-  let acc = ref 0. in
-  Array.iteri (fun j p -> acc := !acc +. (p *. Discretize.queuing_value t.scheme j)) t.pmf;
-  !acc
-
 let tv_distance a b = Stats.Histogram.total_variation a.pmf b.pmf
 
 let pp ppf t =

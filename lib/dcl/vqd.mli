@@ -30,9 +30,6 @@ val cdf_at : t -> int -> float
 val quantile_symbol : t -> float -> int
 (** Smallest symbol [j] with [cdf_at t j >= q]. *)
 
-val mean_queuing : t -> float
-(** Mean of the distribution using upper-edge bin values. *)
-
 val tv_distance : t -> t -> float
 (** Total-variation distance between two distributions on the same
     number of symbols. *)

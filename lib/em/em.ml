@@ -26,7 +26,7 @@ type model = Em_kernel.model = {
   c : float array;
 }
 
-type observation = int option
+type observation = int
 
 type fit_stats = {
   iterations : int;
@@ -136,7 +136,8 @@ let validate (t : model) =
 let check_symbols ~who ~m obs =
   let bad = ref 0 in
   for time = 0 to Array.length obs - 1 do
-    match obs.(time) with Some j -> bad := !bad lor j lor (m - 1 - j) | None -> ()
+    let j = obs.(time) in
+    bad := !bad lor j lor (m - j)
   done;
   if !bad < 0 then Kernel.reject_symbols ~who ~m obs
 
@@ -196,7 +197,7 @@ let loss_columns ~s ~m get =
 
 let virtual_delay_pmf ~(ws : workspace) t obs =
   check_obs "Em.virtual_delay_pmf" obs;
-  if not (Array.exists (fun o -> o = None) obs) then
+  if not (Array.exists (fun o -> o = t.m) obs) then
     invalid_arg "Em.virtual_delay_pmf: no loss in the sequence";
   run_sweep ws t obs;
   Stats.Histogram.normalize (loss_columns ~s:t.s ~m:t.m (Array.get ws.k.count_loss))
@@ -632,26 +633,23 @@ let fit_from ~ws ?(eps = default_eps) ?(max_iter = default_max_iter) ~update_b t
 let neighbor_attribution ~m obs =
   let tt = Array.length obs in
   let seen = Array.make m 1. and lost = Array.make m 0.5 in
+  let pick t = if t >= 0 && t < tt then obs.(t) else m in
+  (* The nearest surviving symbol, or [m] when every probe is lost. *)
   let nearest t0 =
     let rec scan d =
-      if d > tt then None
-      else
-        let back = t0 - d and fwd = t0 + d in
-        let pick t = if t >= 0 && t < tt then obs.(t) else None in
-        match pick back with
-        | Some j -> Some j
-        | None -> ( match pick fwd with Some j -> Some j | None -> scan (d + 1))
+      if d > tt then m
+      else if pick (t0 - d) <> m then pick (t0 - d)
+      else if pick (t0 + d) <> m then pick (t0 + d)
+      else scan (d + 1)
     in
     scan 1
   in
   Array.iteri
-    (fun t o ->
-      match o with
-      | Some j -> seen.(j) <- seen.(j) +. 1.
-      | None -> (
-          match nearest t with
-          | Some j -> lost.(j) <- lost.(j) +. 1.
-          | None -> ()))
+    (fun t j ->
+      if j <> m then seen.(j) <- seen.(j) +. 1.
+      else
+        let k = nearest t in
+        if k <> m then lost.(k) <- lost.(k) +. 1.)
     obs;
   (seen, lost)
 

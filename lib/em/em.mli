@@ -38,15 +38,14 @@
     past, reruns the pass with per-step scaling, so {!Zero_likelihood}
     is raised where per-step scaling raises it.
 
-    Hot-path layout: observations are collapsed into integer
-    {e observation classes} (once per {!fit_from} call, once per call
-    for the one-shot entry points) (symbol [j], or [m] for a loss)
-    indexing a single class-major emission table and the active-state
-    lists, so emission rows are computed once per class per sweep
-    and the sweeps never touch the boxed [int option] sequence; both
-    passes read the model's [pi] and [a] in place.  These are pure
-    layout changes: results are bit-identical to the direct
-    formulation.
+    Hot-path layout: an {!observation} is its own
+    {e observation class} (symbol [j], or [m] for a loss), indexing a
+    single class-major emission table and the active-state lists, so
+    emission rows are computed once per class per sweep; the sweeps
+    read the caller's array in place (range-checked once per
+    {!fit_from} call, once per call for the one-shot entry points), and
+    the model's [pi] and [a] likewise.  These are pure layout changes:
+    results are bit-identical to the direct formulation.
 
     Every sweep and every fit runs serially; the only parallelism is
     the fleet's pool fanning out over independent paths, each domain on
@@ -61,8 +60,10 @@ type model = Em_kernel.model = {
   c : float array;  (** [c.(j)] = P(loss | symbol [j]), length [m] *)
 }
 
-type observation = int option
-(** [Some j]: delay symbol [j] observed; [None]: probe lost. *)
+type observation = int
+(** Delay symbol [j] in [\[0, m)] observed, or [m]: probe lost (the
+    paper's missing value, Section V).  A sequence is a plain
+    [int array]. *)
 
 type fit_stats = {
   iterations : int;
@@ -106,12 +107,13 @@ val validate : model -> unit
 
 val check_symbols : who:string -> m:int -> observation array -> unit
 (** Raises [Invalid_argument] (prefixed by [who]) naming the time index
-    of the first symbol outside [\[0, m)], in one pass that allocates
-    nothing when every symbol is in range. *)
+    of the first observation outside [\[0, m\]], in one pass that
+    allocates nothing when every observation is in range. *)
 
 (** Every function below that sweeps a sequence raises
-    [Invalid_argument] on an empty sequence or on a symbol outside
-    [\[0, m)] (naming its time index). *)
+    [Invalid_argument] on an empty sequence or on an observation
+    outside [\[0, m\]] (naming its time index).  The sequence must not
+    change during the call: the sweeps read it in place. *)
 
 val log_likelihood : ws:workspace -> model -> observation array -> float
 (** Scaled-forward log-likelihood (forward pass only): the sum of the

@@ -35,16 +35,15 @@ type workspace = {
   mutable alpha : float array;
   mutable beta : float array;
   mutable scale : float array; (* T, 1 where a row was left unnormalized *)
-  (* Observation classes: cls.(t) = j for [Some j], m for [None].  A
-     class is both the row of the emission table and the row of the
-     active-state table, so the sweeps never touch the boxed
-     [int option] observations. *)
+  (* Observation classes: the caller's observation array itself (symbol
+     j, or m for a loss), set by [classify].  A class is both the row
+     of the emission table and the row of the active-state table. *)
   mutable cls : int array; (* T *)
   mutable cls_count : int array; (* M+1, occurrences of each class *)
   mutable total : int; (* live length of alpha and beta *)
   (* Per-sweep emission table, class-major: row j < m holds
-     e(st, Some j) at e_all.(j*s + st), row m holds the loss emission
-     e(st, None) at e_all.(m*s + st). *)
+     e(st, j) at e_all.(j*s + st), row m holds the loss emission
+     e(st, m) at e_all.(m*s + st). *)
   mutable e_all : float array; (* (M+1)*S *)
   mutable w : float array; (* S*M, state-major loss-symbol weights *)
   (* Active-state lists: row j < m lists states that can emit symbol j,
@@ -113,23 +112,20 @@ let reserve ws ~tt ~s ~m =
     ws.alpha <- fbuf (ct * ws.cap_s);
     ws.beta <- fbuf (ct * ws.cap_s);
     ws.scale <- fbuf ct;
-    ws.cls <- Array.make ct 0;
     ws.cap_t <- ct
   end
 
-(* Symbols outside [0, m) would index past the emission table (or read
-   as the loss class [m]).  The range test is one [lor] per observation
-   ([j lor (m - 1 - j)] is negative iff [j] is out of range), and only a
-   failed test pays for locating the culprit: a raising branch inside
-   the per-observation loops measurably slowed sweeps and pushes. *)
+(* Classes outside [0, m] would index past the emission table.  The
+   range test is one [lor] per observation ([j lor (m - j)] is negative
+   iff [j] is out of range), and only a failed test pays for locating
+   the culprit: a raising branch inside the per-observation loops
+   measurably slowed sweeps and pushes. *)
 let reject_symbols ~who ~m obs =
   Array.iteri
-    (fun time o ->
-      match o with
-      | Some j when j < 0 || j >= m ->
-          invalid_arg
-            (Printf.sprintf "%s: symbol %d at time %d is outside [0, %d)" who j time m)
-      | Some _ | None -> ())
+    (fun time j ->
+      if j < 0 || j > m then
+        invalid_arg
+          (Printf.sprintf "%s: symbol %d at time %d is outside [0, %d]" who j time m))
     obs
 
 let zero_likelihood time =
@@ -138,29 +134,26 @@ let zero_likelihood time =
 
 (* lint: hot *)
 
-(* Collapse the boxed observations into integer classes once per fit
-   (once per call for the one-shot entry points); every pass then reads
-   the flat [cls] array instead of matching an [int option] (a pointer
-   dereference plus a branch) at each of its per-time-step accesses.
-   The symbol range check rides along; once it has passed, the classes
-   are counted for [prepare]'s compact-buffer length. *)
+(* Point [cls] at the observations, which already are classes: no
+   copy, so the caller must leave the array unchanged while the
+   workspace sweeps it.  The range check rides along with counting
+   the classes for [prepare]'s compact-buffer length; the counts are
+   taken only once the check has passed. *)
 let classify ws (t : model) obs =
-  let m = t.m and cls = ws.cls and count = ws.cls_count in
+  let m = t.m and count = ws.cls_count in
   let tt = Array.length obs in
   let bad = ref 0 in
   for time = 0 to tt - 1 do
-    match Array.unsafe_get obs time with
-    | Some j ->
-        bad := !bad lor j lor (m - 1 - j);
-        Array.unsafe_set cls time j
-    | None -> Array.unsafe_set cls time m
+    let j = Array.unsafe_get obs time in
+    bad := !bad lor j lor (m - j)
   done;
   if !bad < 0 then reject_symbols ~who:"Em" ~m obs;
+  ws.cls <- obs;
   for r = 0 to m do
     Array.unsafe_set count r 0
   done;
   for time = 0 to tt - 1 do
-    let r = Array.unsafe_get cls time in
+    let r = Array.unsafe_get obs time in
     Array.unsafe_set count r (Array.unsafe_get count r + 1)
   done
 
@@ -169,9 +162,9 @@ let classify ws (t : model) obs =
    however many times each class occurs in the sequence.  The
    missing-value emission (paper Section V) lives here, shared by both
    model families:
-     e(st, Some j) = b_st(j) * (1 - c_j)
-     e(st, None)   = sum_j b_st(j) * c_j
-     w(st, j)      = b_st(j) * c_j / e(st, None)   (loss-symbol posterior) *)
+     e(st, j) = b_st(j) * (1 - c_j)          (symbol j < m observed)
+     e(st, m) = sum_j b_st(j) * c_j          (probe lost)
+     w(st, j) = b_st(j) * c_j / e(st, m)     (loss-symbol posterior) *)
 let prepare ws (t : model) =
   let s = t.s and m = t.m in
   let b = t.b and c = t.c in

@@ -48,19 +48,19 @@ val reserve : workspace -> tt:int -> s:int -> m:int -> unit
 (** Grow (never shrink) every buffer for a [tt]-step sweep of an
     [s]-state, [m]-symbol model.  Amortized allocation-free on reuse. *)
 
-val reject_symbols : who:string -> m:int -> int option array -> unit
+val reject_symbols : who:string -> m:int -> int array -> unit
 (** Raises [Invalid_argument] (prefixed by [who]) naming the time index
-    of the first symbol outside [\[0, m)]; returns if there is none.
+    of the first class outside [\[0, m\]]; returns if there is none.
     The slow path of the range test in {!classify} and
     [Em.check_symbols]. *)
 
-val classify : workspace -> model -> int option array -> unit
-(** Collapse the observations into integer classes in [cls] (symbol
-    [j], or [m] for a loss) and count each class in [cls_count].
-    Raises [Invalid_argument] naming the time index of the first symbol
-    outside [\[0, m)].  The classes depend on the observations and [m]
-    only, so a fit classifies once and then only {!prepare}s each
-    sweep's model. *)
+val classify : workspace -> model -> int array -> unit
+(** Point [cls] at the observations (symbol [j], or [m] for a loss; no
+    copy) and count each class in [cls_count].  Raises
+    [Invalid_argument] naming the time index of the first class outside
+    [\[0, m\]].  The classes depend on the observations and [m] only,
+    so a fit classifies once and then only {!prepare}s each sweep's
+    model; the array must not change while the workspace sweeps it. *)
 
 val prepare : workspace -> model -> unit
 (** Fill the emission table, loss weights and active-state lists for

@@ -15,7 +15,6 @@ let m_resets =
 
 type config = {
   n : int;
-  m : int;
   lambda : float;
   scheme : Dcl.Discretize.t;
   params : Dcl.Identify.params;
@@ -36,18 +35,9 @@ let config ?(n = 2) ?(lambda = 0.9) ?params ?(min_weight = 64.)
   if timeline_capacity < 0 then
     invalid_arg "Fleet.Path_state.config: timeline_capacity must be non-negative";
   let params = match params with Some p -> p | None -> Dcl.Identify.default_params in
-  {
-    n;
-    m = scheme.Dcl.Discretize.m;
-    lambda;
-    scheme;
-    params;
-    min_weight;
-    min_loss_mass;
-    timeline_capacity;
-  }
+  { n; lambda; scheme; params; min_weight; min_loss_mass; timeline_capacity }
 
-let states cfg = cfg.n * cfg.m
+let symbols cfg = cfg.scheme.Dcl.Discretize.m
 
 type t = {
   config : config;
@@ -66,7 +56,7 @@ let create config ~rng =
   {
     config;
     rng;
-    stats = Em.Incremental.create ~s:(states config) ~m:config.m;
+    stats = Em.Incremental.create ~s:(config.n * symbols config) ~m:(symbols config);
     timeline = Timeline.create ~capacity:config.timeline_capacity;
     model = None;
     conclusion = None;
@@ -131,8 +121,9 @@ let update ~ws ?epoch t batch =
              initializer; hold the batch's observations back until a
              delay arrives.  Once a model exists, all-loss batches are
              handled by the missing-value emission. *)
-          if Array.exists (fun o -> o <> None) batch then
-            Some (Mmhd.init_informed t.rng ~n:t.config.n ~m:t.config.m batch)
+          let m = symbols t.config in
+          if Array.exists (fun o -> o <> m) batch then
+            Some (Mmhd.init_informed t.rng ~n:t.config.n ~m batch)
           else None
     in
     match model with

@@ -17,9 +17,8 @@
 
 type config = {
   n : int;  (** hidden-dimension size *)
-  m : int;  (** delay symbols (copied from the scheme) *)
   lambda : float;  (** per-epoch forgetting factor in [\[0, 1\]] *)
-  scheme : Dcl.Discretize.t;
+  scheme : Dcl.Discretize.t;  (** its [m] delay symbols are the model's *)
   params : Dcl.Identify.params;  (** test parameters for the re-tests *)
   min_weight : float;
       (** effective (decayed) observation count required before the
@@ -68,8 +67,8 @@ val update : ws:Em.workspace -> ?epoch:int -> t -> Em.observation array -> bool
     ({!Em.domain_ws}).  Each non-dropped batch appends an entry
     to the path's {!timeline}, stamped with [epoch] (the scheduler's
     fleet epoch) when given, the path's own update count otherwise.
-    Symbols must lie in [\[0, m)]; {!Scheduler.push} checks this before
-    a batch is queued. *)
+    Observations must lie in [\[0, m\]] ([m] a lost probe);
+    {!Scheduler.push} checks this before a batch is queued. *)
 
 val coast : t -> factor:float -> unit
 (** Apply the decay the path missed while it was not being updated

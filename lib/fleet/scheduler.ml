@@ -97,7 +97,7 @@ type gating = {
 
 type t = {
   domains : int;
-  m : int; (* delay symbols: pushed symbols must lie in [0, m) *)
+  m : int; (* the scheme's m: pushed symbols lie in [0, m], m a loss *)
   on_transition : (transition -> unit) option;
   paths : Path_state.t array;
   pending : Em.observation array list array; (* newest batch first *)
@@ -124,7 +124,7 @@ let ewma_alpha = 0.15
 let quantile_p = 0.75
 
 let make_gating config ~paths g_config =
-  let m = config.Path_state.m in
+  let m = config.Path_state.scheme.Dcl.Discretize.m in
   {
     g_config;
     g_lambda = config.Path_state.lambda;
@@ -150,7 +150,7 @@ let create ?(domains = 1) ?on_transition ?gate ~rng ~paths config =
   Obs.Gauge.set g_paths (float_of_int paths);
   {
     domains;
-    m = config.Path_state.m;
+    m = config.Path_state.scheme.Dcl.Discretize.m;
     on_transition;
     paths =
       Array.init paths (fun _ -> Path_state.create config ~rng:(Stats.Rng.split rng));
@@ -214,11 +214,11 @@ let gate_view t i =
 let gated_push t g ~path:pidx batch =
   let len = Array.length batch in
   let losses = ref 0 in
-  let quant = g.g_quant.(pidx) in
+  let quant = g.g_quant.(pidx) and m = t.m in
   for i = 0 to len - 1 do
-    match Array.unsafe_get batch i with
-    | None -> incr losses
-    | Some y -> Sketch.Estimators.Quantile.update quant (float_of_int y)
+    let y = Array.unsafe_get batch i in
+    if y = m then incr losses
+    else Sketch.Estimators.Quantile.update quant (float_of_int y)
   done;
   g.g_losses.(pidx) <- g.g_losses.(pidx) + !losses;
   let ewma = g.g_loss.(pidx) in

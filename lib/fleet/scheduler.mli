@@ -68,7 +68,8 @@ val push : t -> path:int -> Em.observation array -> unit
     once per epoch, its gate); a quiet path's batch is then absorbed
     by the sketches and dropped instead of queued.  Raises
     [Invalid_argument], with no state changed, on an out-of-range path
-    index or a symbol outside [\[0, m)] ({!Em.check_symbols}). *)
+    index or an observation outside [\[0, m\]] ({!Em.check_symbols};
+    [m] is a lost probe). *)
 
 val tick : t -> int
 (** Run one epoch over every path with pending observations; returns

@@ -157,12 +157,11 @@ let synthetic ?(templates = 8) ?(congested_fraction = 0.3) ?(m = 5) ~rng ~paths
   let pull p len =
     let tpl = tpls.(assign.(p)) in
     let prng = rngs.(p) in
-    let batch = Array.make len None in
+    let batch = Array.make len 0 in
     let state = ref states.(p) in
     for i = 0 to len - 1 do
       let y = !state in
-      batch.(i) <-
-        (if Stats.Sampler.bernoulli prng ~p:tpl.t_c.(y) then None else Some y);
+      batch.(i) <- (if Stats.Sampler.bernoulli prng ~p:tpl.t_c.(y) then m else y);
       state := draw_row prng tpl.t_a ~off:(y * m) ~len:m
     done;
     states.(p) <- !state;
@@ -192,7 +191,7 @@ let of_trace ?(m = 5) ~paths trace =
     cursors.(p) <- p * 2654435761 mod tt
   done;
   let pull p len =
-    let batch = Array.make len None in
+    let batch = Array.make len 0 in
     let cur = cursors.(p) in
     for i = 0 to len - 1 do
       batch.(i) <- symbols.((cur + i) mod tt)

@@ -16,7 +16,7 @@ val scheme : t -> Dcl.Discretize.t
     fleet configs must be built against it. *)
 
 val pull : t -> path:int -> len:int -> Em.observation array
-(** The path's next [len] observations ([None] = lost probe).  Each
+(** The path's next [len] observations ([m] = lost probe).  Each
     call advances the path's position; the returned array is fresh and
     owned by the caller (safe to hand to {!Scheduler.push}).  Raises
     [Invalid_argument] on an out-of-range path or non-positive

@@ -49,12 +49,12 @@ let simulate rng (t : Em.model) ~len =
   Em.validate t;
   let s = t.s and m = t.m in
   let states = Array.make len 0 in
-  let obs = Array.make len None in
+  let obs = Array.make len 0 in
   let state = ref (Stats.Sampler.categorical rng t.pi) in
   for time = 0 to len - 1 do
     states.(time) <- !state;
     let j = Stats.Sampler.categorical rng (Array.sub t.b (!state * m) m) in
-    obs.(time) <- (if Stats.Sampler.bernoulli rng ~p:t.c.(j) then None else Some j);
+    obs.(time) <- (if Stats.Sampler.bernoulli rng ~p:t.c.(j) then m else j);
     state := Stats.Sampler.categorical rng (Array.sub t.a (!state * s) s)
   done;
   (obs, states)

@@ -30,14 +30,10 @@ let init_random rng ~n ~m ~loss_fraction =
    transition structure. *)
 let observed_bigrams ~m obs =
   let big = Array.make (m * m) 0.2 in
-  let prev = ref None in
-  Array.iter
-    (fun o ->
-      (match (!prev, o) with
-      | Some i, Some j -> big.((i * m) + j) <- big.((i * m) + j) +. 1.
-      | _ -> ());
-      prev := o)
-    obs;
+  for time = 1 to Array.length obs - 1 do
+    let i = obs.(time - 1) and j = obs.(time) in
+    if i <> m && j <> m then big.((i * m) + j) <- big.((i * m) + j) +. 1.
+  done;
   Stats.Matrix.row_normalize ~cols:m big;
   big
 
@@ -74,12 +70,12 @@ let simulate rng (t : Em.model) ~len =
   Em.validate t;
   let s = t.s in
   let path = Array.make len 0 in
-  let obs = Array.make len None in
+  let obs = Array.make len 0 in
   let state = ref (Stats.Sampler.categorical rng t.pi) in
   for time = 0 to len - 1 do
     path.(time) <- !state;
     let y = !state mod t.m in
-    obs.(time) <- (if Stats.Sampler.bernoulli rng ~p:t.c.(y) then None else Some y);
+    obs.(time) <- (if Stats.Sampler.bernoulli rng ~p:t.c.(y) then t.m else y);
     state := Stats.Sampler.categorical rng (Array.sub t.a (!state * s) s)
   done;
   (obs, path)

@@ -16,9 +16,6 @@ type t = {
   mutable busy : bool;
   mutable service_end : float;  (* departure time of the in-service packet *)
   mutable deliver : Packet.t -> unit;
-  mutable on_drop : Packet.t -> unit;
-  mutable on_accept : Packet.t -> unit;
-  mutable on_transmit : Packet.t -> unit;
   mutable arrivals : int;
   mutable drops : int;
   mutable departures : int;
@@ -46,9 +43,6 @@ let create sim ~id ~src ~dst ~bandwidth ~delay ~capacity ?(mtu = 1040) ~policy (
     busy = false;
     service_end = 0.;
     deliver = (fun _ -> ());
-    on_drop = (fun _ -> ());
-    on_accept = (fun _ -> ());
-    on_transmit = (fun _ -> ());
     arrivals = 0;
     drops = 0;
     departures = 0;
@@ -56,16 +50,6 @@ let create sim ~id ~src ~dst ~bandwidth ~delay ~capacity ?(mtu = 1040) ~policy (
   }
 
 let set_deliver t f = t.deliver <- f
-let set_on_drop t f = t.on_drop <- f
-let set_on_accept t f = t.on_accept <- f
-let set_on_transmit t f = t.on_transmit <- f
-
-let add_deliver_observer t f =
-  let previous = t.deliver in
-  t.deliver <-
-    (fun pkt ->
-      previous pkt;
-      f pkt)
 
 let transmission_time t ~size = float_of_int (size * 8) /. t.bandwidth
 
@@ -73,7 +57,6 @@ let queue_length t = Queue.length t.waiting + if t.busy then 1 else 0
 
 let rec start_service t pkt =
   t.busy <- true;
-  t.on_transmit pkt;
   let tx = transmission_time t ~size:pkt.Packet.size in
   t.busy_time <- t.busy_time +. tx;
   t.service_end <- Sim.now t.sim +. tx;
@@ -93,7 +76,6 @@ and finish_service t pkt =
       | Droptail -> ())
 
 let accept t pkt =
-  t.on_accept pkt;
   if t.busy then begin
     Queue.add pkt t.waiting;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.size
@@ -116,11 +98,7 @@ let offer t pkt =
         overflow t ~size:pkt.Packet.size
         || Red.decide red ~rng:t.rng ~qlen:(queue_length t) ~now:(Sim.now t.sim)
   in
-  if drop then begin
-    t.drops <- t.drops + 1;
-    t.on_drop pkt
-  end
-  else accept t pkt
+  if drop then t.drops <- t.drops + 1 else accept t pkt
 
 let id t = t.id
 let src t = t.src

@@ -36,21 +36,6 @@ val set_deliver : t -> (Packet.t -> unit) -> unit
 (** Install the callback invoked when a packet finishes propagation and
     arrives at the downstream node. *)
 
-val set_on_drop : t -> (Packet.t -> unit) -> unit
-
-val set_on_accept : t -> (Packet.t -> unit) -> unit
-(** Called when an arrival is accepted into the buffer (or straight
-    into service) — an ns-2 enqueue event. *)
-
-val set_on_transmit : t -> (Packet.t -> unit) -> unit
-(** Called when a packet begins transmission — an ns-2 dequeue
-    event. *)
-
-val add_deliver_observer : t -> (Packet.t -> unit) -> unit
-(** Run an extra callback (after the forwarding one) when a packet
-    finishes propagation — an ns-2 receive event.  Composes; does not
-    replace the callback installed by {!set_deliver}. *)
-
 val offer : t -> Packet.t -> unit
 (** Present an arriving packet to the buffer at the current simulation
     time: it is dropped (droptail overflow or RED early drop) or

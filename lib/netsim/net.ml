@@ -48,12 +48,6 @@ let add_node t name =
   t.routes_fresh <- false;
   id
 
-let node_count t = t.n_nodes
-
-let node_name t id =
-  if id < 0 || id >= t.n_nodes then invalid_arg "Net.node_name: bad node id";
-  t.names.(id)
-
 let check_node t id label =
   if id < 0 || id >= t.n_nodes then invalid_arg ("Net.add_link: bad " ^ label ^ " node id")
 

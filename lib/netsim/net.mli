@@ -11,9 +11,6 @@ val sim : t -> Sim.t
 val add_node : t -> string -> int
 (** Register a node and return its id (dense, starting at 0). *)
 
-val node_count : t -> int
-val node_name : t -> int -> string
-
 type queue_spec =
   | Droptail_q
   | Red_q of { min_th : float; max_th : float }

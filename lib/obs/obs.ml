@@ -205,43 +205,6 @@ module Histogram = struct
     Array.init (nb + 1) (fun i ->
         cum := !cum + raw_bucket h i;
         ((if i < nb then h.h_uppers.(i) else infinity), !cum))
-
-  (* Prometheus-style histogram_quantile: find the bucket holding rank
-     q * count and interpolate linearly inside it (lower edge 0 for the
-     first bucket).  Ranks landing in the +Inf overflow bucket clamp to
-     the last finite upper bound — the histogram carries no information
-     past it. *)
-  let quantile h q =
-    if q < 0. || q > 1. then invalid_arg "Obs.Histogram.quantile: q outside [0, 1]";
-    let total = count h in
-    if total = 0 then Float.nan
-    else begin
-      let uppers = h.h_uppers in
-      let nb = Array.length uppers in
-      let rank = q *. float_of_int total in
-      (* Scan until the cumulative count reaches the rank AND the
-         current bucket holds mass.  The second conjunct is the
-         low-rank edge: a rank landing exactly on the cumulative
-         boundary of an empty bucket (q = 0. with an empty leading
-         bucket, or any rank equal to the count below one) must
-         resolve where the observations actually are — the first
-         occupied bucket at or after it — not at the empty bucket's
-         upper edge. *)
-      let i = ref 0 and cum = ref (raw_bucket h 0) in
-      while !i < nb && (float_of_int !cum < rank || raw_bucket h !i = 0) do
-        incr i;
-        if !i < nb then cum := !cum + raw_bucket h !i
-      done;
-      if !i >= nb then uppers.(nb - 1)
-      else begin
-        let upper = uppers.(!i) in
-        let lower = if !i = 0 then 0. else uppers.(!i - 1) in
-        let in_bucket = raw_bucket h !i in
-        let below = !cum - in_bucket in
-        let frac = (rank -. float_of_int below) /. float_of_int in_bucket in
-        lower +. ((upper -. lower) *. Float.max 0. (Float.min 1. frac))
-      end
-    end
 end
 
 module Span = struct

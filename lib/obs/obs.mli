@@ -102,20 +102,6 @@ module Histogram : sig
   val bucket_counts : histogram -> (float * int) array
   (** Cumulative [(upper_bound, count <= upper_bound)] pairs ending
       with [(infinity, count)], as Prometheus exports them. *)
-
-  val quantile : histogram -> float -> float
-  (** Prometheus-style [histogram_quantile]: the bucket holding rank
-      [q * count], linearly interpolated inside the bucket (lower edge
-      0 for the first bucket).  A rank landing on the cumulative
-      boundary of an {e empty} bucket — [q = 0.] with empty leading
-      buckets, for instance — resolves to the lower edge of the first
-      occupied bucket at or after it, where the observations actually
-      are.  A rank falling in the [+Inf] overflow bucket clamps to the
-      largest finite upper bound (including when the overflow bucket
-      is the only occupied one); [nan] on an empty histogram.  Raises
-      [Invalid_argument] unless [q] is in [\[0, 1\]].  The estimate's resolution is the bucket width —
-      intended for bench summaries (p50/p95/p99 of an epoch-latency
-      histogram), not precise statistics. *)
 end
 
 module Span : sig

@@ -17,8 +17,6 @@ let bits64 t =
 
 let split t = { state = bits64 t }
 
-let copy t = { state = t.state }
-
 let float t =
   (* Use the top 53 bits for a uniform dyadic rational in [0,1). *)
   let x = Int64.shift_right_logical (bits64 t) 11 in
@@ -35,5 +33,3 @@ let int t n =
     else Int64.to_int v
   in
   draw ()
-
-let bool t = Int64.logand (bits64 t) 1L = 1L

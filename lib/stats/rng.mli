@@ -19,15 +19,8 @@ val split : t -> t
 (** [split t] returns a new generator whose stream is independent of
     the remainder of [t]'s stream.  [t] is advanced. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; both copies then produce the
-    same stream. *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)], 53-bit resolution. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n-1\]].  Requires [n > 0]. *)
-
-val bool : t -> bool
-(** Fair coin. *)

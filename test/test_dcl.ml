@@ -38,8 +38,8 @@ let trace_of_obs obs =
 
 let test_discretize_symbolize () =
   let obs = [| Probe.Trace.Delay 0.15; Probe.Trace.Lost; Probe.Trace.Delay 0.45 |] in
-  Alcotest.(check (array (option int))) "symbolized"
-    [| Some 0; None; Some 3 |]
+  Alcotest.(check (array int)) "symbolized (loss = m)"
+    [| 0; 5; 3 |]
     (Dcl.Discretize.symbolize scheme5 (trace_of_obs obs))
 
 let test_discretize_invalid () =
@@ -91,10 +91,6 @@ let test_vqd_quantile () =
   Alcotest.(check int) "median symbol" 2 (Dcl.Vqd.quantile_symbol v 0.5);
   Alcotest.(check int) "q0 symbol" 0 (Dcl.Vqd.quantile_symbol v 0.1);
   Alcotest.(check int) "q1 symbol" 4 (Dcl.Vqd.quantile_symbol v 1.0)
-
-let test_vqd_mean () =
-  let v = Dcl.Vqd.of_pmf scheme5 [| 0.; 0.; 1.; 0.; 0. |] in
-  check_float "mean at bin value" 0.3 (Dcl.Vqd.mean_queuing v)
 
 let test_vqd_of_trace_truth () =
   let trace =
@@ -292,21 +288,20 @@ let synthetic_trace ~len seed =
         let delay =
           base +. (width *. (float_of_int y +. Stats.Sampler.uniform jrng ~lo:0.02 ~hi:0.98))
         in
-        match o with
-        | Some _ -> Probe.Trace.{ send_time; obs = Delay delay; truth = None }
-        | None ->
-            Probe.Trace.
-              {
-                send_time;
-                obs = Lost;
-                truth =
-                  Some
-                    {
-                      virtual_queuing_delay = delay -. base;
-                      hop_queuing = [| delay -. base |];
-                      loss_hop = Some 0;
-                    };
-              })
+        if o <> reference.Em.m then Probe.Trace.{ send_time; obs = Delay delay; truth = None }
+        else
+          Probe.Trace.
+            {
+              send_time;
+              obs = Lost;
+              truth =
+                Some
+                  {
+                    virtual_queuing_delay = delay -. base;
+                    hop_queuing = [| delay -. base |];
+                    loss_hop = Some 0;
+                  };
+            })
       obs
   in
   Probe.Trace.create ~records ~interval:0.02 ~base_delay:base ~hop_count:1
@@ -421,9 +416,8 @@ let prop_symbolize_total =
       && Array.for_all2
            (fun o sym ->
              match (o, sym) with
-             | Probe.Trace.Lost, None -> true
-             | Probe.Trace.Delay _, Some j -> j >= 0 && j < 7
-             | _ -> false)
+             | Probe.Trace.Lost, j -> j = 7
+             | Probe.Trace.Delay _, j -> j >= 0 && j < 7)
            obs symbols)
 
 let prop_component_bound_dominated_by_range =
@@ -459,7 +453,6 @@ let () =
           Alcotest.test_case "of pmf" `Quick test_vqd_of_pmf;
           Alcotest.test_case "of samples" `Quick test_vqd_of_samples;
           Alcotest.test_case "quantile" `Quick test_vqd_quantile;
-          Alcotest.test_case "mean" `Quick test_vqd_mean;
           Alcotest.test_case "of trace truth" `Quick test_vqd_of_trace_truth;
           Alcotest.test_case "requires losses" `Quick test_vqd_requires_losses;
         ] );

@@ -9,8 +9,8 @@ let mmhd_obs ~seed ~len =
   let rng = Stats.Rng.create seed in
   let truth = Mmhd.init_random rng ~n:2 ~m:4 ~loss_fraction:0.08 in
   let obs, _ = Mmhd.simulate rng truth ~len in
-  obs.(0) <- Some 0;
-  obs.(1) <- None;
+  obs.(0) <- 0;
+  obs.(1) <- 4;
   obs
 
 let check_same_floats name a b =
@@ -40,7 +40,7 @@ let sane_model : Em.model =
     c = [| 0.1; 0.2 |];
   }
 
-let em_obs = [| Some 0; Some 1; None; Some 0; Some 1; Some 1; Some 0; None; Some 1 |]
+let em_obs = [| 0; 1; 2; 0; 1; 1; 0; 2; 1 |]
 
 (* [Em.fit_informed] over [restarts] starts drawn from [init]; the
    fit is serial, so starts are drawn in restart order. *)
@@ -77,21 +77,23 @@ let test_all_degenerate_fails () =
 let test_zero_likelihood_carries_time () =
   (* The exception reports the first impossible observation's index. *)
   let ws = Em.workspace () in
-  match Em.log_likelihood ~ws degenerate_model [| Some 1; Some 1; Some 0 |] with
+  match Em.log_likelihood ~ws degenerate_model [| 1; 1; 0 |] with
   | _ -> Alcotest.fail "expected Zero_likelihood"
   | exception Em.Zero_likelihood t -> Alcotest.(check int) "failing time" 2 t
 
-(* A symbol outside [0, m) is rejected with its time index, not read
-   as the loss class (symbol m) or past the emission table (-1). *)
+(* An observation outside [0, m] is rejected with its time index, not
+   read past the emission table (m + 1, -1); m itself is a loss. *)
 let test_out_of_range_symbols () =
   let ws = Em.workspace () in
   let model = Mmhd.init_random (Stats.Rng.create 4) ~n:2 ~m:3 ~loss_fraction:0.1 in
-  Alcotest.check_raises "symbol m"
-    (Invalid_argument "Em: symbol 3 at time 2 is outside [0, 3)") (fun () ->
-      ignore (Em.log_likelihood ~ws model [| Some 0; Some 1; Some 3; Some 2 |]));
+  Alcotest.check_raises "symbol m + 1"
+    (Invalid_argument "Em: symbol 4 at time 2 is outside [0, 3]") (fun () ->
+      ignore (Em.log_likelihood ~ws model [| 0; 1; 4; 2 |]));
   Alcotest.check_raises "symbol -1"
-    (Invalid_argument "Em: symbol -1 at time 1 is outside [0, 3)") (fun () ->
-      ignore (Em.log_likelihood ~ws model [| Some 0; Some (-1); None |]))
+    (Invalid_argument "Em: symbol -1 at time 1 is outside [0, 3]") (fun () ->
+      ignore (Em.log_likelihood ~ws model [| 0; -1; 3 |]));
+  Alcotest.(check bool) "symbol m is a loss" true
+    (Float.is_finite (Em.log_likelihood ~ws model [| 0; 1; 3; 2 |]))
 
 let test_em_floors_keep_fit_alive () =
   (* Starting EM from a model already carrying hard zeros in re-estimated
@@ -222,8 +224,8 @@ let test_fixed_point_agreement () =
         let truth = if hmm then hmm_truth else markov_truth in
         let simulate = if hmm then Hmm.simulate else Mmhd.simulate in
         let obs, _ = simulate rng truth ~len in
-        obs.(0) <- Some 0;
-        obs.(1) <- None;
+        obs.(0) <- 0;
+        obs.(1) <- 3;
         let t0 =
           if hmm then Hmm.init_informed rng ~n:2 ~m:3 obs
           else Mmhd.init_informed rng ~n:1 ~m:3 obs
@@ -285,8 +287,8 @@ let test_fallback () =
 (* --- lazy forward scaling against a log-domain reference ---------------- *)
 
 (* The forward-backward recursion in the log domain (logsumexp), with
-   the kernel's emission model: e(st, Some j) = b(st, j) (1 - c_j) and
-   e(st, None) = sum_j b(st, j) c_j.  Each log row is shifted by its
+   the kernel's emission model: e(st, j) = b(st, j) (1 - c_j) for a
+   symbol j < m and e(st, m) = sum_j b(st, j) c_j for a loss.  Each log row is shifted by its
    own logsumexp to keep its values near zero (an exact identity in
    the log domain, whatever the kernel's scaling), and the shifts of
    the forward rows are summed with Kahan compensation into the
@@ -295,14 +297,15 @@ let test_fallback () =
 let log_domain_reference (t : Em.model) obs =
   let s = t.Em.s and m = t.Em.m in
   let tt = Array.length obs in
-  let log_e st = function
-    | Some j -> log (t.Em.b.((st * m) + j) *. (1. -. t.Em.c.(j)))
-    | None ->
-        let acc = ref 0. in
-        for j = 0 to m - 1 do
-          acc := !acc +. (t.Em.b.((st * m) + j) *. t.Em.c.(j))
-        done;
-        log !acc
+  let log_e st j =
+    if j < m then log (t.Em.b.((st * m) + j) *. (1. -. t.Em.c.(j)))
+    else begin
+      let acc = ref 0. in
+      for j = 0 to m - 1 do
+        acc := !acc +. (t.Em.b.((st * m) + j) *. t.Em.c.(j))
+      done;
+      log !acc
+    end
   in
   let logsumexp f =
     let mx = ref Float.neg_infinity in
@@ -405,7 +408,7 @@ let two_regime ~leave : Em.model =
    symbol 1, for each [k] of [ks]. *)
 let blocks ks =
   Array.concat
-    (List.map (fun k -> Array.append (Array.make k (Some 0)) [| Some 1; None; Some 1 |]) ks)
+    (List.map (fun k -> Array.append (Array.make k 0) [| 1; 2; 1 |]) ks)
 
 let test_underflow_guard () =
   (* A 1e-300 transition taken after 100-250 unnormalized steps: the
@@ -435,7 +438,7 @@ let test_underflow_guard () =
   Em.validate t;
   List.iter
     (fun k ->
-      let obs = Array.append (Array.make k (Some 0)) [| Some 2 |] in
+      let obs = Array.append (Array.make k 0) [| 2 |] in
       ignore (check_against_reference (Printf.sprintf "1e-300 state, %d symbols 0" k) t obs))
     [ 50; 300 ]
 
@@ -462,7 +465,7 @@ let test_workspace_reuse_across_sizes () =
      small model's results must match a fresh workspace bit-for-bit
      (stale buffer contents never leak through the active-set masks). *)
   let big_obs = mmhd_obs ~seed:23 ~len:400 in
-  let small_obs = [| Some 0; None; Some 1; Some 1; Some 0; None; Some 1 |] in
+  let small_obs = [| 0; 2; 1; 1; 0; 2; 1 |] in
   let shared = Em.workspace () in
   let big = Mmhd.init_informed (Stats.Rng.create 9) ~n:3 ~m:4 big_obs in
   ignore (Em.em_step ~ws:shared ~update_b:false big big_obs);

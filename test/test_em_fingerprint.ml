@@ -21,8 +21,8 @@ let trace =
   let rng = Stats.Rng.create 0xF1A9 in
   let truth = Mmhd.init_random rng ~n:2 ~m:5 ~loss_fraction:0.06 in
   let obs, _ = Mmhd.simulate rng truth ~len:trace_len in
-  obs.(0) <- Some 1;
-  obs.(1) <- None;
+  obs.(0) <- 1;
+  obs.(1) <- 5;
   obs
 
 let fold h x = Int64.add (Int64.mul h 1000003L) (Int64.bits_of_float x)
@@ -123,11 +123,10 @@ let probe_trace =
   let interval = 0.02 in
   let records =
     Array.mapi
-      (fun i o ->
+      (fun i j ->
         let obs =
-          match o with
-          | Some j -> Probe.Trace.Delay (0.105 +. (0.01 *. float_of_int j))
-          | None -> Probe.Trace.Lost
+          if j = 5 then Probe.Trace.Lost
+          else Probe.Trace.Delay (0.105 +. (0.01 *. float_of_int j))
         in
         { Probe.Trace.send_time = float_of_int i *. interval; obs; truth = None })
       trace

@@ -1,10 +1,5 @@
 (* Tests for the extension modules: the generalized delay-factor tests,
-   stationarity screening, localization, ns trace files, and the
-   bootstrap. *)
-
-open Netsim
-
-let check_close eps = Alcotest.(check (float eps))
+   stationarity screening, localization and the bootstrap. *)
 
 (* --- Generalized delay-factor tests -------------------------------------- *)
 
@@ -148,97 +143,6 @@ let test_locate_inconsistent_suffix () =
 let test_locate_empty () =
   Alcotest.(check (option int)) "empty input" None (Dcl.Locate.pinpoint [])
 
-(* --- Tracefile -------------------------------------------------------------- *)
-
-let test_tracefile_events_and_roundtrip () =
-  let sim = Sim.create () in
-  let link =
-    Link.create sim ~id:0 ~src:0 ~dst:1 ~bandwidth:1e6 ~delay:0.001 ~capacity:2000
-      ~policy:Link.Droptail ()
-  in
-  let tf = Tracefile.create () in
-  Tracefile.attach tf sim link;
-  Sim.at sim 0. (fun () ->
-      for i = 0 to 2 do
-        Link.offer link
-          (Packet.make ~id:i ~flow:9 ~src:0 ~dst:1 ~size:1000 ~kind:Packet.Udp ~seq:i
-             ~sent_at:0. ())
-      done);
-  Sim.run sim;
-  let events = Tracefile.events tf in
-  (* 2 accepted (enqueue+dequeue+receive each) + 1 drop = 7 events. *)
-  Alcotest.(check int) "event count" 7 (Array.length events);
-  let count k =
-    Array.fold_left (fun n e -> if e.Tracefile.kind = k then n + 1 else n) 0 events
-  in
-  Alcotest.(check int) "enqueues" 2 (count Tracefile.Enqueue);
-  Alcotest.(check int) "dequeues" 2 (count Tracefile.Dequeue);
-  Alcotest.(check int) "receives" 2 (count Tracefile.Receive);
-  Alcotest.(check int) "drops" 1 (count Tracefile.Drop);
-  Alcotest.(check (list (pair int int))) "drops per flow" [ (9, 1) ]
-    (Tracefile.drops_per_flow events);
-  (* Save / load roundtrip. *)
-  let file = Filename.temp_file "nstrace" ".tr" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      Tracefile.save tf file;
-      let loaded = Result.get_ok (Tracefile.load file) in
-      Alcotest.(check int) "loaded count" (Array.length events) (Array.length loaded);
-      Array.iteri
-        (fun i e ->
-          let l = loaded.(i) in
-          Alcotest.(check bool) "kind" true (e.Tracefile.kind = l.Tracefile.kind);
-          Alcotest.(check int) "packet id" e.Tracefile.packet_id l.Tracefile.packet_id;
-          check_close 1e-5 "time" e.Tracefile.time l.Tracefile.time)
-        events)
-
-let test_tracefile_ordering () =
-  let sim = Sim.create () in
-  let link =
-    Link.create sim ~id:0 ~src:0 ~dst:1 ~bandwidth:1e6 ~delay:0.001 ~capacity:100_000
-      ~policy:Link.Droptail ()
-  in
-  let tf = Tracefile.create () in
-  Tracefile.attach tf sim link;
-  Sim.at sim 0. (fun () ->
-      Link.offer link
-        (Packet.make ~id:0 ~flow:0 ~src:0 ~dst:1 ~size:1000 ~kind:Packet.Udp ~seq:0
-           ~sent_at:0. ()));
-  Sim.run sim;
-  let events = Tracefile.events tf in
-  let kinds = Array.to_list (Array.map (fun e -> e.Tracefile.kind) events) in
-  Alcotest.(check bool) "enqueue, dequeue, receive in order" true
-    (kinds = [ Tracefile.Enqueue; Tracefile.Dequeue; Tracefile.Receive ])
-
-let check_tracefile_rejects name contents ~line ~reason =
-  let file = Filename.temp_file "nsbad" ".tr" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      Out_channel.with_open_text file (fun oc -> output_string oc contents);
-      match Tracefile.load file with
-      | Ok _ -> Alcotest.failf "%s: malformed trace loaded" name
-      | Error msg ->
-          Alcotest.(check string)
-            name
-            (Printf.sprintf "%s:%d: Tracefile.load: %s" file line reason)
-            msg)
-
-let test_tracefile_load_rejects_bad_input () =
-  let good = "+ 0.100000 0 1 cbr 1000 ---- 9 0.0 1.0 0 0\n" in
-  check_tracefile_rejects "nan time"
-    (good ^ "- nan 0 1 cbr 1000 ---- 9 0.0 1.0 0 0\n")
-    ~line:2 ~reason:"non-finite time \"nan\"";
-  check_tracefile_rejects "inf node"
-    (good ^ "r 0.200000 0 1 cbr 1000 ---- 9 inf 1.0 0 0\n")
-    ~line:2 ~reason:"non-finite src \"inf\"";
-  check_tracefile_rejects "empty event field"
-    (good ^ " 0.200000 0 1 cbr 1000 ---- 9 0.0 1.0 0 0\n")
-    ~line:2 ~reason:"bad event \"\"";
-  check_tracefile_rejects "truncated line" (good ^ "d 0.200000 0 1 cbr\n") ~line:2
-    ~reason:"malformed line"
-
 (* --- Bootstrap ---------------------------------------------------------------- *)
 
 (* A synthetic trace whose regime changes halfway: first half losses at
@@ -310,13 +214,6 @@ let () =
           Alcotest.test_case "no dominant" `Quick test_locate_no_dominant;
           Alcotest.test_case "inconsistent suffix" `Quick test_locate_inconsistent_suffix;
           Alcotest.test_case "empty" `Quick test_locate_empty;
-        ] );
-      ( "tracefile",
-        [
-          Alcotest.test_case "events and roundtrip" `Quick test_tracefile_events_and_roundtrip;
-          Alcotest.test_case "ordering" `Quick test_tracefile_ordering;
-          Alcotest.test_case "load rejects bad input" `Quick
-            test_tracefile_load_rejects_bad_input;
         ] );
       ( "bootstrap",
         [

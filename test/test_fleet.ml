@@ -9,13 +9,14 @@ let () = Stats.Pool.set_capacity 8
 
 let check_float = Alcotest.(check (float 1e-12))
 let check_same_floats name a b = Alcotest.(check (array (float 0.))) name a b
+let scheme5 = Dcl.Discretize.of_range ~m:5 ~lo:0.02 ~hi:0.07
 
 let mmhd_obs ~seed ~n ~m ~len =
   let rng = Stats.Rng.create seed in
   let truth = Mmhd.init_random rng ~n ~m ~loss_fraction:0.08 in
   let obs, _ = Mmhd.simulate rng truth ~len in
-  obs.(0) <- Some 0;
-  obs.(1) <- None;
+  obs.(0) <- 0;
+  obs.(1) <- m;
   obs
 
 let informed ~seed ~n ~m obs = Mmhd.init_informed (Stats.Rng.create seed) ~n ~m obs
@@ -83,7 +84,7 @@ let test_append_weight_and_counts () =
   in
   Alcotest.(check (float 1e-6)) "posterior mass = T" 120. total
 
-(* A batch with a symbol outside [0, m) is refused before any
+(* A batch with an observation outside [0, m] is refused before any
    statistic moves, like the other append errors. *)
 let test_append_rejects_bad_symbol () =
   let n = 2 and m = 3 in
@@ -104,9 +105,9 @@ let test_append_rejects_bad_symbol () =
       Em.Incremental.batches stats )
   in
   let before = snapshot () in
-  Alcotest.check_raises "symbol m"
-    (Invalid_argument "Em: symbol 3 at time 2 is outside [0, 3)") (fun () ->
-      ignore (Em.Incremental.append ~ws stats model [| Some 0; None; Some 3 |] : float));
+  Alcotest.check_raises "symbol m + 1"
+    (Invalid_argument "Em: symbol 4 at time 2 is outside [0, 3]") (fun () ->
+      ignore (Em.Incremental.append ~ws stats model [| 0; 3; 4 |] : float));
   Alcotest.(check bool) "statistics untouched" true (before = snapshot ())
 
 (* --- decay ------------------------------------------------------------- *)
@@ -284,9 +285,9 @@ let test_gated_push_order_irrelevant () =
   Alcotest.(check string) "fingerprint" fp_asc fp_desc;
   Alcotest.(check string) "transition log" log_asc log_desc
 
-(* A pushed batch with a symbol outside [0, m) is refused whole, before
-   the gate or the pending queue sees any of it, and the next tick runs
-   as if it had never been pushed. *)
+(* A pushed batch with an observation outside [0, m] is refused whole,
+   before the gate or the pending queue sees any of it, and the next
+   tick runs as if it had never been pushed; m itself is a loss. *)
 let test_push_rejects_bad_symbol () =
   let run gate ~with_bad =
     let rng = Stats.Rng.create 5 in
@@ -302,15 +303,15 @@ let test_push_rejects_bad_symbol () =
       done;
       if bad then begin
         let fp = Fleet.Scheduler.fingerprint sched in
-        Alcotest.check_raises "symbol m"
+        Alcotest.check_raises "symbol m + 1"
           (Invalid_argument
-             (Printf.sprintf "Fleet.Scheduler.push: symbol %d at time 1 is outside [0, %d)"
-                m m))
-          (fun () -> Fleet.Scheduler.push sched ~path:2 [| Some 0; Some m; Some 9 |]);
+             (Printf.sprintf "Fleet.Scheduler.push: symbol %d at time 1 is outside [0, %d]"
+                (m + 1) m))
+          (fun () -> Fleet.Scheduler.push sched ~path:2 [| 0; m + 1; 9 |]);
         Alcotest.check_raises "symbol -1"
           (Invalid_argument
-             (Printf.sprintf "Fleet.Scheduler.push: symbol -1 at time 2 is outside [0, %d)" m))
-          (fun () -> Fleet.Scheduler.push sched ~path:1 [| None; Some 0; Some (-1) |]);
+             (Printf.sprintf "Fleet.Scheduler.push: symbol -1 at time 2 is outside [0, %d]" m))
+          (fun () -> Fleet.Scheduler.push sched ~path:1 [| m; 0; -1 |]);
         Alcotest.(check string) "fingerprint unchanged" fp (Fleet.Scheduler.fingerprint sched)
       end;
       ignore (Fleet.Scheduler.tick sched : int)
@@ -324,7 +325,14 @@ let test_push_rejects_bad_symbol () =
     (fun gate ->
       Alcotest.(check string) "as if never pushed" (run gate ~with_bad:false)
         (run gate ~with_bad:true))
-    [ None; Some (Sketch.Gate.config ~loss_threshold:0.05 ~promote_after:1 ()) ]
+    [ None; Some (Sketch.Gate.config ~loss_threshold:0.05 ~promote_after:1 ()) ];
+  let sched =
+    Fleet.Scheduler.create ~gate:(Sketch.Gate.config ()) ~rng:(Stats.Rng.create 5)
+      ~paths:1 (Fleet.Path_state.config ~scheme:scheme5 ())
+  in
+  Fleet.Scheduler.push sched ~path:0 [| 0; 5; 1; 5 |];
+  Alcotest.(check int) "symbol m accepted and counted as a loss" 2
+    (Option.get (Fleet.Scheduler.gate_view sched 0)).Fleet.Scheduler.loss_estimate
 
 let test_fleet_reruns_identically () =
   (* Same seed, same everything: the whole fleet is a pure function of
@@ -456,8 +464,6 @@ let test_transitions_regime_change () =
 
 (* --- path state edge cases --------------------------------------------- *)
 
-let scheme5 = Dcl.Discretize.of_range ~m:5 ~lo:0.02 ~hi:0.07
-
 let test_path_state_gates () =
   let config = Fleet.Path_state.config ~scheme:scheme5 () in
   let p = Fleet.Path_state.create config ~rng:(Stats.Rng.create 1) in
@@ -465,9 +471,9 @@ let test_path_state_gates () =
   Alcotest.(check bool) "empty batch is a no-op" false
     (Fleet.Path_state.update ~ws p [||]);
   Alcotest.(check bool) "all-loss first batch is dropped" false
-    (Fleet.Path_state.update ~ws p (Array.make 8 None));
+    (Fleet.Path_state.update ~ws p (Array.make 8 5));
   Alcotest.(check bool) "still no model" true (Fleet.Path_state.model p = None);
-  let batch = Array.init 64 (fun i -> if i mod 9 = 0 then None else Some (i mod 5)) in
+  let batch = Array.init 64 (fun i -> if i mod 9 = 0 then 5 else i mod 5) in
   ignore (Fleet.Path_state.update ~ws p batch : bool);
   Alcotest.(check bool) "model after first mixed batch" true
     (Fleet.Path_state.model p <> None);
@@ -493,7 +499,7 @@ let test_path_state_coast () =
   Fleet.Path_state.coast p ~factor:0.5;
   check_float "still empty" 0. (Fleet.Path_state.weight p);
   let ws = Em.workspace () in
-  let batch = Array.init 64 (fun i -> if i mod 9 = 0 then None else Some (i mod 5)) in
+  let batch = Array.init 64 (fun i -> if i mod 9 = 0 then 5 else i mod 5) in
   ignore (Fleet.Path_state.update ~ws p batch : bool);
   let w0 = Fleet.Path_state.weight p in
   Fleet.Path_state.coast p ~factor:0.5;
@@ -509,8 +515,8 @@ let test_path_state_coast () =
    (loss EWMA ~0.33 >= 0.2 and drift ~1 >= 0.75: suspect on both
    signals); a cold batch is loss-free at the bottom symbols (loss 0,
    drift <= 0.25: calm under the 0.8 margin). *)
-let hot_batch len = Array.init len (fun i -> if i mod 3 = 0 then None else Some 4)
-let cold_batch len = Array.init len (fun i -> Some (i mod 2))
+let hot_batch len = Array.init len (fun i -> if i mod 3 = 0 then 5 else 4)
+let cold_batch len = Array.init len (fun i -> i mod 2)
 
 let gated_sched ?(gate = Sketch.Gate.config ()) ~paths () =
   let config = Fleet.Path_state.config ~scheme:scheme5 () in
@@ -578,9 +584,9 @@ let test_gate_loss_signal_masked_by_cms () =
 let mixed_batch len =
   Array.init len (fun i ->
       match i mod 16 with
-      | 2 | 5 | 11 -> None (* two losses amid the 0s, one amid the 4s *)
-      | k when k < 8 -> Some 0
-      | _ -> Some 4)
+      | 2 | 5 | 11 -> 5 (* two losses amid the 0s, one amid the 4s *)
+      | k when k < 8 -> 0
+      | _ -> 4)
 
 let test_gate_demotes_settled_quiet_path () =
   (* Promote on [mixed_batch], let the EM settle on no-dominant, then
@@ -653,7 +659,7 @@ let test_repromotion_ages_past_64 () =
   let len = 48 in
   let budget = ref 4 in
   while (not (promoted ())) && !budget > 0 do
-    step (Array.make len None);
+    step (Array.make len 5);
     decr budget
   done;
   Alcotest.(check bool) "re-promoted" true (promoted ());
@@ -675,7 +681,7 @@ let test_repromotion_ages_past_64 () =
 let test_workspace_reuse_across_shapes () =
   Alcotest.(check bool) "domain workspace is stable" true
     (Em.domain_ws () == Em.domain_ws ());
-  let batch = Array.init 96 (fun i -> if i mod 7 = 0 then None else Some (i mod 5)) in
+  let batch = Array.init 96 (fun i -> if i mod 7 = 0 then 5 else i mod 5) in
   let run ~ws =
     let cfg = Fleet.Path_state.config ~n:1 ~scheme:scheme5 () in
     let p = Fleet.Path_state.create cfg ~rng:(Stats.Rng.create 4) in
@@ -785,7 +791,7 @@ let test_path_state_records_timeline () =
   let p = Fleet.Path_state.create cfg ~rng:(Stats.Rng.create 11) in
   let ws = Em.workspace () in
   let batch =
-    Array.init 64 (fun i -> if i mod 9 = 0 then None else Some (i mod 5))
+    Array.init 64 (fun i -> if i mod 9 = 0 then 5 else i mod 5)
   in
   ignore (Fleet.Path_state.update ~ws p batch : bool);
   ignore (Fleet.Path_state.update ~ws ~epoch:9 p batch : bool);

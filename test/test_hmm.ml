@@ -21,14 +21,15 @@ let ws = Em.domain_ws
 
 (* Brute-force likelihood: sum over all hidden state paths. *)
 let brute_force_likelihood (t : Em.model) obs =
-  let emission i = function
-    | Some j -> t.b.((i * t.m) + j) *. (1. -. t.c.(j))
-    | None ->
-        let acc = ref 0. in
-        for j = 0 to t.m - 1 do
-          acc := !acc +. (t.b.((i * t.m) + j) *. t.c.(j))
-        done;
-        !acc
+  let emission i j =
+    if j < t.m then t.b.((i * t.m) + j) *. (1. -. t.c.(j))
+    else begin
+      let acc = ref 0. in
+      for j = 0 to t.m - 1 do
+        acc := !acc +. (t.b.((i * t.m) + j) *. t.c.(j))
+      done;
+      !acc
+    end
   in
   let tt = Array.length obs in
   let total = ref 0. in
@@ -51,7 +52,7 @@ let brute_force_likelihood (t : Em.model) obs =
   done;
   !total
 
-let short_obs = [| Some 0; Some 1; None; Some 2; Some 0; None; Some 1 |]
+let short_obs = [| 0; 1; 3; 2; 0; 3; 1 |]
 
 let test_likelihood_vs_brute_force () =
   let ll = Em.log_likelihood ~ws:(ws ()) reference short_obs in
@@ -59,7 +60,7 @@ let test_likelihood_vs_brute_force () =
   check_close 1e-9 "scaled forward matches enumeration" bf ll
 
 let test_likelihood_no_losses () =
-  let obs = [| Some 0; Some 0; Some 1; Some 2; Some 1 |] in
+  let obs = [| 0; 0; 1; 2; 1 |] in
   let ll = Em.log_likelihood ~ws:(ws ()) reference obs in
   let bf = log (brute_force_likelihood reference obs) in
   check_close 1e-9 "all-observed case" bf ll
@@ -75,7 +76,7 @@ let test_posteriors_normalized () =
 let test_posterior_tracks_emission () =
   (* A long run of the top symbol should put the posterior firmly on
      hidden state 1. *)
-  let obs = Array.make 10 (Some 2) in
+  let obs = Array.make 10 2 in
   let gamma = Em.state_posteriors ~ws:(ws ()) reference obs in
   Alcotest.(check bool) "state 1 dominant" true (gamma.(5).(1) > 0.9)
 
@@ -103,7 +104,7 @@ let test_init_random_valid () =
 
 let test_init_informed_valid () =
   let rng = Stats.Rng.create 5 in
-  let obs = [| Some 0; None; Some 1; Some 1; None; Some 0; Some 2 |] in
+  let obs = [| 0; 3; 1; 1; 3; 0; 2 |] in
   Em.validate (Hmm.init_informed rng ~n:2 ~m:3 obs)
 
 let test_simulate_statistics () =
@@ -111,7 +112,7 @@ let test_simulate_statistics () =
   let obs, states = Hmm.simulate rng reference ~len:50_000 in
   Alcotest.(check int) "lengths match" (Array.length obs) (Array.length states);
   (* Loss fraction should be near the stationary mixture's value. *)
-  let losses = Array.fold_left (fun n o -> if o = None then n + 1 else n) 0 obs in
+  let losses = Array.fold_left (fun n o -> if o = 3 then n + 1 else n) 0 obs in
   let frac = float_of_int losses /. 50_000. in
   Alcotest.(check bool) "plausible loss fraction" true (frac > 0.05 && frac < 0.25);
   (* Hidden states must be within range. *)
@@ -167,13 +168,13 @@ let test_virtual_pmf_is_distribution () =
 let test_virtual_pmf_requires_loss () =
   Alcotest.check_raises "no loss"
     (Invalid_argument "Em.virtual_delay_pmf: no loss in the sequence") (fun () ->
-      ignore (Em.virtual_delay_pmf ~ws:(ws ()) reference [| Some 0; Some 1 |]))
+      ignore (Em.virtual_delay_pmf ~ws:(ws ()) reference [| 0; 1 |]))
 
 let test_virtual_pmf_favors_lossy_symbol () =
   (* In the reference model symbol 2 has c = 0.4 vs 0.01/0.05: losses
      should be attributed mostly to symbol 2 when the hidden state
      suggests it. *)
-  let obs = [| Some 2; Some 2; None; Some 2; Some 2 |] in
+  let obs = [| 2; 2; 3; 2; 2 |] in
   let pmf = Em.virtual_delay_pmf ~ws:(ws ()) reference obs in
   Alcotest.(check bool) "symbol 2 dominates" true (pmf.(2) > 0.8)
 
@@ -187,7 +188,7 @@ let test_empty_sequence_rejected () =
 let test_fit_invalid_restarts () =
   let rng = Stats.Rng.create 1 in
   Alcotest.check_raises "restarts 0" (Invalid_argument "Hmm.fit: restarts must be positive")
-    (fun () -> ignore (Hmm.fit ~restarts:0 ~rng ~n:2 ~m:3 [| Some 0; None; Some 1 |]))
+    (fun () -> ignore (Hmm.fit ~restarts:0 ~rng ~n:2 ~m:3 [| 0; 3; 1 |]))
 
 let test_degenerate_single_state () =
   (* n = 1: the HMM reduces to an i.i.d. symbol model; fitting must
@@ -256,9 +257,9 @@ let brute_force_estep (t : Em.model) obs =
           add xi ((x * s) + states.(u + 1)) prob;
           add gamma_sum x prob
         end;
-        match obs.(u) with
-        | Some j -> add count_obs ((x * m) + j) prob
-        | None -> add count_loss ((x * m) + symbols.(u)) prob
+        let j = obs.(u) in
+        if j < m then add count_obs ((x * m) + j) prob
+        else add count_loss ((x * m) + symbols.(u)) prob
       done
     end
     else
@@ -266,13 +267,13 @@ let brute_force_estep (t : Em.model) obs =
         let step = if time = 0 then t.pi.(x) else t.a.((states.(time - 1) * s) + x) in
         let p = prob *. step in
         states.(time) <- x;
-        match obs.(time) with
-        | Some j -> walk (time + 1) (p *. t.b.((x * m) + j) *. (1. -. t.c.(j)))
-        | None ->
-            for y = 0 to m - 1 do
-              symbols.(time) <- y;
-              walk (time + 1) (p *. t.b.((x * m) + y) *. t.c.(y))
-            done
+        let j = obs.(time) in
+        if j < m then walk (time + 1) (p *. t.b.((x * m) + j) *. (1. -. t.c.(j)))
+        else
+          for y = 0 to m - 1 do
+            symbols.(time) <- y;
+            walk (time + 1) (p *. t.b.((x * m) + y) *. t.c.(y))
+          done
       done
   in
   walk 0 1.;
@@ -306,16 +307,16 @@ let estep_case_gen =
         let model = Hmm.init_random rng ~n ~m ~loss_fraction:0.2 in
         (model, Hmm.simulate rng model ~len)
     in
-    obs.(lost) <- None;
-    if ends land 1 = 1 then obs.(0) <- None;
-    if ends land 2 = 2 then obs.(len - 1) <- None;
+    obs.(lost) <- m;
+    if ends land 1 = 1 then obs.(0) <- m;
+    if ends land 2 = 2 then obs.(len - 1) <- m;
     return (model, obs))
 
 let print_estep_case ((t : Em.model), obs) =
   Printf.sprintf "s=%d m=%d obs=[%s]" t.s t.m
     (String.concat "; "
        (Array.to_list
-          (Array.map (function Some j -> string_of_int j | None -> "-") obs)))
+          (Array.map (fun j -> if j < t.m then string_of_int j else "-") obs)))
 
 (* A fresh [Incremental.append] holds exactly one sweep's statistics;
    they, the Eq. (5) pmf, the state posteriors at every instant, the

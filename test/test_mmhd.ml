@@ -23,9 +23,8 @@ let reference =
 let ws = Em.domain_ws
 
 let brute_force_likelihood (t : Em.model) obs =
-  let emission s = function
-    | Some j -> if s mod t.m = j then 1. -. t.c.(j) else 0.
-    | None -> t.c.(s mod t.m)
+  let emission s j =
+    if j = t.m then t.c.(s mod t.m) else if s mod t.m = j then 1. -. t.c.(j) else 0.
   in
   let tt = Array.length obs in
   let total = ref 0. in
@@ -48,7 +47,7 @@ let brute_force_likelihood (t : Em.model) obs =
   done;
   !total
 
-let short_obs = [| Some 0; Some 1; None; Some 1; Some 0; None; Some 0 |]
+let short_obs = [| 0; 1; 2; 1; 0; 2; 0 |]
 
 let test_state_indexing () =
   (* State x * m + y emits symbol y: (hidden 1, symbol 1) is state 3. *)
@@ -70,7 +69,7 @@ let test_likelihood_vs_brute_force () =
     (Em.log_likelihood ~ws:(ws ()) reference short_obs)
 
 let test_likelihood_all_observed () =
-  let obs = [| Some 0; Some 0; Some 1; Some 1; Some 0 |] in
+  let obs = [| 0; 0; 1; 1; 0 |] in
   check_close 1e-9 "all observed"
     (log (brute_force_likelihood reference obs))
     (Em.log_likelihood ~ws:(ws ()) reference obs)
@@ -83,14 +82,13 @@ let test_posteriors_normalized_and_consistent () =
         (Array.fold_left ( +. ) 0. row);
       (* At an observed instant, only states carrying that symbol may
          have mass. *)
-      match short_obs.(t) with
-      | Some j ->
-          Array.iteri
-            (fun s g ->
-              if s mod reference.m <> j && g > 1e-12 then
-                Alcotest.failf "mass on wrong symbol at time %d" t)
-            row
-      | None -> ())
+      let j = short_obs.(t) in
+      if j < reference.m then
+        Array.iteri
+          (fun s g ->
+            if s mod reference.m <> j && g > 1e-12 then
+              Alcotest.failf "mass on wrong symbol at time %d" t)
+          row)
     gamma
 
 let test_validate_reference () = Em.validate reference
@@ -108,7 +106,7 @@ let test_inits_valid () =
   for _ = 1 to 10 do
     Em.validate (Mmhd.init_random rng ~n:2 ~m:4 ~loss_fraction:0.05)
   done;
-  let obs = [| Some 0; None; Some 2; Some 3; Some 1; None; Some 0 |] in
+  let obs = [| 0; 4; 2; 3; 1; 4; 0 |] in
   Em.validate (Mmhd.init_informed rng ~n:3 ~m:4 obs)
 
 let test_simulate_consistency () =
@@ -116,20 +114,16 @@ let test_simulate_consistency () =
   let obs, path = Mmhd.simulate rng reference ~len:20_000 in
   (* Every observed symbol must equal the state's symbol component. *)
   Array.iteri
-    (fun t o ->
-      match o with
-      | Some j ->
-          Alcotest.(check int) "observation = state symbol" (path.(t) mod reference.m) j
-      | None -> ())
+    (fun t j ->
+      if j < reference.m then
+        Alcotest.(check int) "observation = state symbol" (path.(t) mod reference.m) j)
     obs;
   (* Empirical loss rate per symbol should approximate c. *)
   let seen = Array.make 2 0 and lost = Array.make 2 0 in
   Array.iteri
     (fun t o ->
       let y = path.(t) mod reference.m in
-      match o with
-      | Some _ -> seen.(y) <- seen.(y) + 1
-      | None -> lost.(y) <- lost.(y) + 1)
+      if o < reference.m then seen.(y) <- seen.(y) + 1 else lost.(y) <- lost.(y) + 1)
     obs;
   Array.iteri
     (fun j c ->
@@ -173,7 +167,7 @@ let test_fit_recovers_loss_posterior () =
   let cnt = Array.make 2 0. and total = ref 0. in
   Array.iteri
     (fun t o ->
-      if o = None then begin
+      if o = reference.m then begin
         cnt.(path.(t) mod reference.m) <-
           cnt.(path.(t) mod reference.m) +. 1.;
         total := !total +. 1.
@@ -201,12 +195,12 @@ let test_virtual_pmf_distribution () =
 let test_virtual_pmf_requires_loss () =
   Alcotest.check_raises "no loss"
     (Invalid_argument "Em.virtual_delay_pmf: no loss in the sequence") (fun () ->
-      ignore (Em.virtual_delay_pmf ~ws:(ws ()) reference [| Some 0; Some 1 |]))
+      ignore (Em.virtual_delay_pmf ~ws:(ws ()) reference [| 0; 1 |]))
 
 let test_virtual_pmf_context_sensitivity () =
   (* A loss surrounded by symbol 1 must be attributed mostly to
      symbol 1 (it has both the adjacency and the higher c). *)
-  let obs = [| Some 1; Some 1; None; Some 1; Some 1 |] in
+  let obs = [| 1; 1; 2; 1; 1 |] in
   let pmf = Em.virtual_delay_pmf ~ws:(ws ()) reference obs in
   Alcotest.(check bool) "symbol 1 dominates" true (pmf.(1) > 0.8)
 
@@ -236,7 +230,7 @@ let prop_likelihood_matches_brute_force =
 let prop_virtual_pmf_normalized =
   QCheck.Test.make ~name:"Eq. (5) posterior is a distribution" ~count:100
     (QCheck.make model_and_obs_gen) (fun (model, obs) ->
-      QCheck.assume (Array.exists (fun o -> o = None) obs);
+      QCheck.assume (Array.exists (fun o -> o = model.Em.m) obs);
       let pmf = Em.virtual_delay_pmf ~ws:(ws ()) model obs in
       abs_float (Array.fold_left ( +. ) 0. pmf -. 1.) < 1e-9
       && Array.for_all (fun p -> p >= 0.) pmf)

@@ -453,13 +453,6 @@ let test_net_shortest_path () =
   Net.compute_routes net;
   Alcotest.(check int) "min-hop route" 2 (List.length (Net.path_links net ~src:a ~dst:d))
 
-let test_net_node_names () =
-  let _, net, nodes, _ = chain_net 2 in
-  Alcotest.(check string) "name" "n0" (Net.node_name net nodes.(0));
-  Alcotest.(check int) "count" 2 (Net.node_count net);
-  Alcotest.check_raises "bad id" (Invalid_argument "Net.node_name: bad node id")
-    (fun () -> ignore (Net.node_name net 99))
-
 (* Packet conservation across a congested chain under random load. *)
 let test_net_conservation_under_load () =
   let sim, net, nodes, links = chain_net 3 in
@@ -530,7 +523,6 @@ let () =
           Alcotest.test_case "no route" `Quick test_net_no_route;
           Alcotest.test_case "stale routes" `Quick test_net_stale_routes;
           Alcotest.test_case "shortest path" `Quick test_net_shortest_path;
-          Alcotest.test_case "node names" `Quick test_net_node_names;
           Alcotest.test_case "conservation under load" `Quick
             test_net_conservation_under_load;
         ] );

@@ -114,105 +114,6 @@ let test_snapshot_determinism () =
   Alcotest.(check bool) "gauge line present" true
     (contains p1 "test_obs_snap_gauge 1.5")
 
-(* --- histogram quantiles ------------------------------------------------ *)
-
-let test_quantile_interpolation () =
-  Obs.set_enabled true;
-  let h = fresh_hist [| 1.; 2.; 4. |] in
-  (* 4 observations in (1, 2], 4 in (2, 4]: the cumulative counts pin
-     the quartiles to linear interpolation within those buckets. *)
-  for _ = 1 to 4 do
-    Obs.Histogram.observe h 1.5
-  done;
-  for _ = 1 to 4 do
-    Obs.Histogram.observe h 3.
-  done;
-  Alcotest.(check (float 1e-9)) "median at the bucket boundary" 2.
-    (Obs.Histogram.quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "p25 mid-first-occupied-bucket" 1.5
-    (Obs.Histogram.quantile h 0.25);
-  Alcotest.(check (float 1e-9)) "p75 mid-second-occupied-bucket" 3.
-    (Obs.Histogram.quantile h 0.75);
-  Alcotest.(check (float 1e-9)) "q=1 is the top boundary" 4.
-    (Obs.Histogram.quantile h 1.);
-  Alcotest.(check (float 1e-9)) "q=0 is the bucket floor" 1.
-    (Obs.Histogram.quantile h 0.)
-
-let test_quantile_overflow_and_empty () =
-  Obs.set_enabled true;
-  let h = fresh_hist [| 1.; 2. |] in
-  Alcotest.(check bool) "empty histogram -> nan" true
-    (Float.is_nan (Obs.Histogram.quantile h 0.5));
-  Obs.Histogram.observe h 10.;
-  (* All mass in the overflow bucket: every quantile reports the top
-     finite boundary (the histogram cannot resolve beyond it). *)
-  Alcotest.(check (float 1e-9)) "overflow clamps to top boundary" 2.
-    (Obs.Histogram.quantile h 0.5);
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Obs.Histogram.quantile: q outside [0, 1]") (fun () ->
-      ignore (Obs.Histogram.quantile h 1.5))
-
-let test_quantile_low_rank_edges () =
-  Obs.set_enabled true;
-  (* Regression: with all mass past empty leading buckets, a rank of
-     zero used to resolve inside the first (empty) bucket and report
-     its UPPER edge — 1.0 here — instead of skipping to the first
-     occupied bucket's lower edge. *)
-  let h = fresh_hist [| 1.; 2.; 3. |] in
-  Obs.Histogram.observe h 2.5;
-  Alcotest.(check (float 1e-9)) "q=0 skips empty leading buckets" 2.
-    (Obs.Histogram.quantile h 0.);
-  Alcotest.(check (float 1e-9)) "q=1 stays in the occupied bucket" 3.
-    (Obs.Histogram.quantile h 1.);
-  (* A strictly positive rank below one observation lands in the same
-     occupied bucket and interpolates from its lower edge. *)
-  Alcotest.(check (float 1e-9)) "median interpolates within it" 2.5
-    (Obs.Histogram.quantile h 0.5);
-  (* Overflow-only mass: the boundary ranks clamp to the top finite
-     edge from both sides. *)
-  let h2 = fresh_hist [| 1.; 2. |] in
-  Obs.Histogram.observe h2 50.;
-  Alcotest.(check (float 1e-9)) "q=0 on overflow-only mass" 2.
-    (Obs.Histogram.quantile h2 0.);
-  Alcotest.(check (float 1e-9)) "q=1 on overflow-only mass" 2.
-    (Obs.Histogram.quantile h2 1.)
-
-(* For any observation set and any q, the quantile lies between the
-   first occupied bucket's lower edge and the top finite boundary, and
-   is monotone in q — in particular at the q = 0 and q = 1 edges. *)
-let prop_quantile_bounds_and_monotone =
-  QCheck.Test.make ~name:"quantile bounded by occupied range, monotone in q"
-    ~count:200
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 20) (float_range 0.001 6.))
-        (pair (float_range 0. 1.) (float_range 0. 1.)))
-    (fun (vals, (qa, qb)) ->
-      Obs.set_enabled true;
-      let uppers = [| 1.; 2.; 3.; 4. |] in
-      let h = fresh_hist uppers in
-      List.iter (Obs.Histogram.observe h) vals;
-      let lo_edge =
-        (* lower edge of the first bucket holding any observation;
-           overflow-only mass clamps to the top finite edge *)
-        let idx =
-          List.fold_left (fun acc v -> min acc (reference_index uppers v)) max_int vals
-        in
-        if idx >= Array.length uppers then uppers.(Array.length uppers - 1)
-        else if idx = 0 then 0.
-        else uppers.(idx - 1)
-      in
-      let q1 = Float.min qa qb and q2 = Float.max qa qb in
-      let v0 = Obs.Histogram.quantile h 0. in
-      let v1 = Obs.Histogram.quantile h q1 in
-      let v2 = Obs.Histogram.quantile h q2 in
-      let v3 = Obs.Histogram.quantile h 1. in
-      Stats.Float_cmp.geq v0 lo_edge
-      && Stats.Float_cmp.leq v3 uppers.(Array.length uppers - 1)
-      && Stats.Float_cmp.leq v0 v1
-      && Stats.Float_cmp.leq v1 v2
-      && Stats.Float_cmp.leq v2 v3)
-
 (* --- disabled path ------------------------------------------------------ *)
 
 let test_disabled_span_allocates_nothing () =
@@ -579,13 +480,6 @@ let () =
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
           Alcotest.test_case "snapshot determinism" `Quick
             test_snapshot_determinism;
-          Alcotest.test_case "quantile interpolation" `Quick
-            test_quantile_interpolation;
-          Alcotest.test_case "quantile overflow and empty" `Quick
-            test_quantile_overflow_and_empty;
-          Alcotest.test_case "quantile low-rank edges" `Quick
-            test_quantile_low_rank_edges;
-          q prop_quantile_bounds_and_monotone;
           Alcotest.test_case "disabled span allocates nothing" `Quick
             test_disabled_span_allocates_nothing;
         ] );

@@ -73,8 +73,8 @@ let mmhd_obs ~seed ~n ~m ~len =
   let rng = Stats.Rng.create seed in
   let truth = Mmhd.init_random rng ~n ~m ~loss_fraction:0.08 in
   let obs, _ = Mmhd.simulate rng truth ~len in
-  obs.(0) <- Some 0;
-  obs.(1) <- None;
+  obs.(0) <- 0;
+  obs.(1) <- m;
   obs
 
 let test_no_respawn_across_jobs () =

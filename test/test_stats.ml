@@ -16,13 +16,6 @@ let test_rng_seed_sensitivity () =
   Alcotest.(check bool) "different seeds differ" false
     (Stats.Rng.float a = Stats.Rng.float b)
 
-let test_rng_copy () =
-  let a = Stats.Rng.create 7 in
-  ignore (Stats.Rng.float a);
-  let b = Stats.Rng.copy a in
-  Alcotest.(check (float 0.)) "copy continues identically" (Stats.Rng.float a)
-    (Stats.Rng.float b)
-
 let test_rng_split_diverges () =
   let a = Stats.Rng.create 7 in
   let b = Stats.Rng.split a in
@@ -82,15 +75,6 @@ let test_rng_int_invalid () =
   let rng = Stats.Rng.create 1 in
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Stats.Rng.int rng 0))
-
-let test_rng_bool_balance () =
-  let rng = Stats.Rng.create 17 in
-  let t = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    if Stats.Rng.bool rng then incr t
-  done;
-  check_close 0.01 "bool is fair" 0.5 (float_of_int !t /. float_of_int n)
 
 (* --- Sampler ----------------------------------------------------------- *)
 
@@ -297,14 +281,12 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "split diverges" `Quick test_rng_split_diverges;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "float moments" `Quick test_rng_float_mean;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniform" `Quick test_rng_int_uniform;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
-          Alcotest.test_case "bool balance" `Quick test_rng_bool_balance;
         ] );
       ( "sampler",
         [
