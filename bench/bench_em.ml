@@ -365,6 +365,7 @@ let run_obs ~smoke =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf
     "{\n  \"bench\": \"em_obs_overhead\",\n\
+    \  \"profile\": %S,\n\
     \  \"t\": %d, \"n\": %d, \"m\": %d, \"restarts\": %d, \"max_iter\": %d,\n\
     \  \"iterations\": %d,\n\
     \  \"disabled_seconds\": %.6f,\n\
@@ -384,7 +385,7 @@ let run_obs ~smoke =
     \  \"warm_ws_saved_bytes_per_window\": %.0f,\n\
     \  \"warm_ws_identical_to_fresh\": true,\n\
     \  \"note\": \"one serial MMHD fit timed with Obs collection off and on, alternately, %d times each, after a warm-up fit; disabled_seconds and enabled_seconds are the medians, and enabled_overhead_ratio is the median of the enabled/disabled ratios of adjacent runs, minus one; every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) off and on and metrics off: trace_overhead_ratio (the median paired ratio, as above) bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure Em.domain_ws reuse: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what Em.domain_ws gives every fit a domain runs) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
-    t n m restarts max_iter stats.Em.iterations disabled_s enabled_s overhead
+    Build_profile.name t n m restarts max_iter stats.Em.iterations disabled_s enabled_s overhead
     alloc_disabled alloc_enabled disabled_per_obs_iter untraced_s traced_s
     trace_overhead trace_events disabled_after_per_obs_iter n_windows window
     alloc_warm alloc_fresh saved_per_window obs_repeats;
