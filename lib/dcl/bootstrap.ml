@@ -26,14 +26,15 @@ let resample rng trace ~per_block =
   done;
   { trace with Probe.Trace.records = out }
 
-let default_params =
-  { Identify.default_params with Identify.model = Identify.Model_markov }
+let params = { Identify.default_params with Identify.model = Identify.Model_markov }
 
-let f_statistic ?(params = default_params) ?(replicates = 50) ?(block = 20.)
-    ?(confidence = 0.9) ~rng trace =
+(* Resampling block length in seconds of probing, and the coverage of
+   the percentile interval. *)
+let block = 20.
+let confidence = 0.9
+
+let f_statistic ?(replicates = 50) ~rng trace =
   if replicates <= 0 then invalid_arg "Bootstrap.f_statistic: replicates <= 0";
-  if confidence <= 0. || confidence >= 1. then
-    invalid_arg "Bootstrap.f_statistic: confidence must be in (0, 1)";
   let original = Identify.run ~params ~rng trace in
   let point = original.Identify.wdcl.Tests.f_at_two_d_star in
   let per_block =

@@ -9,10 +9,11 @@
     and a percentile interval is reported together with the fraction of
     replicates on each side of the WDCL threshold.
 
-    By default replicates are fitted with the Markov model ([N = 1]) —
-    two orders of magnitude cheaper than the full MMHD and, on the
-    traces of this repository, within a few percent of its statistic
-    (see the ablation bench). *)
+    The original trace and every replicate are fitted with the Markov
+    model ([N = 1]) and otherwise the pipeline defaults — two orders of
+    magnitude cheaper than the full MMHD and, on the traces of this
+    repository, within a few percent of its statistic (see the ablation
+    bench). *)
 
 type interval = {
   point : float;  (** statistic of the original trace *)
@@ -23,18 +24,10 @@ type interval = {
   replicates : int;
 }
 
-val f_statistic :
-  ?params:Identify.params ->
-  ?replicates:int ->
-  ?block:float ->
-  ?confidence:float ->
-  rng:Stats.Rng.t ->
-  Probe.Trace.t ->
-  interval
-(** [f_statistic ~rng trace] bootstraps [F at 2*d_star].  [replicates]
-    defaults to 50, [block] to 20 s of probing, [confidence] to 0.9
-    (i.e. the 5th and 95th percentiles).  [params] defaults to the
-    pipeline defaults with the Markov model.  Replicates on which the
-    resampled trace is unidentifiable are skipped (they still count
-    toward [replicates]); raises like {!Identify.run} if the original
-    trace is unidentifiable. *)
+val f_statistic : ?replicates:int -> rng:Stats.Rng.t -> Probe.Trace.t -> interval
+(** [f_statistic ~rng trace] bootstraps [F at 2*d_star] in blocks of
+    20 s of probing and reports the 90% percentile interval (the 5th
+    and 95th percentiles).  [replicates] defaults to 50.  Replicates on
+    which the resampled trace is unidentifiable are skipped (they still
+    count toward [replicates]); raises like {!Identify.run} if the
+    original trace is unidentifiable. *)

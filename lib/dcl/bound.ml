@@ -9,7 +9,10 @@ let wdcl_bound ~beta vqd =
   in
   Discretize.queuing_value vqd.Vqd.scheme (find 0)
 
-let components ?(mass_threshold = 0.005) vqd =
+(* A symbol belongs to a component when its probability exceeds this. *)
+let mass_threshold = 0.005
+
+let components vqd =
   let pmf = vqd.Vqd.pmf in
   let m = Array.length pmf in
   let runs = ref [] in
@@ -33,8 +36,8 @@ let components ?(mass_threshold = 0.005) vqd =
   close (m - 1);
   List.rev !runs
 
-let component_bound ?mass_threshold vqd =
-  match components ?mass_threshold vqd with
+let component_bound vqd =
+  match components vqd with
   | [] -> sdcl_bound vqd
   | runs ->
       let first, _, _ =

@@ -15,16 +15,15 @@ val wdcl_bound : beta:float -> Vqd.t -> float
     smallest delay value [d] with [F(d) > beta] (Theorem 2 gives
     [F(Q_k^-) <= beta]). *)
 
-val component_bound : ?mass_threshold:float -> Vqd.t -> float
+val component_bound : Vqd.t -> float
 (** The finer-grained heuristic for small [eps] (Section IV-B,
     illustrated in Fig. 7): among maximal runs of consecutive symbols
-    whose probability exceeds [mass_threshold] (default 0.005), take
-    the run with the largest total mass — the "connected component with
-    most of the mass" — and return the delay value of its first
-    symbol.  Meant to be used with a fine discretization (M = 40 in
+    whose probability exceeds 0.005, take the run with the largest
+    total mass — the "connected component with most of the mass" — and
+    return the delay value of its first symbol.  Meant to be used with a fine discretization (M = 40 in
     the paper). *)
 
-val components : ?mass_threshold:float -> Vqd.t -> (int * int * float) list
+val components : Vqd.t -> (int * int * float) list
 (** The maximal runs the heuristic considers: (first symbol, last
     symbol, total mass), 0-based, in symbol order.  Exposed for
     reporting and tests. *)

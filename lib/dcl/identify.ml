@@ -5,11 +5,7 @@ type params = {
   n : int;
   m : int;
   em_eps : float;
-  em_max_iter : int;
-  restarts : int;
   prop_delay : Discretize.prop_delay;
-  sdcl_tolerance : float;
-  wdcl_tolerance : float;
   beta : float;
   eps : float;
 }
@@ -20,14 +16,19 @@ let default_params =
     n = 2;
     m = 5;
     em_eps = 1e-3;
-    em_max_iter = 300;
-    restarts = 2;
     prop_delay = Discretize.From_trace;
-    sdcl_tolerance = Tests.default_tolerance;
-    wdcl_tolerance = 0.04;
     beta = 0.06;
     eps = 0.;
   }
+
+(* Statistical slack of the WDCL test.  The model-based estimate of F
+   systematically sits a few percent below the dominant link's true
+   loss share: the posterior of a lost probe is informed by nearby
+   surviving probes, which by construction saw a just-below-full
+   buffer, so a little probability mass leaks to neighbouring symbols.
+   This slack absorbs that bias plus sampling noise.  The SDCL test
+   keeps Tests' default tolerance, 0.005. *)
+let wdcl_tolerance = 0.04
 
 type conclusion = Strongly_dominant | Weakly_dominant | No_dominant
 
@@ -79,10 +80,7 @@ let model_pmf params ~rng symbols =
     | Model_hmm -> Hmm.fit ~n:params.n
   in
   let fit0 = Obs.Span.start () in
-  let model, stats =
-    fit ~eps:params.em_eps ~max_iter:params.em_max_iter ~restarts:params.restarts ~rng
-      ~m:params.m symbols
-  in
+  let model, stats = fit ~eps:params.em_eps ~rng ~m:params.m symbols in
   Obs.Span.stop h_fit fit0;
   let vqd0 = Obs.Span.start () in
   let pmf = Em.virtual_delay_pmf ~ws:(Em.domain_ws ()) model symbols in
@@ -112,10 +110,8 @@ type verdicts = {
 
 let conclude ?(params = default_params) vqd =
   let tests0 = Obs.Span.start () in
-  let sdcl = Tests.sdcl ~tolerance:params.sdcl_tolerance vqd in
-  let wdcl =
-    Tests.wdcl ~tolerance:params.wdcl_tolerance ~beta:params.beta ~eps:params.eps vqd
-  in
+  let sdcl = Tests.sdcl vqd in
+  let wdcl = Tests.wdcl ~tolerance:wdcl_tolerance ~beta:params.beta ~eps:params.eps vqd in
   Obs.Span.stop h_tests tests0;
   let conclusion =
     match (sdcl.Tests.verdict, wdcl.Tests.verdict) with

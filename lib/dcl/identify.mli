@@ -19,27 +19,20 @@ type params = {
   n : int;  (** hidden states / hidden-dimension size *)
   m : int;  (** delay symbols; the paper uses 5 (tests) or 40 (bounds) *)
   em_eps : float;  (** EM convergence threshold (paper: 1e-3 or 1e-4) *)
-  em_max_iter : int;
-  restarts : int;  (** random EM restarts, best likelihood kept *)
   prop_delay : Discretize.prop_delay;
-  sdcl_tolerance : float;  (** statistical slack of the SDCL test *)
-  wdcl_tolerance : float;
-      (** statistical slack of the WDCL test.  The model-based estimate
-          of [F] systematically sits a few percent below the dominant
-          link's true loss share: the posterior of a lost probe is
-          informed by nearby surviving probes, which by construction
-          saw a just-below-full buffer, so a little probability mass
-          leaks to neighbouring symbols.  The default absorbs this
-          bias plus sampling noise; the ablation bench sweeps it. *)
   beta : float;  (** WDCL loss parameter *)
   eps : float;  (** WDCL delay parameter *)
 }
 
 val default_params : params
-(** MMHD with [n = 2], [m = 5], EM threshold 1e-3, 2 restarts,
-    propagation delay from the trace, SDCL tolerance 0.005, WDCL
-    tolerance 0.04, WDCL parameters [beta = 0.06] and [eps = 0] — the
-    configuration of the paper's worked examples. *)
+(** MMHD with [n = 2], [m = 5], EM threshold 1e-3, propagation delay
+    from the trace, WDCL parameters [beta = 0.06] and [eps = 0] — the
+    configuration of the paper's worked examples.  The fit runs the
+    model's own {!Mmhd.fit}/{!Hmm.fit} defaults (2 restarts, at most
+    300 sweeps each).  {!conclude} runs the SDCL test at tolerance
+    0.005 (the {!Tests} default) and the WDCL test at 0.04, which
+    absorbs the downward bias of the model-based [F]: a lost probe's
+    posterior leaks a little mass to neighbouring symbols. *)
 
 type conclusion = Strongly_dominant | Weakly_dominant | No_dominant
 
@@ -81,11 +74,10 @@ val conclude : ?params:params -> Vqd.t -> verdicts
 (** The back half of the pipeline: run the SDCL and WDCL tests on an
     already-obtained virtual queuing delay distribution and derive the
     conclusion and bound.  Only the test parameters of [params]
-    ([sdcl_tolerance], [wdcl_tolerance], [beta], [eps]) are consulted.
-    [run] is [fit_vqd] followed by [conclude]; the fleet layer calls
-    this directly on distributions read off streaming sufficient
-    statistics ({!Em.Incremental.loss_mass}), where there is no trace
-    to refit. *)
+    ([beta], [eps]) are consulted.  [run] is [fit_vqd] followed by
+    [conclude]; the fleet layer calls this directly on distributions
+    read off streaming sufficient statistics
+    ({!Em.Incremental.loss_mass}), where there is no trace to refit. *)
 
 val run : ?params:params -> rng:Stats.Rng.t -> Probe.Trace.t -> result
 (** Full pipeline.  Raises [Invalid_argument] when the trace has no

@@ -26,13 +26,13 @@ let pinpoint prefixes =
       Some h
   | None -> None
 
-let analyze ?(params = Identify.default_params) ~rng traces =
+let analyze ~rng traces =
   let prefixes =
     List.map
       (fun (hops, trace) ->
         let conclusion, loss_rate =
           if Identify.identifiable trace then begin
-            let r = Identify.run ~params ~rng trace in
+            let r = Identify.run ~rng trace in
             (Some r.Identify.conclusion, r.Identify.loss_rate)
           end
           else (None, Probe.Trace.loss_rate trace)

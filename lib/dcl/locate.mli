@@ -32,11 +32,7 @@ val pinpoint : prefix list -> int option
     when no such suffix exists (no dominant link, or inconsistent
     prefix results).  The input may be in any order. *)
 
-val analyze :
-  ?params:Identify.params ->
-  rng:Stats.Rng.t ->
-  (int * Probe.Trace.t) list ->
-  prefix list * int option
-(** [analyze ~rng traces] runs the identification on each
-    [(hops, trace)] prefix measurement and {!pinpoint}s the dominant
-    link. *)
+val analyze : rng:Stats.Rng.t -> (int * Probe.Trace.t) list -> prefix list * int option
+(** [analyze ~rng traces] runs the identification with
+    {!Identify.default_params} on each [(hops, trace)] prefix
+    measurement and {!pinpoint}s the dominant link. *)

@@ -12,8 +12,15 @@ type report = {
   stationary : bool;
 }
 
-let check ?(blocks = 4) ?(tv_threshold = 0.3) ?(loss_spread_threshold = 0.03) trace =
-  if blocks < 2 then invalid_arg "Stationarity.check: need at least 2 blocks";
+(* The screen's block count and its two drift thresholds: the largest
+   pairwise total-variation distance between block delay distributions,
+   and the largest spread of block loss rates, that still count as
+   stationary. *)
+let blocks = 4
+let tv_threshold = 0.3
+let loss_spread_threshold = 0.03
+
+let check trace =
   let n = Probe.Trace.length trace in
   if n < 2 * blocks then invalid_arg "Stationarity.check: trace too short";
   (* A common delay discretization across blocks, finer than the

@@ -23,17 +23,11 @@ type report = {
   stationary : bool;
 }
 
-val check :
-  ?blocks:int ->
-  ?tv_threshold:float ->
-  ?loss_spread_threshold:float ->
-  Probe.Trace.t ->
-  report
-(** [check trace] splits the trace into [blocks] (default 4) equal
-    pieces and declares it stationary when every pairwise TV distance
-    between block delay distributions is at most [tv_threshold]
-    (default 0.3) and block loss rates differ by at most
-    [loss_spread_threshold] (default 0.03).  Requires at least
-    [2 * blocks] probes and at least one surviving probe overall. *)
+val check : Probe.Trace.t -> report
+(** [check trace] splits the trace into 4 equal blocks and declares it
+    stationary when every pairwise TV distance between block delay
+    distributions is at most 0.3 and block loss rates differ by at most
+    0.03.  Requires at least 8 probes and at least one surviving probe
+    overall. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -11,16 +11,10 @@ type outcome = {
 let default_tolerance = 0.005
 
 (* Shared scaffolding: find d_star (smallest symbol with F >= 1/2,
-   1-based) and evaluate F at ceil((1 + 1/x) * d_star), which is the
-   paper's "2 d_star" when the generalization parameter x is 1; then
-   compare against [threshold]. *)
-let run_test vqd ~threshold ~delay_factor =
-  if delay_factor <= 0. then invalid_arg "Tests: delay_factor must be positive";
-  let d_star0 = Vqd.quantile_symbol vqd 0.5 in
-  let d_star = d_star0 + 1 in
-  let two_d_star =
-    int_of_float (ceil ((1. +. (1. /. delay_factor)) *. float_of_int d_star))
-  in
+   1-based), evaluate F at 2 d_star and compare against [threshold]. *)
+let run_test vqd ~threshold =
+  let d_star = Vqd.quantile_symbol vqd 0.5 + 1 in
+  let two_d_star = 2 * d_star in
   let f = Vqd.cdf_at vqd (two_d_star - 1) in
   {
     verdict = (if Stats.Float_cmp.geq f threshold then Accept else Reject);
@@ -30,13 +24,12 @@ let run_test vqd ~threshold ~delay_factor =
     threshold;
   }
 
-let sdcl ?(tolerance = default_tolerance) ?(delay_factor = 1.) vqd =
-  run_test vqd ~threshold:(1. -. tolerance) ~delay_factor
+let sdcl ?(tolerance = default_tolerance) vqd = run_test vqd ~threshold:(1. -. tolerance)
 
-let wdcl ?(tolerance = default_tolerance) ?(delay_factor = 1.) ~beta ~eps vqd =
+let wdcl ?(tolerance = default_tolerance) ~beta ~eps vqd =
   if beta < 0. || beta >= 0.5 then invalid_arg "Tests.wdcl: beta must be in [0, 1/2)";
   if eps < 0. || eps > 1. then invalid_arg "Tests.wdcl: eps must be in [0, 1]";
-  run_test vqd ~threshold:(((1. -. beta) *. (1. -. eps)) -. tolerance) ~delay_factor
+  run_test vqd ~threshold:(((1. -. beta) *. (1. -. eps)) -. tolerance)
 
 let pp_outcome ppf o =
   Format.fprintf ppf "%s (d*=%d, F(2d*=%d)=%.4f, threshold=%.4f)"

@@ -14,7 +14,9 @@
 
     [tolerance] absorbs estimation noise in [F] (the paper accepts
     e.g. [F = 0.97 >= 0.94] and implicitly treats 1 as "1 within
-    estimation error"); the default is 0.005. *)
+    estimation error").  A direct call gets tolerance 0.005 for either
+    test; {!Identify.conclude} runs SDCL at 0.005 but WDCL at 0.04, to
+    absorb the model-based [F]'s downward bias. *)
 
 type verdict = Accept | Reject
 
@@ -26,24 +28,11 @@ type outcome = {
   threshold : float;  (** acceptance threshold on [F at 2*d_star] *)
 }
 
-val default_tolerance : float
+val sdcl : ?tolerance:float -> Vqd.t -> outcome
+(** Test for a strongly dominant congested link. *)
 
-val sdcl : ?tolerance:float -> ?delay_factor:float -> Vqd.t -> outcome
-(** Test for a strongly dominant congested link.
-
-    [delay_factor] is the generalization parameter [x] the paper
-    mentions (its reference \[39\]): the delay condition becomes
-    [Q_k >= x * (aggregate queuing of the other links)], which forces
-    [Y <= (1 + 1/x) * Q_k], so the tested symbol becomes
-    [ceil ((1 + 1/x) * d_star)].  The default [x = 1] is the paper's
-    definition (tested symbol [2 * d_star]).  Larger [x] is a stricter
-    notion of dominance (the link must dominate by a larger factor);
-    requires [delay_factor > 0]. *)
-
-val wdcl :
-  ?tolerance:float -> ?delay_factor:float -> beta:float -> eps:float -> Vqd.t -> outcome
+val wdcl : ?tolerance:float -> beta:float -> eps:float -> Vqd.t -> outcome
 (** Test for a weakly dominant congested link with parameters
-    [(beta, eps)]; requires [0 <= beta < 1/2] and [0 <= eps <= 1].
-    [delay_factor] as in {!sdcl}. *)
+    [(beta, eps)]; requires [0 <= beta < 1/2] and [0 <= eps <= 1]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -41,8 +41,15 @@ let delay_condition_fraction trace ~hop =
     trace.Probe.Trace.records;
   if !total = 0 then 1. else float_of_int !ok /. float_of_int !total
 
-let classify ?(strong_share = 0.995) ?(weak_share = 0.94) ?(delay_fraction = 0.995) trace
-    ~hop_count =
+(* Loss share and delay-condition fraction that make a hop strongly
+   dominant (all losses, within a tolerance for rounding), and the loss
+   share that makes it weakly dominant: 1 - beta at the paper's
+   beta = 0.06. *)
+let strong_share = 0.995
+let delay_fraction = 0.995
+let weak_share = 0.94
+
+let classify trace ~hop_count =
   match dominant_hop trace ~hop_count with
   | None -> No_dominant
   | Some (hop, share) ->

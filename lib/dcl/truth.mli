@@ -21,17 +21,11 @@ val delay_condition_fraction : Probe.Trace.t -> hop:int -> float
     the delay condition of Definitions 1–2 evaluated on the lost
     probes.  1.0 when there is no such probe. *)
 
-val classify :
-  ?strong_share:float ->
-  ?weak_share:float ->
-  ?delay_fraction:float ->
-  Probe.Trace.t ->
-  hop_count:int ->
-  regime
-(** Classify the regime: [Strong] when some hop has loss share at least
-    [strong_share] (default 0.995) and delay-condition fraction at
-    least [delay_fraction] (default 0.995); [Weak] when some hop has
-    share at least [weak_share] (default 0.75); otherwise
+val classify : Probe.Trace.t -> hop_count:int -> regime
+(** Classify the regime from the hop with the largest loss share:
+    [Strong] when its share is at least 0.995 and its delay-condition
+    fraction at least 0.995; [Weak] when its share is at least 0.94,
+    which is [1 - beta] at the paper's [beta = 0.06]; otherwise
     [No_dominant].  Traces without losses are [No_dominant]. *)
 
 val pp_regime : Format.formatter -> regime -> unit

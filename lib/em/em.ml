@@ -374,7 +374,7 @@ module Incremental = struct
     if t.s <> st.s || t.m <> st.m then
       invalid_arg (name ^ ": model dimensions do not match the statistics")
 
-  let append ~(ws : workspace) ?(carry = true) st (t : model) obs =
+  let append ~(ws : workspace) st (t : model) obs =
     dims_check "Em.Incremental.append" st t;
     check_obs "Em.Incremental.append" obs;
     let s = st.s in
@@ -387,7 +387,7 @@ module Incremental = struct
        are not accumulated (the only cross-batch approximation; the
        forward likelihood itself factorizes exactly). *)
     let t =
-      if carry && st.primed then begin
+      if st.primed then begin
         let pi = Array.make s 0. in
         for dst = 0 to s - 1 do
           let acc = ref 0. in

@@ -177,19 +177,19 @@ module Incremental : sig
       effective memory is a [1 / (1 - lambda)]-batch exponential
       window. *)
 
-  val append :
-    ws:workspace -> ?carry:bool -> stats -> model -> observation array -> float
+  val append : ws:workspace -> stats -> model -> observation array -> float
   (** Run one serial forward–backward sweep of [model] over the batch
       and add its E-step statistics to the accumulators; returns the
-      batch's log-likelihood.  With [carry] (the default) the sweep is
-      seeded from the previous batch's filtered end-distribution
+      batch's log-likelihood.  The sweep is seeded from the previous
+      batch's filtered end-distribution
       propagated one step through the model's transitions, so the
       forward likelihood factorizes across batches exactly
       ([logL(b1 ++ b2) = append b1 + append b2] up to the association
       of the final log sums); smoothing, however, is truncated at batch
       boundaries and the boundary transition's expected counts are not
       accumulated — the two approximations of the streaming recursion.
-      [carry:false] (or a first batch) seeds from [model.pi].
+      A first batch, or the first after {!reset}, seeds from
+      [model.pi].
       Raises [Invalid_argument] on an empty batch, a dimension
       mismatch or an out-of-range symbol, {!Zero_likelihood} on an
       impossible observation (the statistics are untouched in every

@@ -13,29 +13,21 @@ let m_resets =
            degeneracy"
     "dcl_fleet_path_resets_total"
 
-type config = {
-  n : int;
-  lambda : float;
-  scheme : Dcl.Discretize.t;
-  params : Dcl.Identify.params;
-  min_weight : float;
-  min_loss_mass : float;
-  timeline_capacity : int;
-}
+type config = { n : int; lambda : float; scheme : Dcl.Discretize.t }
 
-let config ?(n = 2) ?(lambda = 0.9) ?params ?(min_weight = 64.)
-    ?(min_loss_mass = 1.) ?(timeline_capacity = 64) ~scheme () =
+let config ?(n = 2) ?(lambda = 0.9) ~scheme () =
   if n <= 0 then invalid_arg "Fleet.Path_state.config: n must be positive";
   if Float.is_nan lambda || lambda < 0. || lambda > 1. then
     invalid_arg "Fleet.Path_state.config: lambda must be in [0, 1]";
-  if min_weight < 0. then
-    invalid_arg "Fleet.Path_state.config: min_weight must be non-negative";
-  if min_loss_mass <= 0. then
-    invalid_arg "Fleet.Path_state.config: min_loss_mass must be positive";
-  if timeline_capacity < 0 then
-    invalid_arg "Fleet.Path_state.config: timeline_capacity must be non-negative";
-  let params = match params with Some p -> p | None -> Dcl.Identify.default_params in
-  { n; lambda; scheme; params; min_weight; min_loss_mass; timeline_capacity }
+  { n; lambda; scheme }
+
+(* The re-test gates: an effective (decayed) observation count, and a
+   decayed loss mass below which there is no meaningful VQD. *)
+let min_weight = 64.
+let min_loss_mass = 1.
+
+(* Diagnosis-history entries retained per path. *)
+let timeline_capacity = 64
 
 let symbols cfg = cfg.scheme.Dcl.Discretize.m
 
@@ -57,7 +49,7 @@ let create config ~rng =
     config;
     rng;
     stats = Em.Incremental.create ~s:(config.n * symbols config) ~m:(symbols config);
-    timeline = Timeline.create ~capacity:config.timeline_capacity;
+    timeline = Timeline.create ~capacity:timeline_capacity;
     model = None;
     conclusion = None;
     bound = None;
@@ -89,7 +81,7 @@ let coast t ~factor =
 let vqd t =
   let mass = Em.Incremental.loss_mass t.stats in
   let total = Array.fold_left ( +. ) 0. mass in
-  if Stats.Float_cmp.geq total t.config.min_loss_mass then
+  if Stats.Float_cmp.geq total min_loss_mass then
     Some (Dcl.Vqd.of_pmf t.config.scheme mass)
   else None
 
@@ -99,12 +91,11 @@ let vqd t =
    with a fraction of one expected loss the tests would amplify one
    posterior row into a verdict. *)
 let retest t =
-  if Stats.Float_cmp.geq (Em.Incremental.weight t.stats) t.config.min_weight
-  then
+  if Stats.Float_cmp.geq (Em.Incremental.weight t.stats) min_weight then
     match vqd t with
     | None -> ()
     | Some vqd ->
-        let v = Dcl.Identify.conclude ~params:t.config.params vqd in
+        let v = Dcl.Identify.conclude vqd in
         t.conclusion <- Some v.Dcl.Identify.conclusion;
         t.bound <- v.Dcl.Identify.bound
 

@@ -19,34 +19,15 @@ type config = {
   n : int;  (** hidden-dimension size *)
   lambda : float;  (** per-epoch forgetting factor in [\[0, 1\]] *)
   scheme : Dcl.Discretize.t;  (** its [m] delay symbols are the model's *)
-  params : Dcl.Identify.params;  (** test parameters for the re-tests *)
-  min_weight : float;
-      (** effective (decayed) observation count required before the
-          tests run *)
-  min_loss_mass : float;
-      (** decayed loss mass required before the tests run — below it
-          there is no meaningful VQD *)
-  timeline_capacity : int;
-      (** diagnosis-history entries retained per path ({!Timeline});
-          [0] disables recording *)
 }
 
-val config :
-  ?n:int ->
-  ?lambda:float ->
-  ?params:Dcl.Identify.params ->
-  ?min_weight:float ->
-  ?min_loss_mass:float ->
-  ?timeline_capacity:int ->
-  scheme:Dcl.Discretize.t ->
-  unit ->
-  config
+val config : ?n:int -> ?lambda:float -> scheme:Dcl.Discretize.t -> unit -> config
 (** Defaults: [n = 2], [lambda = 0.9] (an effective window of ten
-    epochs), [params = Dcl.Identify.default_params], [min_weight = 64]
-    observations, [min_loss_mass = 1] expected loss,
-    [timeline_capacity = 64] retained diagnosis events.  Raises
-    [Invalid_argument] on out-of-range values, a NaN [lambda]
-    included. *)
+    epochs).  Raises [Invalid_argument] on out-of-range values, a NaN
+    [lambda] included.  Every path re-tests with
+    {!Dcl.Identify.default_params} once it holds 64 decayed
+    observations and a decayed loss mass of 1, and keeps its last 64
+    diagnosis events ({!timeline}). *)
 
 type t
 
@@ -60,10 +41,10 @@ val update : ws:Em.workspace -> ?epoch:int -> t -> Em.observation array -> bool
     An empty batch is a no-op.  Before the first delay observation
     arrives, batches are dropped (the informed initializer needs at
     least one delay); afterwards the model is re-estimated every
-    epoch, and the tests re-run once the {!config} gates are met.  A
-    {!Em.Zero_likelihood} degeneracy resets the path to its untested
-    state (counted in [dcl_fleet_path_resets_total] and {!resets})
-    instead of propagating.  [ws] is the calling domain's workspace
+    epoch, and the tests re-run once the re-test gates (see {!config})
+    are met.  A {!Em.Zero_likelihood} degeneracy resets the path to
+    its untested state (counted in [dcl_fleet_path_resets_total] and
+    {!resets}) instead of propagating.  [ws] is the calling domain's workspace
     ({!Em.domain_ws}).  Each non-dropped batch appends an entry
     to the path's {!timeline}, stamped with [epoch] (the scheduler's
     fleet epoch) when given, the path's own update count otherwise.

@@ -8,7 +8,6 @@ type t = {
   bandwidth : float;
   prop_delay : float;
   capacity : int;
-  mtu : int;
   policy : policy;
   rng : Stats.Rng.t;
   waiting : Packet.t Queue.t;
@@ -22,11 +21,10 @@ type t = {
   mutable busy_time : float;
 }
 
-let create sim ~id ~src ~dst ~bandwidth ~delay ~capacity ?(mtu = 1040) ~policy () =
+let create sim ~id ~src ~dst ~bandwidth ~delay ~capacity ~policy () =
   if bandwidth <= 0. then invalid_arg "Link.create: bandwidth <= 0";
   if delay < 0. then invalid_arg "Link.create: negative delay";
   if capacity <= 0 then invalid_arg "Link.create: capacity <= 0";
-  if mtu <= 0 then invalid_arg "Link.create: mtu <= 0";
   {
     sim;
     id;
@@ -35,7 +33,6 @@ let create sim ~id ~src ~dst ~bandwidth ~delay ~capacity ?(mtu = 1040) ~policy (
     bandwidth;
     prop_delay = delay;
     capacity;
-    mtu;
     policy;
     rng = Stats.Rng.split (Sim.rng sim);
     waiting = Queue.create ();
@@ -82,10 +79,13 @@ let accept t pkt =
   end
   else start_service t pkt
 
+(* The drop granularity: a full TCP segment with its header. *)
+let mtu = 1040
+
 (* The buffer is "full" for an arrival of [size] bytes when it cannot
    hold one more packet of [max size mtu] bytes — packet-slot semantics
    with byte-accurate drain times (see the interface). *)
-let overflow t ~size = t.queued_bytes + Stdlib.max size t.mtu > t.capacity
+let overflow t ~size = t.queued_bytes + Stdlib.max size mtu > t.capacity
 
 let offer t pkt =
   t.arrivals <- t.arrivals + 1;

@@ -19,18 +19,18 @@ val create :
   bandwidth:float ->
   delay:float ->
   capacity:int ->
-  ?mtu:int ->
   policy:policy ->
   unit ->
   t
 (** [bandwidth] in bits/s, [delay] (propagation) in seconds, [capacity]
     in bytes.  All must be positive.
 
-    [mtu] (default 1040 bytes) sets the drop granularity: an arrival is
-    dropped when the waiting room cannot hold one more [mtu]-sized
-    packet.  This emulates ns's packet-counting droptail queues — a
-    10-byte probe is dropped exactly when a full-size packet would be —
-    while keeping byte-accurate drain times. *)
+    The drop granularity is a 1040-byte MTU (a full TCP segment with
+    its header): an arrival is dropped when the waiting room cannot
+    hold one more MTU-sized packet.  This emulates ns's
+    packet-counting droptail queues — a 10-byte probe is dropped
+    exactly when a full-size packet would be — while keeping
+    byte-accurate drain times. *)
 
 val set_deliver : t -> (Packet.t -> unit) -> unit
 (** Install the callback invoked when a packet finishes propagation and

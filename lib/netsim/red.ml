@@ -1,6 +1,10 @@
+(* The EWMA gain of the average queue, the max_p adaptation period in
+   seconds, and max_p's starting value. *)
+let weight = 0.002
+let interval = 0.5
+let initial_max_p = 0.1
+
 type t = {
-  weight : float;
-  interval : float;
   min_th : float;
   max_th : float;
   mean_pkt_time : float;
@@ -11,12 +15,9 @@ type t = {
   mutable next_adapt : float;
 }
 
-let create ?(weight = 0.002) ?(interval = 0.5) ?(initial_max_p = 0.1) ~min_th ~max_th
-    ~mean_pkt_time () =
+let create ~min_th ~max_th ~mean_pkt_time () =
   if min_th <= 0. || max_th <= min_th then invalid_arg "Red.create: need 0 < min_th < max_th";
   {
-    weight;
-    interval;
     min_th;
     max_th;
     mean_pkt_time;
@@ -38,7 +39,7 @@ let adapt t ~now =
     if t.avg > target_hi && t.max_p <= 0.5 then
       t.max_p <- Float.min 0.5 (t.max_p +. Float.min 0.01 (t.max_p /. 4.))
     else if t.avg < target_lo && t.max_p >= 0.01 then t.max_p <- Float.max 0.01 (t.max_p *. 0.9);
-    t.next_adapt <- now +. t.interval
+    t.next_adapt <- now +. interval
   end
 
 let update_avg t ~qlen ~now =
@@ -47,11 +48,11 @@ let update_avg t ~qlen ~now =
       (* Age the average as if (idle / mean_pkt_time) empty samples had
          been observed. *)
       let m = (now -. since) /. t.mean_pkt_time in
-      t.avg <- t.avg *. ((1. -. t.weight) ** Float.max 0. m);
+      t.avg <- t.avg *. ((1. -. weight) ** Float.max 0. m);
       t.idle_since <- None
   | Some _ -> t.idle_since <- None
   | None -> ());
-  t.avg <- t.avg +. (t.weight *. (float_of_int qlen -. t.avg))
+  t.avg <- t.avg +. (weight *. (float_of_int qlen -. t.avg))
 
 let base_probability t =
   if t.avg < t.min_th then 0.

@@ -5,24 +5,16 @@
     The drop probability ramps linearly from 0 to [max_p] as the EWMA
     average queue size grows from [min_th] to [max_th], and (gentle
     mode) from [max_p] to 1 between [max_th] and [2*max_th].  [max_p]
-    itself adapts by AIMD every [interval] seconds to keep the average
-    queue between the 40% and 60% points of [\[min_th, max_th\]]. *)
+    itself starts at 0.1 and adapts by AIMD every 0.5 s to keep the
+    average queue between the 40% and 60% points of
+    [\[min_th, max_th\]].  The average is an EWMA with gain 0.002. *)
 
 type t
 
-val create :
-  ?weight:float ->
-  ?interval:float ->
-  ?initial_max_p:float ->
-  min_th:float ->
-  max_th:float ->
-  mean_pkt_time:float ->
-  unit ->
-  t
-(** [weight] is the EWMA gain (default 0.002); [interval] the [max_p]
-    adaptation period (default 0.5 s); [mean_pkt_time] the typical
-    packet transmission time, used to age the average across idle
-    periods.  Requires [0 < min_th < max_th]. *)
+val create : min_th:float -> max_th:float -> mean_pkt_time:float -> unit -> t
+(** [mean_pkt_time] is the typical packet transmission time, used to
+    age the average across idle periods.  Requires
+    [0 < min_th < max_th]. *)
 
 val decide : t -> rng:Stats.Rng.t -> qlen:int -> now:float -> bool
 (** [decide t ~rng ~qlen ~now] updates the average with the current

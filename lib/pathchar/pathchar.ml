@@ -26,7 +26,9 @@ let fit_min_line points =
         let intercept = (sy -. (slope *. sx)) /. n in
         Some (slope, intercept)
 
-let default_sizes = [ 200; 500; 800; 1100; 1400 ]
+(* Probe sizes in bytes, and the spacing between probes in seconds. *)
+let sizes = [| 200; 500; 800; 1100; 1400 |]
+let interval = 0.03
 
 (* State for one measurement campaign: per (hop, size), the minimum
    observed RTT. *)
@@ -35,7 +37,6 @@ type campaign = {
   flow : int;
   src : int;
   dst : int;
-  sizes : int array;
   probes_per_size : int;
   hops : int;
   (* send time per outstanding probe, indexed by seq *)
@@ -48,13 +49,13 @@ type campaign = {
 (* Probe seq encodes (hop, size index, repetition) so the reply can be
    matched without extra state. *)
 let seq_of c ~hop ~size_idx ~rep =
-  (((hop * Array.length c.sizes) + size_idx) * c.probes_per_size) + rep
+  (((hop * Array.length sizes) + size_idx) * c.probes_per_size) + rep
 
 let decode c seq =
   let rep = seq mod c.probes_per_size in
   let rest = seq / c.probes_per_size in
-  let size_idx = rest mod Array.length c.sizes in
-  let hop = rest / Array.length c.sizes in
+  let size_idx = rest mod Array.length sizes in
+  let hop = rest / Array.length sizes in
   (hop, size_idx, rep)
 
 let on_reply c (pkt : Packet.t) =
@@ -66,7 +67,7 @@ let on_reply c (pkt : Packet.t) =
       let rtt = now -. sent_at in
       let hop, size_idx, _ = decode c pkt.Packet.seq in
       c.replies.(hop - 1) <- c.replies.(hop - 1) + 1;
-      let key = (hop, c.sizes.(size_idx)) in
+      let key = (hop, sizes.(size_idx)) in
       (match Hashtbl.find_opt c.min_rtt key with
       | Some best when best <= rtt -> ()
       | Some _ | None -> Hashtbl.replace c.min_rtt key rtt)
@@ -80,7 +81,7 @@ let estimate c =
     Array.init c.hops (fun i ->
         let hop = i + 1 in
         let points =
-          Array.to_list c.sizes
+          Array.to_list sizes
           |> List.filter_map (fun size ->
                  Option.map (fun r -> (size, r)) (Hashtbl.find_opt c.min_rtt (hop, size)))
         in
@@ -122,11 +123,9 @@ let estimate c =
   in
   { hops; narrow_hop }
 
-let run ?(sizes = default_sizes) ?(probes_per_size = 16) ?(interval = 0.03) net ~src
-    ~hops ~dst ~k =
+let run ?(probes_per_size = 16) net ~src ~hops ~dst ~k =
   if hops <= 0 then invalid_arg "Pathchar.run: hops <= 0";
   if probes_per_size <= 0 then invalid_arg "Pathchar.run: probes_per_size <= 0";
-  if sizes = [] then invalid_arg "Pathchar.run: empty size list";
   let sim = Net.sim net in
   let c =
     {
@@ -134,7 +133,6 @@ let run ?(sizes = default_sizes) ?(probes_per_size = 16) ?(interval = 0.03) net 
       flow = Sim.fresh_flow_id sim;
       src;
       dst;
-      sizes = Array.of_list sizes;
       probes_per_size;
       hops;
       sent = Hashtbl.create 256;
@@ -160,7 +158,7 @@ let run ?(sizes = default_sizes) ?(probes_per_size = 16) ?(interval = 0.03) net 
   (* Probe [i] goes out at [start + i * interval], hop-major, then by
      size, then by repetition: exactly the order of [seq_of], offset by
      the hop-0 block that [seq_of] skips. *)
-  let total = hops * Array.length c.sizes * probes_per_size in
+  let total = hops * Array.length sizes * probes_per_size in
   let start = Sim.now sim in
   let until = start +. (float_of_int total *. interval) in
   let seq0 = seq_of c ~hop:1 ~size_idx:0 ~rep:0 in
@@ -170,6 +168,6 @@ let run ?(sizes = default_sizes) ?(probes_per_size = 16) ?(interval = 0.03) net 
       Hashtbl.replace c.sent seq (Sim.now sim);
       Net.inject net
         (Packet.make ~id:(Sim.fresh_packet_id sim) ~flow:c.flow ~src:c.src ~dst:c.dst
-           ~size:c.sizes.(size_idx) ~kind:Packet.Udp ~seq ~sent_at:(Sim.now sim) ~ttl:hop ()));
+           ~size:sizes.(size_idx) ~kind:Packet.Udp ~seq ~sent_at:(Sim.now sim) ~ttl:hop ()));
   (* Collect after the last probe plus generous slack for replies. *)
   Sim.at sim (until +. 5.) (fun () -> k (estimate c))

@@ -33,9 +33,7 @@ type result = {
 }
 
 val run :
-  ?sizes:int list ->
   ?probes_per_size:int ->
-  ?interval:float ->
   Netsim.Net.t ->
   src:int ->
   hops:int ->
@@ -45,12 +43,12 @@ val run :
 (** [run net ~src ~hops ~dst ~k] probes hops [1..hops] of the route
     from [src] toward [dst] and calls [k] with the estimates once all
     probes have been answered or timed out.  Probes start at the
-    current simulation time, spaced [interval] seconds apart (default
-    30 ms, wide enough that probes do not queue behind each other on
-    slow links), cycling through [sizes] (default 200..1400 step 300 bytes)
-    with [probes_per_size] repetitions (default 16).  Estimates are
-    [None] for hops with too few replies or non-increasing slopes
-    (pathchar's own failure mode on noisy paths). *)
+    current simulation time, spaced 30 ms apart (wide enough that
+    probes do not queue behind each other on slow links), cycling
+    through the sizes 200..1400 step 300 bytes with [probes_per_size]
+    repetitions (default 16).  Estimates are [None] for hops with too
+    few replies or non-increasing slopes (pathchar's own failure mode
+    on noisy paths). *)
 
 val fit_min_line : (int * float) list -> (float * float) option
 (** Least-squares line through (size, min-RTT) points:

@@ -73,13 +73,13 @@ let samples t =
   let ordered = List.sort (fun (a, _) (b, _) -> compare a b) t.samples in
   Array.of_list (List.map snd ordered)
 
-let estimate_max_queuing_delay ?(bins = 40) t =
+let estimate_max_queuing_delay t =
   let xs = samples t in
   if Array.length xs = 0 then None
   else begin
     let lo = 0. in
     let hi = Array.fold_left Float.max xs.(0) xs +. 1e-9 in
-    let h = Stats.Histogram.create ~m:bins ~lo ~hi in
+    let h = Stats.Histogram.create ~m:40 ~lo ~hi in
     Array.iter (Stats.Histogram.add h) xs;
     Some (Stats.Histogram.mode_value h)
   end

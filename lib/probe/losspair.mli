@@ -40,7 +40,7 @@ val samples : t -> float array
 (** Surviving-probe queuing delays (end–end delay minus the path's
     queuing-free delay), one per loss pair, in send order. *)
 
-val estimate_max_queuing_delay : ?bins:int -> t -> float option
-(** Peak (mode) of the loss-pair sample histogram ([bins] default 40):
-    the loss-pair estimate of the dominant link's [Q_k].  [None] when
-    no loss pair was observed. *)
+val estimate_max_queuing_delay : t -> float option
+(** Peak (mode) of the 40-bin loss-pair sample histogram over
+    [\[0, max sample\]]: the loss-pair estimate of the dominant link's
+    [Q_k].  [None] when no loss pair was observed. *)

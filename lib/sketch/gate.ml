@@ -17,11 +17,10 @@ type config = {
   drift_threshold : float;
   promote_after : int;
   demote_after : int;
-  demote_margin : float;
 }
 
 let config ?(loss_threshold = 0.2) ?(drift_threshold = 0.75) ?(promote_after = 2)
-    ?(demote_after = 4) ?(demote_margin = 0.8) () =
+    ?(demote_after = 4) () =
   if Stats.Float_cmp.lt loss_threshold 0. then
     invalid_arg "Sketch.Gate.config: loss_threshold must be non-negative";
   if Stats.Float_cmp.lt drift_threshold 0. then
@@ -30,9 +29,7 @@ let config ?(loss_threshold = 0.2) ?(drift_threshold = 0.75) ?(promote_after = 2
     invalid_arg "Sketch.Gate.config: promote_after must be positive";
   if demote_after < 1 then
     invalid_arg "Sketch.Gate.config: demote_after must be positive";
-  if Stats.Float_cmp.lt demote_margin 0. || Stats.Float_cmp.gt demote_margin 1.
-  then invalid_arg "Sketch.Gate.config: demote_margin must be in [0, 1]";
-  { loss_threshold; drift_threshold; promote_after; demote_after; demote_margin }
+  { loss_threshold; drift_threshold; promote_after; demote_after }
 
 type cause = Loss | Drift | Both
 
@@ -52,9 +49,13 @@ let suspect_cause cfg ~loss ~drift =
   | false, true -> Some Drift
   | false, false -> None
 
+(* Hysteresis: calm means below this fraction of each promotion
+   threshold. *)
+let demote_margin = 0.8
+
 let calm cfg ~loss ~drift =
-  Stats.Float_cmp.lt loss (cfg.demote_margin *. cfg.loss_threshold)
-  && Stats.Float_cmp.lt drift (cfg.demote_margin *. cfg.drift_threshold)
+  Stats.Float_cmp.lt loss (demote_margin *. cfg.loss_threshold)
+  && Stats.Float_cmp.lt drift (demote_margin *. cfg.drift_threshold)
 
 type t = { mutable promoted : bool; mutable streak : int }
 

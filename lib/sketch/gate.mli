@@ -9,9 +9,8 @@
     - [suspect]: a promotion signal crossed its threshold
       ({!suspect_cause} over the loss EWMA and delay-quantile
       elevation is [Some _]);
-    - [calm]: every signal sits below [demote_margin] times its
-      threshold — the hysteresis band that stops border-line paths
-      from flapping;
+    - [calm]: every signal sits below 0.8 times its threshold — the
+      hysteresis band that stops border-line paths from flapping;
     - [settled]: the full inference has a current no-dominant verdict.
 
     Promotion fires after [promote_after] consecutive suspect epochs.
@@ -26,8 +25,6 @@ type config = {
       (** promote when the delay-quantile elevation reaches this *)
   promote_after : int;  (** consecutive suspect epochs before promotion *)
   demote_after : int;  (** consecutive calm+settled epochs before demotion *)
-  demote_margin : float;
-      (** hysteresis: calm means below [margin * threshold], in [\[0, 1\]] *)
 }
 
 val config :
@@ -35,11 +32,10 @@ val config :
   ?drift_threshold:float ->
   ?promote_after:int ->
   ?demote_after:int ->
-  ?demote_margin:float ->
   unit ->
   config
 (** Defaults: [loss_threshold = 0.2], [drift_threshold = 0.75],
-    [promote_after = 2], [demote_after = 4], [demote_margin = 0.8].
+    [promote_after = 2], [demote_after = 4].
     Raises [Invalid_argument] on out-of-range values. *)
 
 type cause = Loss | Drift | Both
@@ -54,7 +50,7 @@ val suspect_cause : config -> loss:float -> drift:float -> cause option
     (the epoch is suspect), naming which; [None] otherwise. *)
 
 val calm : config -> loss:float -> drift:float -> bool
-(** Both signals strictly below their margin-shrunk thresholds. *)
+(** Both signals strictly below 0.8 times their thresholds. *)
 
 type t
 (** One path's gate state: promoted flag plus the current streak. *)

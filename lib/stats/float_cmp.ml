@@ -6,10 +6,10 @@ let approx_eq ?(eps = 1e-9) a b = abs_float (a -. b) <= eps
 
 let is_zero ?eps x = approx_eq ?eps x 0.
 
-let geq ?(slack = 0.) a b = a >= b -. slack
-let gt ?(slack = 0.) a b = a > b -. slack
-let leq ?(slack = 0.) a b = a <= b +. slack
-let lt ?(slack = 0.) a b = a < b +. slack
+let geq (a : float) b = a >= b
+let gt (a : float) b = a > b
+let leq (a : float) b = a <= b
+let lt (a : float) b = a < b
 
 (* Counts derived from fractions (congested_fraction * templates, ...)
    sit on representability boundaries: 0.3 * 8 is 2.4000000000000004,

@@ -20,15 +20,14 @@ val approx_eq : ?eps:float -> float -> float -> bool
 val is_zero : ?eps:float -> float -> bool
 (** [approx_eq x 0.]: near-zero guard for denominators. *)
 
-(** Threshold comparisons.  [slack] (default [0.]) widens acceptance:
-    [geq ~slack a b] holds when [a >= b -. slack].  With the default
-    slack these are exactly [>=] / [>] / [<=] / [<] — the point is the
-    single audited call site, not a hidden tolerance. *)
+(** Threshold comparisons: exactly [>=] / [>] / [<=] / [<] on floats —
+    the point is the single audited call site, not a hidden
+    tolerance. *)
 
-val geq : ?slack:float -> float -> float -> bool
-val gt : ?slack:float -> float -> float -> bool
-val leq : ?slack:float -> float -> float -> bool
-val lt : ?slack:float -> float -> float -> bool
+val geq : float -> float -> bool
+val gt : float -> float -> bool
+val leq : float -> float -> bool
+val lt : float -> float -> bool
 
 val round_to_int : float -> int
 (** Nearest integer (ties away from zero, [Float.round]) as an [int] —

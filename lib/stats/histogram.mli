@@ -1,12 +1,17 @@
 (** Fixed-bin histograms and discrete probability distributions
     (PMF/CDF) over bin indices.
 
-    The paper discretizes end-end queuing delay into [m] equal-width
-    bins over [\[lo, hi\]]; symbol [j] (1-based in the paper, 0-based
-    here) covers the delay range [(lo + j*w, lo + (j+1)*w]] with
-    [w = (hi - lo) / m].  All distribution-level operations in the
-    repository (hypothesis tests, bounds, distances) work on the
-    0-based bin index. *)
+    A histogram has [m] equal-width bins over [\[lo, hi\]], with
+    [w = (hi - lo) / m], and its bins are lower-closed: bin [j]
+    (0-based) owns [\[lo + j*w, lo + (j+1)*w)] (see {!index_of}).  Its
+    one library caller is {!Probe.Losspair.estimate_max_queuing_delay}.
+
+    The paper's delay symbols use the other convention: symbol [j]
+    covers the upper-closed range [(lo + j*w, lo + (j+1)*w]].  The
+    module that follows it is {!Dcl.Discretize.symbol_of_delay}, not
+    this one.  The operations on probability vectors below
+    (hypothesis-test CDFs, distances) work on a 0-based bin index
+    under either convention. *)
 
 type t
 (** A histogram with [m] equal-width bins over [\[lo, hi\]]. *)

@@ -1,25 +1,15 @@
 open Netsim
 
-type config = {
-  mss : int;
-  header : int;
-  ack_size : int;
-  initial_cwnd : float;
-  initial_ssthresh : float;
-  min_rto : float;
-  max_rto : float;
-}
-
-let default_config =
-  {
-    mss = 1000;
-    header = 40;
-    ack_size = 40;
-    initial_cwnd = 2.;
-    initial_ssthresh = 64.;
-    min_rto = 0.2;
-    max_rto = 60.;
-  }
+(* Segment sizes (payload, data header and pure-ACK bytes), the
+   initial window and slow-start threshold in segments, and the RTO
+   clamp in seconds. *)
+let mss = 1000
+let header = 40
+let ack_size = 40
+let initial_cwnd = 2.
+let initial_ssthresh = 64.
+let min_rto = 0.2
+let max_rto = 60.
 
 type mode = Normal | Recovery of { recover : int }
 
@@ -31,7 +21,6 @@ type receiver = {
 
 type t = {
   net : Net.t;
-  config : config;
   flow : int;
   src : int;
   dst : int;
@@ -76,7 +65,7 @@ let send_ack t =
   let s = sim t in
   let pkt =
     Packet.make ~id:(Sim.fresh_packet_id s) ~flow:t.flow ~src:t.dst ~dst:t.src
-      ~size:t.config.ack_size ~kind:Packet.Tcp_ack ~seq:t.recv.next_expected
+      ~size:ack_size ~kind:Packet.Tcp_ack ~seq:t.recv.next_expected
       ~sent_at:(Sim.now s) ()
   in
   Net.inject t.net pkt
@@ -113,7 +102,7 @@ let update_rto t sample =
       t.rttvar <- ((1. -. beta) *. t.rttvar) +. (beta *. abs_float (srtt -. sample));
       t.srtt <- Some (((1. -. alpha) *. srtt) +. (alpha *. sample)));
   let srtt = Option.get t.srtt in
-  t.rto <- Float.min t.config.max_rto (Float.max t.config.min_rto (srtt +. (4. *. t.rttvar)))
+  t.rto <- Float.min max_rto (Float.max min_rto (srtt +. (4. *. t.rttvar)))
 
 let stop_timer t = t.timer_gen <- t.timer_gen + 1
 
@@ -126,7 +115,7 @@ and transmit t seq ~retransmission =
   let s = sim t in
   let pkt =
     Packet.make ~id:(Sim.fresh_packet_id s) ~flow:t.flow ~src:t.src ~dst:t.dst
-      ~size:(t.config.mss + t.config.header) ~kind:Packet.Tcp_data ~seq
+      ~size:(mss + header) ~kind:Packet.Tcp_data ~seq
       ~sent_at:(Sim.now s) ()
   in
   t.segments_sent <- t.segments_sent + 1;
@@ -167,7 +156,7 @@ and on_timeout t =
     t.dupacks <- 0;
     t.timed_seq <- None;
     (* Exponential backoff; the next valid RTT sample recomputes it. *)
-    t.rto <- Float.min t.config.max_rto (t.rto *. 2.);
+    t.rto <- Float.min max_rto (t.rto *. 2.);
     (* Slow-start retransmission: everything past the cumulative ACK is
        presumed lost and resent as the window reopens. *)
     t.next_to_send <- t.highest_acked;
@@ -238,13 +227,11 @@ let handle_ack t (pkt : Packet.t) =
     if ack > t.highest_acked then on_new_ack t ack
     else if ack = t.highest_acked && flight_size t > 0 then on_dup_ack t
 
-let create ?(config = default_config) ?flow net ~src ~dst () =
-  let s = Net.sim net in
-  let flow = match flow with Some f -> f | None -> Sim.fresh_flow_id s in
+let create net ~src ~dst () =
+  let flow = Sim.fresh_flow_id (Net.sim net) in
   let t =
     {
       net;
-      config;
       flow;
       src;
       dst;
@@ -254,8 +241,8 @@ let create ?(config = default_config) ?flow net ~src ~dst () =
       max_sent = 0;
       highest_acked = 0;
       backlog = Some 0;
-      cwnd = config.initial_cwnd;
-      ssthresh = config.initial_ssthresh;
+      cwnd = initial_cwnd;
+      ssthresh = initial_ssthresh;
       mode = Normal;
       dupacks = 0;
       srtt = None;

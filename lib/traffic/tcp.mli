@@ -9,23 +9,15 @@
     out-of-order segments and returns cumulative ACKs.  This mirrors
     the ns TCP agents driving the paper's cross traffic closely enough
     to produce the bursty, closed-loop queue dynamics the probes
-    observe. *)
-
-type config = {
-  mss : int;  (** payload bytes per segment *)
-  header : int;  (** header bytes added to data segments *)
-  ack_size : int;  (** bytes of a pure ACK *)
-  initial_cwnd : float;  (** segments *)
-  initial_ssthresh : float;  (** segments *)
-  min_rto : float;
-  max_rto : float;
-}
+    observe.  Every connection sends 1000-byte segments plus a 40-byte
+    header and 40-byte ACKs, starts from a window of 2 segments and a
+    slow-start threshold of 64, and clamps its RTO to [\[0.2, 60\]]
+    seconds. *)
 
 type t
 (** A connection: sender agent at [src], receiver agent at [dst]. *)
 
-val create :
-  ?config:config -> ?flow:int -> Netsim.Net.t -> src:int -> dst:int -> unit -> t
+val create : Netsim.Net.t -> src:int -> dst:int -> unit -> t
 (** Creates both endpoints and registers their packet handlers.  The
     connection is idle until {!supply} or {!set_unlimited} provides
     data and {!start} is called. *)

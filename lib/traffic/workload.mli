@@ -4,31 +4,20 @@
     approximated by Poisson sessions fetching Pareto-sized objects with
     exponential think times — the standard web-workload shape). *)
 
-val ftp : ?config:Tcp.config -> Netsim.Net.t -> src:int -> dst:int -> Tcp.t
+val ftp : Netsim.Net.t -> src:int -> dst:int -> Tcp.t
 (** An unlimited TCP source.  Call {!Tcp.start} (or use {!ftp_at}). *)
 
-val ftp_at : ?config:Tcp.config -> Netsim.Net.t -> src:int -> dst:int -> at:float -> Tcp.t
+val ftp_at : Netsim.Net.t -> src:int -> dst:int -> at:float -> Tcp.t
 (** FTP starting at absolute time [at]. *)
 
 type http
 
-val http :
-  ?config:Tcp.config ->
-  ?pages_per_session:int ->
-  ?pareto_shape:float ->
-  ?min_page_segments:int ->
-  ?mean_think:float ->
-  Netsim.Net.t ->
-  src:int ->
-  dst:int ->
-  session_rate:float ->
-  http
+val http : Netsim.Net.t -> src:int -> dst:int -> session_rate:float -> http
 (** HTTP-like workload from [src] to [dst]: sessions arrive as a
     Poisson process of rate [session_rate] per second; each session
-    fetches [pages_per_session] (default 5) objects in sequence, each a
-    fresh TCP connection transferring a Pareto([pareto_shape], default
-    1.3) number of segments (min [min_page_segments], default 2), with
-    exponential think times (mean [mean_think], default 1 s) between
+    fetches 5 objects in sequence, each a fresh TCP connection
+    transferring a Pareto(1.3) number of segments (at least 2, capped
+    at 500), with exponential think times (mean 1 s) between
     objects. *)
 
 val http_start : http -> unit

@@ -74,26 +74,24 @@ let prop_wdcl_bound_is_least_symbol_above_beta =
 (* Independent reference implementation of Theorems 1-2 in the paper's
    own 1-based indexing: F(d) for a 1-based symbol d is cdf.(d - 1);
    d* is the smallest 1-based d with F(d) >= 1/2; the tested symbol is
-   ceil((1 + 1/x) * d_star); F past the last symbol is 1. *)
-let reference vqd ~delay_factor =
+   2 d_star; F past the last symbol is 1. *)
+let reference vqd =
   let cdf = vqd.Dcl.Vqd.cdf in
   let m = Array.length cdf in
   let f d = if d <= 0 then 0. else if d > m then 1. else cdf.(d - 1) in
   let rec find d = if d >= m || f d >= 0.5 then d else find (d + 1) in
   let d_star = find 1 in
-  let tested =
-    int_of_float (ceil ((1. +. (1. /. delay_factor)) *. float_of_int d_star))
-  in
+  let tested = 2 * d_star in
   (d_star, tested, f tested)
 
 let prop_run_test_matches_reference =
   QCheck.Test.make ~name:"sdcl outcome indices match the 1-based reference"
     ~count:300
-    QCheck.(pair (pmf_arb 9) (float_range 0.25 4.))
-    (fun (pmf, delay_factor) ->
+    (pmf_arb 9)
+    (fun pmf ->
       let v = vqd_of_pmf 9 pmf in
-      let o = Dcl.Tests.sdcl ~delay_factor v in
-      let d_star, tested, f = reference v ~delay_factor in
+      let o = Dcl.Tests.sdcl v in
+      let d_star, tested, f = reference v in
       o.Dcl.Tests.d_star = d_star
       && o.Dcl.Tests.two_d_star = tested
       && abs_float (o.Dcl.Tests.f_at_two_d_star -. f) < 1e-12)

@@ -230,6 +230,14 @@ let test_truth_classify () =
   (match Dcl.Truth.classify weak ~hop_count:2 with
   | Dcl.Truth.Weak { hop = 1; _ } -> ()
   | _ -> Alcotest.fail "expected weak at hop 1");
+  (* A 17/20 = 0.85 share falls short of the weak share 0.94 = 1 - beta. *)
+  let short_of_weak =
+    mk_trace
+      (List.init 17 (fun i -> rec_loss (0.02 *. float_of_int i) 0.25 1)
+      @ List.init 3 (fun i -> rec_loss (0.4 +. (0.02 *. float_of_int i)) 0.3 0))
+  in
+  Alcotest.(check bool) "0.85 share => no dominant" true
+    (Dcl.Truth.classify short_of_weak ~hop_count:2 = Dcl.Truth.No_dominant);
   let none =
     mk_trace
       (List.init 10 (fun i -> rec_loss (0.02 *. float_of_int i) 0.25 1)

@@ -1,40 +1,5 @@
-(* Tests for the extension modules: the generalized delay-factor tests,
-   stationarity screening, localization and the bootstrap. *)
-
-(* --- Generalized delay-factor tests -------------------------------------- *)
-
-let scheme = Dcl.Discretize.of_range ~m:10 ~lo:0. ~hi:1.
-
-let test_delay_factor_indexing () =
-  (* Mass at symbol 3 (1-based): with x = 1 the tested symbol is 6;
-     with x = 2 it is ceil(1.5 * 3) = 5; with x = 0.5 it is 9. *)
-  let pmf = Array.make 10 0. in
-  pmf.(2) <- 1.;
-  let v = Dcl.Vqd.of_pmf scheme pmf in
-  Alcotest.(check int) "x=1" 6 (Dcl.Tests.sdcl v).Dcl.Tests.two_d_star;
-  Alcotest.(check int) "x=2" 5 (Dcl.Tests.sdcl ~delay_factor:2. v).Dcl.Tests.two_d_star;
-  Alcotest.(check int) "x=0.5" 9 (Dcl.Tests.sdcl ~delay_factor:0.5 v).Dcl.Tests.two_d_star
-
-let test_delay_factor_strictness () =
-  (* A distribution with its tail just above 2 d* is accepted under a
-     lenient x < 1 but rejected under the default x = 1 and stricter
-     x > 1. *)
-  let pmf = Array.make 10 0. in
-  pmf.(2) <- 0.8;
-  (* d* = 3 (1-based); tail at symbol 7 > 6 = 2 d*. *)
-  pmf.(6) <- 0.2;
-  let v = Dcl.Vqd.of_pmf scheme pmf in
-  Alcotest.(check bool) "x=1 rejects" true
-    ((Dcl.Tests.sdcl v).Dcl.Tests.verdict = Dcl.Tests.Reject);
-  Alcotest.(check bool) "x=0.5 accepts (tests symbol 9)" true
-    ((Dcl.Tests.sdcl ~delay_factor:0.5 v).Dcl.Tests.verdict = Dcl.Tests.Accept);
-  Alcotest.(check bool) "x=2 rejects too" true
-    ((Dcl.Tests.sdcl ~delay_factor:2. v).Dcl.Tests.verdict = Dcl.Tests.Reject)
-
-let test_delay_factor_invalid () =
-  let v = Dcl.Vqd.of_pmf scheme (Array.make 10 0.1) in
-  Alcotest.check_raises "x <= 0" (Invalid_argument "Tests: delay_factor must be positive")
-    (fun () -> ignore (Dcl.Tests.sdcl ~delay_factor:0. v))
+(* Tests for the extension modules: stationarity screening,
+   localization and the bootstrap. *)
 
 (* --- Stationarity --------------------------------------------------------- *)
 
@@ -186,20 +151,11 @@ let test_bootstrap_invalid () =
   let trace = two_regime_trace () in
   let rng = Stats.Rng.create 1 in
   Alcotest.check_raises "replicates" (Invalid_argument "Bootstrap.f_statistic: replicates <= 0")
-    (fun () -> ignore (Dcl.Bootstrap.f_statistic ~replicates:0 ~rng trace));
-  Alcotest.check_raises "confidence"
-    (Invalid_argument "Bootstrap.f_statistic: confidence must be in (0, 1)") (fun () ->
-      ignore (Dcl.Bootstrap.f_statistic ~confidence:1.5 ~rng trace))
+    (fun () -> ignore (Dcl.Bootstrap.f_statistic ~replicates:0 ~rng trace))
 
 let () =
   Alcotest.run "extensions"
     [
-      ( "delay factor",
-        [
-          Alcotest.test_case "indexing" `Quick test_delay_factor_indexing;
-          Alcotest.test_case "strictness" `Quick test_delay_factor_strictness;
-          Alcotest.test_case "invalid" `Quick test_delay_factor_invalid;
-        ] );
       ( "stationarity",
         [
           Alcotest.test_case "accepts stable" `Quick test_stationarity_accepts_stable;

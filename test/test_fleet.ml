@@ -169,18 +169,6 @@ let test_carry_loglik_additivity () =
      likelihoods the full-sequence likelihood, up to summation order. *)
   Alcotest.(check (float 1e-8)) "sum of batch logLs = full logL" ll_full (ll1 +. ll2)
 
-let test_carry_off_is_independent () =
-  let n = 2 and m = 4 in
-  let obs = mmhd_obs ~seed:61 ~n ~m ~len:200 in
-  let model = informed ~seed:8 ~n ~m obs in
-  let ws = Em.workspace () in
-  let stats = Em.Incremental.create ~s:(n * m) ~m in
-  ignore (Em.Incremental.append ~ws stats model (Array.sub obs 0 100) : float);
-  let ll2 = Em.Incremental.append ~ws ~carry:false stats model (Array.sub obs 100 100) in
-  let fresh = Em.Incremental.create ~s:(n * m) ~m in
-  let ll2' = Em.Incremental.append ~ws fresh model (Array.sub obs 100 100) in
-  check_float "carry:false restarts from the model prior" ll2' ll2
-
 let test_reset () =
   let n = 1 and m = 2 in
   let obs = mmhd_obs ~seed:71 ~n ~m ~len:60 in
@@ -784,9 +772,7 @@ let test_timeline_capacity_zero () =
    check the history lines up with the observable state. *)
 let test_path_state_records_timeline () =
   let cfg =
-    Fleet.Path_state.config ~timeline_capacity:16
-      ~scheme:(Dcl.Discretize.of_range ~m:5 ~lo:0.02 ~hi:0.07)
-      ()
+    Fleet.Path_state.config ~scheme:(Dcl.Discretize.of_range ~m:5 ~lo:0.02 ~hi:0.07) ()
   in
   let p = Fleet.Path_state.create cfg ~rng:(Stats.Rng.create 11) in
   let ws = Em.workspace () in
@@ -898,7 +884,6 @@ let () =
       ( "carry",
         [
           Alcotest.test_case "logL additivity" `Quick test_carry_loglik_additivity;
-          Alcotest.test_case "carry off" `Quick test_carry_off_is_independent;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "determinism",

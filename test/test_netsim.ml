@@ -324,7 +324,7 @@ let test_red_always_drop_above_2maxth () =
     (Red.decide red ~rng ~qlen:50 ~now:6.)
 
 let test_red_ramp_probability () =
-  let red = Red.create ~min_th:5. ~max_th:15. ~initial_max_p:0.1 ~mean_pkt_time:0.008 () in
+  let red = Red.create ~min_th:5. ~max_th:15. ~mean_pkt_time:0.008 () in
   let rng = Stats.Rng.create 2 in
   (* Drive avg to ~10 (mid-ramp). *)
   for i = 0 to 5000 do

@@ -175,8 +175,7 @@ let test_gate_demotion_needs_calm_and_settled () =
 
 let test_gate_signal_thresholds () =
   let cfg =
-    Sketch.Gate.config ~loss_threshold:0.2 ~drift_threshold:0.75
-      ~demote_margin:0.8 ()
+    Sketch.Gate.config ~loss_threshold:0.2 ~drift_threshold:0.75 ()
   in
   let suspect ~loss ~drift = Sketch.Gate.suspect_cause cfg ~loss ~drift <> None in
   Alcotest.(check bool) "loss at threshold is suspect" true
@@ -212,10 +211,7 @@ let test_suspect_cause_per_signal () =
 let test_gate_config_validation () =
   Alcotest.check_raises "promote_after zero"
     (Invalid_argument "Sketch.Gate.config: promote_after must be positive")
-    (fun () -> ignore (Sketch.Gate.config ~promote_after:0 ()));
-  Alcotest.check_raises "margin above one"
-    (Invalid_argument "Sketch.Gate.config: demote_margin must be in [0, 1]")
-    (fun () -> ignore (Sketch.Gate.config ~demote_margin:1.5 ()))
+    (fun () -> ignore (Sketch.Gate.config ~promote_after:0 ()))
 
 let () =
   Alcotest.run "sketch"
