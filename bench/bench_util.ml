@@ -94,7 +94,7 @@ let observed_pmf scheme trace =
       let j = Dcl.Discretize.symbol_of_delay scheme d in
       counts.(j) <- counts.(j) +. 1.)
     (Probe.Trace.observed_delays trace);
-  Stats.Histogram.normalize counts
+  (Dcl.Vqd.of_pmf scheme counts).Dcl.Vqd.pmf
 
 (* Fraction of [reps] random [duration]-second segments of [trace] whose
    identification agrees with [expected] (Fig. 9 / Fig. 14 protocol).

@@ -558,17 +558,20 @@ let ablation scale =
       let scheme = Dcl.Discretize.of_trace ~m:5 ~prop_delay:Dcl.Discretize.From_trace trace in
       let truth = Dcl.Vqd.of_trace_truth scheme trace in
       let cells =
-        List.map
-          (fun model ->
-            let params = { Dcl.Identify.default_params with model } in
+        List.mapi
+          (fun i params ->
             let r = Dcl.Identify.run ~params ~rng:(Stats.Rng.create 19) trace in
-            if model = Dcl.Identify.Model_mmhd && r.Dcl.Identify.conclusion = expected
-            then incr mmhd_correct;
+            if i = 0 && r.Dcl.Identify.conclusion = expected then incr mmhd_correct;
             Printf.sprintf "%s/%.2f/%d"
               (conclusion_short r.Dcl.Identify.conclusion)
               (Dcl.Vqd.tv_distance truth r.Dcl.Identify.vqd)
               r.Dcl.Identify.em_iterations)
-          [ Dcl.Identify.Model_mmhd; Dcl.Identify.Model_markov; Dcl.Identify.Model_hmm ]
+          Dcl.Identify.
+            [
+              default_params;
+              { default_params with n = 1 };
+              { default_params with model = Model_hmm };
+            ]
       in
       rows := (label :: cells) :: !rows)
     settings;
@@ -627,67 +630,6 @@ let ablation scale =
     (weak_iv.Dcl.Bootstrap.lo > none_iv.Dcl.Bootstrap.hi)
 
 (* ---------------------------------------------------------------------- *)
-(* Speed — Bechamel microbenchmarks of the core algorithms.               *)
-(* ---------------------------------------------------------------------- *)
-
-let speed _scale =
-  section "Speed - Bechamel microbenchmarks";
-  let synthetic_obs len =
-    let reference =
-      Mmhd.make ~n:1 ~m:5
-        ~pi:[| 0.6; 0.2; 0.1; 0.07; 0.03 |]
-        ~a:
-          [|
-            0.8; 0.15; 0.03; 0.01; 0.01;
-            0.3; 0.5; 0.15; 0.04; 0.01;
-            0.1; 0.3; 0.4; 0.15; 0.05;
-            0.05; 0.15; 0.3; 0.4; 0.1;
-            0.02; 0.08; 0.2; 0.3; 0.4;
-          |]
-        ~c:[| 0.; 0.01; 0.02; 0.2; 0.4 |]
-    in
-    fst (Mmhd.simulate (Stats.Rng.create 3) reference ~len)
-  in
-  let obs = synthetic_obs 5000 in
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"dcl"
-      [
-        Test.make ~name:"mmhd-em-fit-5k"
-          (Staged.stage (fun () ->
-               ignore
-                 (Mmhd.fit ~max_iter:10 ~restarts:1 ~rng:(Stats.Rng.create 7) ~n:2 ~m:5 obs)));
-        Test.make ~name:"hmm-em-fit-5k"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hmm.fit ~max_iter:10 ~restarts:1 ~rng:(Stats.Rng.create 7) ~n:2 ~m:5 obs)));
-        Test.make ~name:"mmhd-loglik-5k"
-          (Staged.stage
-             (let model = Mmhd.init_informed (Stats.Rng.create 7) ~n:2 ~m:5 obs in
-              fun () -> ignore (Em.log_likelihood ~ws:(Em.domain_ws ()) model obs)));
-        Test.make ~name:"sim-strongly-10s"
-          (Staged.stage (fun () ->
-               ignore
-                 (Scenarios.Paper_topology.run
-                    (Scenarios.Presets.strongly_dcl ~duration:10. ~bw3:1e6 ()))));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> printf "  %-24s %10.3f ms/run\n" name (est /. 1e6)
-      | Some _ | None -> printf "  %-24s (no estimate)\n" name)
-    results;
-  claim "Speed: benchmarks executed" (Hashtbl.length results > 0)
-
-(* ---------------------------------------------------------------------- *)
 
 let experiments =
   [
@@ -706,7 +648,6 @@ let experiments =
     ("fig14", fig14);
     ("pchar", pchar);
     ("ablation", ablation);
-    ("speed", speed);
   ]
 
 let () =

@@ -36,7 +36,14 @@ let build_source source rng ~paths ~m ~congested_fraction ~seed =
       let config = Scenarios.Presets.strongly_dcl ~seed ~duration:60. ~bw3 () in
       let outcome = Scenarios.Paper_topology.run config in
       Ok (Fleet.Source.of_trace ~m ~paths outcome.Scenarios.Paper_topology.trace)
-  | file -> Result.map (Fleet.Source.of_trace ~m ~paths) (Probe.Trace.load file)
+  | file ->
+      (* A readable trace still needs a delay spread to discretize. *)
+      Result.bind (Probe.Trace.load file) (fun trace ->
+          if Probe.Trace.losses trace = Probe.Trace.length trace then
+            Error (file ^ ": no surviving probe to discretize")
+          else if Probe.Trace.max_delay trace <= Probe.Trace.min_delay trace then
+            Error (file ^ ": no delay spread (all observed delays equal)")
+          else Ok (Fleet.Source.of_trace ~m ~paths trace))
 
 (* How many paths hold each conclusion, in report order (untested
    last), from one pass over the fleet. *)

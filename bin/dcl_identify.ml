@@ -6,12 +6,7 @@
 
 open Cmdliner
 
-let models =
-  [
-    ("mmhd", Dcl.Identify.Model_mmhd);
-    ("hmm", Dcl.Identify.Model_hmm);
-    ("markov", Dcl.Identify.Model_markov);
-  ]
+let models = [ ("mmhd", Dcl.Identify.Model_mmhd); ("hmm", Dcl.Identify.Model_hmm) ]
 
 let run file model n m beta eps prop_delay seed fine_bound metrics =
   Obs_cli.with_metrics metrics @@ fun () ->
@@ -99,7 +94,9 @@ let model_arg =
   Arg.(
     value
     & opt (enum models) Dcl.Identify.Model_mmhd
-    & info [ "model" ] ~docv:"NAME" ~doc:"Inference model: mmhd, hmm, or markov.")
+    & info [ "model" ] ~docv:"NAME" ~doc:
+        "Inference model: mmhd or hmm.  $(b,--model mmhd -n 1) is the plain Markov \
+         model, without a hidden dimension.")
 
 let n_arg =
   Arg.(

@@ -60,7 +60,8 @@ let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random s
 
 let duration_arg =
   Arg.(
-    value & opt float 120.
+    value
+    & opt (Obs_cli.positive_float ~what:"--duration") 120.
     & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc:"Simulation duration.")
 
 let cmd =

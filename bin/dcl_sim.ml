@@ -101,12 +101,14 @@ let seed_arg =
 
 let duration_arg =
   Arg.(
-    value & opt float 300.
+    value
+    & opt (Obs_cli.positive_float ~what:"--duration") 300.
     & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc:"Probing duration in seconds.")
 
 let bw3_arg =
   Arg.(
-    value & opt float 1e6
+    value
+    & opt (Obs_cli.positive_float ~what:"--bw3") 1e6
     & info [ "bw3" ] ~docv:"BPS"
         ~doc:"Bottleneck (L3) bandwidth for the strongly scenario, bits/s.")
 

@@ -48,6 +48,10 @@ let float_range ?(lo_exclusive = false) ?(hi_exclusive = false) ~lo ~hi ~what ()
   in
   Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
+(* A finite number above zero: durations, bandwidths. *)
+let positive_float ~what =
+  float_range ~lo_exclusive:true ~hi_exclusive:true ~lo:0. ~hi:infinity ~what ()
+
 let nonneg_float ~what =
   let parse s =
     match float_of_string_opt s with
@@ -66,11 +70,10 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Collect runtime metrics and write a snapshot on exit: $(b,-) prints \
-           Prometheus text to stdout, a path ending in $(b,.json) writes JSON, \
-           any other path writes Prometheus text.  Collection can also be \
-           enabled without a dump by setting $(b,DCL_OBS=1) in the \
-           environment.")
+          "Collect runtime metrics and write a Prometheus text snapshot on exit: \
+           $(b,-) prints it to stdout, any other path is the file to write.  \
+           Collection can also be enabled without a dump by setting \
+           $(b,DCL_OBS=1) in the environment.")
 
 (* Run [f] with collection enabled when a dump was requested, and write
    the snapshot afterwards.  The snapshot is written even when [f]

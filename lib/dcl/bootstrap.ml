@@ -26,7 +26,7 @@ let resample rng trace ~per_block =
   done;
   { trace with Probe.Trace.records = out }
 
-let params = { Identify.default_params with Identify.model = Identify.Model_markov }
+let params = { Identify.default_params with Identify.n = 1 }
 
 (* Resampling block length in seconds of probing, and the coverage of
    the percentile interval. *)

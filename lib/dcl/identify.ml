@@ -1,4 +1,4 @@
-type model = Model_mmhd | Model_hmm | Model_markov
+type model = Model_mmhd | Model_hmm
 
 type params = {
   model : model;
@@ -76,7 +76,6 @@ let model_pmf params ~rng symbols =
   let fit =
     match params.model with
     | Model_mmhd -> Mmhd.fit ~n:params.n
-    | Model_markov -> Mmhd.fit ~n:1
     | Model_hmm -> Hmm.fit ~n:params.n
   in
   let fit0 = Obs.Span.start () in

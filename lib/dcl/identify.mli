@@ -4,7 +4,10 @@
     tests, and bound the dominant link's maximum queuing delay. *)
 
 type model =
-  | Model_mmhd  (** the paper's recommended model *)
+  | Model_mmhd
+      (** {!Mmhd.fit}, the paper's recommended model.  With [n = 1] it
+          has no hidden dimension: the plain Markov model of the
+          paper's ablation, [{ default_params with n = 1 }]. *)
   | Model_hmm
       (** {!Hmm.fit}.  With [m > n] its [n(m-1) + m] emission and loss
           parameters exceed the [n m] probabilities the data pin, so its
@@ -12,7 +15,6 @@ type model =
           to 0.014 per symbol at equal logL, 2 states, 3 symbols): any
           change to the fit loop or to the kernel's arithmetic order can
           move it and its test statistics. *)
-  | Model_markov  (** MMHD with [n = 1]: no hidden dimension (ablation) *)
 
 type params = {
   model : model;

@@ -44,7 +44,7 @@ let check trace =
           if Array.length ds = 0 then None
           else
             Some
-              (Stats.Histogram.normalize
+              (Vqd.of_pmf scheme
                  (Array.fold_left
                     (fun acc d ->
                       acc.(Discretize.symbol_of_delay scheme d) <-
@@ -72,7 +72,7 @@ let check trace =
           if i < j then
             match (pi, pj) with
             | Some a, Some b ->
-                max_tv := Float.max !max_tv (Stats.Histogram.total_variation a b)
+                max_tv := Float.max !max_tv (Vqd.tv_distance a b)
             | _ -> some_block_empty := true)
         summaries)
     summaries;

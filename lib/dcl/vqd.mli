@@ -11,8 +11,9 @@ type t = {
 }
 
 val of_pmf : Discretize.t -> float array -> t
-(** Requires a length-[m] vector with positive sum (it is
-    normalized). *)
+(** Requires a length-[m] non-negative vector with positive sum.  It
+    is scaled to sum to 1, and [cdf] is its running sum with the last
+    entry set to exactly 1 when it lies within 1e-9 of it. *)
 
 val of_queuing_samples : Discretize.t -> float array -> t
 (** Bin raw queuing-delay samples (seconds).  Requires a non-empty
@@ -31,8 +32,8 @@ val quantile_symbol : t -> float -> int
 (** Smallest symbol [j] with [cdf_at t j >= q]. *)
 
 val tv_distance : t -> t -> float
-(** Total-variation distance between two distributions on the same
-    number of symbols. *)
+(** Total-variation distance [0.5 * sum_j |p_j - q_j|] between two
+    distributions on the same number of symbols. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the PMF as "j:probability" pairs for reports. *)

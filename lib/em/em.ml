@@ -200,7 +200,9 @@ let virtual_delay_pmf ~(ws : workspace) t obs =
   if not (Array.exists (fun o -> o = t.m) obs) then
     invalid_arg "Em.virtual_delay_pmf: no loss in the sequence";
   run_sweep ws t obs;
-  Stats.Histogram.normalize (loss_columns ~s:t.s ~m:t.m (Array.get ws.k.count_loss))
+  let mass = loss_columns ~s:t.s ~m:t.m (Array.get ws.k.count_loss) in
+  let total = Array.fold_left ( +. ) 0. mass in
+  Array.map (fun x -> x /. total) mass
 
 (* Floor every entry of [row] (length [n] at [off]) and normalize it to
    sum to one. *)

@@ -326,52 +326,6 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) (json_string v)) labels)
-  ^ "}"
-
-let json () =
-  let counters = Buffer.create 512
-  and gauges = Buffer.create 512
-  and hists = Buffer.create 1024 in
-  let sep buf = if Buffer.length buf > 0 then Buffer.add_string buf "," in
-  List.iter
-    (fun m ->
-      match m.kind with
-      | Kcounter c ->
-          sep counters;
-          Buffer.add_string counters
-            (Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%s}"
-               (json_string m.name) (json_labels m.labels)
-               (fmt_float (Counter.value c)))
-      | Kgauge g ->
-          sep gauges;
-          Buffer.add_string gauges
-            (Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%s}"
-               (json_string m.name) (json_labels m.labels)
-               (fmt_float (Gauge.value g)))
-      | Khistogram h ->
-          sep hists;
-          let buckets =
-            Array.to_list (Histogram.bucket_counts h)
-            |> List.map (fun (upper, cum) ->
-                   Printf.sprintf "{\"le\":%s,\"count\":%d}"
-                     (if Float.is_finite upper then fmt_float upper else "\"+Inf\"")
-                     cum)
-            |> String.concat ","
-          in
-          Buffer.add_string hists
-            (Printf.sprintf
-               "{\"name\":%s,\"labels\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-               (json_string m.name) (json_labels m.labels) (Histogram.count h)
-               (fmt_float (Histogram.sum h))
-               buckets))
-    (sorted_metrics ());
-  Printf.sprintf "{\"counters\":[%s],\"gauges\":[%s],\"histograms\":[%s]}\n"
-    (Buffer.contents counters) (Buffer.contents gauges) (Buffer.contents hists)
-
 (* Atomic file replacement: write the full snapshot to a temporary file
    in the destination's directory, then rename it over the target.  A
    concurrent reader (a scraper, CI artifact collection) therefore sees
@@ -395,10 +349,7 @@ let write_file path contents =
 
 let write dest =
   (* lint: allow R4 dest = "-" is the caller explicitly requesting a stdout dump *)
-  if dest = "-" then print_string (prometheus ())
-  else
-    write_file dest
-      (if Filename.check_suffix dest ".json" then json () else prometheus ())
+  if dest = "-" then print_string (prometheus ()) else write_file dest (prometheus ())
 
 (* --- Flight recorder ---------------------------------------------------- *)
 

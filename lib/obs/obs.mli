@@ -21,9 +21,9 @@
     Collection is enabled by the [DCL_OBS] environment variable ([1],
     [true] or [yes]) or programmatically with {!set_enabled} (the
     binaries enable it when [--metrics] is passed).  Snapshots are
-    exported as Prometheus text format ({!prometheus}) or JSON
-    ({!json}); both iterate the registry in sorted order, so two dumps
-    with no intervening events are byte-identical.
+    exported as Prometheus text format ({!prometheus}), which iterates
+    the registry in sorted order, so two dumps with no intervening
+    events are byte-identical.
 
     Naming convention: [dcl_<layer>_<metric>], e.g.
     [dcl_em_iterations_total], [dcl_pool_queue_wait_seconds],
@@ -128,18 +128,12 @@ val prometheus : unit -> string
 (** The registry as a Prometheus text-format snapshot ([# HELP] /
     [# TYPE] per family, metrics sorted by name then labels). *)
 
-val json : unit -> string
-(** The registry as a JSON object
-    [{"counters": [...], "gauges": [...], "histograms": [...]}], same
-    ordering as {!prometheus}. *)
-
 val write : string -> unit
-(** Write a snapshot to a destination: ["-"] prints Prometheus text to
-    stdout; a path ending in [.json] writes JSON; any other path writes
-    Prometheus text.  File writes are atomic: the snapshot lands in a
-    temporary file in the destination's directory and is renamed over
-    the target, so a concurrent reader never observes a truncated
-    dump. *)
+(** Write a {!prometheus} snapshot to a destination: ["-"] prints it to
+    stdout, any other string is a file path, whatever its extension.
+    File writes are atomic: the snapshot lands in a temporary file in
+    the destination's directory and is renamed over the target, so a
+    concurrent reader never observes a truncated dump. *)
 
 (** {1 Flight recorder} *)
 

@@ -73,13 +73,31 @@ let samples t =
   let ordered = List.sort (fun (a, _) (b, _) -> compare a b) t.samples in
   Array.of_list (List.map snd ordered)
 
-let estimate_max_queuing_delay t =
-  let xs = samples t in
+(* Forty equal bins over [0, max + 1e-9], lower-closed on the edge grid
+   [j * w]: the division only seeds the index, which is then walked to
+   the bin with [edge j <= x < edge (j + 1)], so a sample on an edge
+   counts in the bin above it even where [x / w] rounds down. *)
+let bins = 40
+
+let estimate_max_queuing_delay xs =
   if Array.length xs = 0 then None
   else begin
-    let lo = 0. in
-    let hi = Array.fold_left Float.max xs.(0) xs +. 1e-9 in
-    let h = Stats.Histogram.create ~m:40 ~lo ~hi in
-    Array.iter (Stats.Histogram.add h) xs;
-    Some (Stats.Histogram.mode_value h)
+    let w = (Array.fold_left Float.max xs.(0) xs +. 1e-9) /. float_of_int bins in
+    let edge j = float_of_int j *. w in
+    let counts = Array.make bins 0 in
+    Array.iter
+      (fun x ->
+        let j = ref (min (bins - 1) (max 0 (int_of_float (x /. w)))) in
+        while !j > 0 && x < edge !j do
+          decr j
+        done;
+        while !j < bins - 1 && x >= edge (!j + 1) do
+          incr j
+        done;
+        counts.(!j) <- counts.(!j) + 1)
+      xs;
+    (* The modal bin's upper edge; a tie goes to the lowest bin. *)
+    let best = ref 0 in
+    Array.iteri (fun j c -> if c > counts.(!best) then best := j) counts;
+    Some (edge (!best + 1))
   end

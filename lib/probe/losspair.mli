@@ -40,7 +40,11 @@ val samples : t -> float array
 (** Surviving-probe queuing delays (end–end delay minus the path's
     queuing-free delay), one per loss pair, in send order. *)
 
-val estimate_max_queuing_delay : t -> float option
-(** Peak (mode) of the 40-bin loss-pair sample histogram over
-    [\[0, max sample\]]: the loss-pair estimate of the dominant link's
-    [Q_k].  [None] when no loss pair was observed. *)
+val estimate_max_queuing_delay : float array -> float option
+(** [estimate_max_queuing_delay (samples t)] is the loss-pair estimate
+    of the dominant link's [Q_k]: the peak of the samples' histogram.
+    The histogram has 40 equal bins of width [w] over
+    [\[0, max sample + 1e-9\]]; bin [j] owns [\[j*w, (j+1)*w)], so a
+    sample on an edge counts in the bin above it.  The estimate is the
+    upper edge of the fullest bin, the lowest such bin on a tie.
+    [None] on an empty sample. *)

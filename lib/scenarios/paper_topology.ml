@@ -157,14 +157,14 @@ let run config =
         })
       backbone
   in
+  let loss_pair_samples =
+    match pairs with Some lp -> Probe.Losspair.samples lp | None -> [||]
+  in
   {
     trace;
     reports;
     (* Probe path: s0->r1 (hop 0), L1..L3 (hops 1..3), r4->d0 (hop 4). *)
     backbone_hops = [| 1; 2; 3 |];
-    loss_pair_samples = (match pairs with Some lp -> Probe.Losspair.samples lp | None -> [||]);
-    loss_pair_estimate =
-      (match pairs with
-      | Some lp -> Probe.Losspair.estimate_max_queuing_delay lp
-      | None -> None);
+    loss_pair_samples;
+    loss_pair_estimate = Probe.Losspair.estimate_max_queuing_delay loss_pair_samples;
   }

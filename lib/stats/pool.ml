@@ -229,10 +229,8 @@ let ensure_workers want =
   done;
   Obs.Gauge.set m_workers (float_of_int !spawned)
 
-let run ?chunk ~participants n runit =
-  (match chunk with
-  | Some c when c <= 0 -> invalid_arg "Pool.run: chunk must be positive"
-  | _ -> ());
+let run ~chunk ~participants n runit =
+  if chunk <= 0 then invalid_arg "Pool.run: chunk must be positive";
   if n > 0 then
     if inside_job () then
       (* Nested submission from inside a pool job: run inline.  The
@@ -252,17 +250,7 @@ let run ?chunk ~participants n runit =
             ensure_workers (participants - 1);
             if !spawned = 0 || participants = 1 then None
             else begin
-              (* Small chunks (a quarter of an even split) let finished
-                 domains steal remaining work from slow ones.  Callers with
-                 many cheap skewed items (the fleet scheduler's per-path
-                 epoch updates) override the split: a fixed small chunk
-                 bounds the straggler tail without per-item queue
-                 traffic. *)
-              let chunk =
-                match chunk with
-                | Some c -> min c n
-                | None -> max 1 (n / (participants * 4))
-              in
+              let chunk = min chunk n in
               let submitted_ns =
                 if Obs.enabled () || Obs.Trace.enabled () then Obs.Span.now_ns ()
                 else 0

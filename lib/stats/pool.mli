@@ -23,8 +23,8 @@
     The fleet scheduler's tick ([Fleet.Scheduler]) is the library's one
     fan-out; every EM fit runs serially. *)
 
-val run : ?chunk:int -> participants:int -> int -> (int -> unit) -> unit
-(** [run ~participants n f] evaluates [f 0 .. f (n - 1)], using up to
+val run : chunk:int -> participants:int -> int -> (int -> unit) -> unit
+(** [run ~chunk ~participants n f] evaluates [f 0 .. f (n - 1)], using up to
     [participants] concurrent domains (the caller plus at most
     [participants - 1] pool workers, further capped by the machine
     size); returns when all items have run.  With no usable workers
@@ -33,12 +33,13 @@ val run : ?chunk:int -> participants:int -> int -> (int -> unit) -> unit
     inline, so items may themselves use pool-backed operations safely.
     Jobs from different domains are serialized, not interleaved.
 
-    [chunk] overrides the index-range chunk size pulled per queue
-    round-trip (default: a quarter of an even split, at least 1).  A
-    small fixed chunk bounds the straggler tail of jobs with many
-    cheap, unevenly-costed items — the fleet scheduler's shape — at
-    the price of more queue traffic.  Chunking never affects results,
-    only scheduling.  Raises [Invalid_argument] unless positive. *)
+    [chunk] is the number of consecutive items a domain takes per
+    queue round-trip (capped at [n]).  A small chunk lets finished
+    domains take work that slow ones have not reached, which bounds the
+    straggler tail of jobs with many cheap, unevenly-costed items (the
+    fleet scheduler passes 64), at the price of more queue traffic.
+    Chunking never affects results, only scheduling.  Raises
+    [Invalid_argument] unless [chunk] is positive. *)
 
 val size : unit -> int
 (** [Domain.recommended_domain_count ()] (at least 1): the maximum

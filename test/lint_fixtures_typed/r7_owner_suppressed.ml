@@ -4,6 +4,6 @@
 let epoch = ref 0
 
 let sweep n =
-  Stats.Pool.run ~participants:2 n (fun _i ->
+  Stats.Pool.run ~chunk:1 ~participants:2 n (fun _i ->
       (* lint: allow R7 fixture demonstrates suppressing the ownership race *)
       ignore !epoch)

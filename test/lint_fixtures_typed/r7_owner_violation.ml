@@ -7,5 +7,5 @@
 let epoch = ref 0
 
 let sweep n =
-  Stats.Pool.run ~participants:2 n (fun _i ->
+  Stats.Pool.run ~chunk:1 ~participants:2 n (fun _i ->
       ignore !epoch (* expect: R7 *))

@@ -10,5 +10,5 @@ let read_sched () = !sched_state
 let indirect () = read_sched () + 1
 
 let sweep n =
-  Stats.Pool.run ~participants:2 n (fun _i ->
+  Stats.Pool.run ~chunk:1 ~participants:2 n (fun _i ->
       ignore (indirect ()) (* expect: R7 *))

@@ -1,7 +1,7 @@
 (* Property tests for the off-by-one-prone boundaries of the inference
    pipeline: the strict [F(j) > beta] cutoff of the WDCL bound, the
    1-based [d*] of the hypothesis tests against the 0-based [cdf_at]
-   indexing, and histogram bin-edge classification. *)
+   indexing, and the loss-pair histogram's bin-edge classification. *)
 
 let scheme m = Dcl.Discretize.of_range ~m ~lo:0.1 ~hi:(0.1 +. (0.1 *. float_of_int m))
 
@@ -123,91 +123,62 @@ let test_run_test_first_bin () =
   Alcotest.(check int) "d* = 1" 1 o.Dcl.Tests.d_star;
   Alcotest.(check int) "tested symbol = 2" 2 o.Dcl.Tests.two_d_star
 
-(* --- Stats.Histogram: index_of / value_of on bin edges ----------------- *)
+(* --- Loss-pair histogram: bin edges -------------------------------------- *)
 
-let hist_m = 8
-let hist () = Stats.Histogram.create ~m:hist_m ~lo:0.2 ~hi:1.
+(* [Probe.Losspair.estimate_max_queuing_delay] bins its samples in 40
+   bins of width [w = (max + 1e-9) / 40].  [index_of x] reads the bin of
+   a sample [x <= top] back from the estimate on [x; x; top]: [x]'s bin
+   holds the most samples, so the estimate is its upper edge.  At
+   [top = 0.5] the division [edge k / w] rounds below [k] for
+   k = 11, 15, 22 and 30. *)
+let hist_m = 40
+let top = 0.5
+let hist_w = (top +. 1e-9) /. float_of_int hist_m
+let edge k = float_of_int k *. hist_w
+
+let index_of x =
+  match Probe.Losspair.estimate_max_queuing_delay [| x; x; top |] with
+  | Some e -> int_of_float (Float.round (e /. hist_w)) - 1
+  | None -> Alcotest.fail "no estimate on a non-empty sample"
 
 let test_histogram_edges () =
-  let h = hist () in
-  Alcotest.(check int) "x = lo" 0 (Stats.Histogram.index_of h 0.2);
-  Alcotest.(check int) "x < lo clamps" 0 (Stats.Histogram.index_of h (-5.));
-  Alcotest.(check int) "x = hi" (hist_m - 1) (Stats.Histogram.index_of h 1.);
-  Alcotest.(check int) "x > hi clamps" (hist_m - 1) (Stats.Histogram.index_of h 7.);
-  (* value_of is the right edge of the bin; the last right edge is hi. *)
-  Alcotest.(check (float 1e-12)) "last value is hi" 1.
-    (Stats.Histogram.value_of h (hist_m - 1))
+  Alcotest.(check int) "x = 0" 0 (index_of 0.);
+  Alcotest.(check int) "x = max" (hist_m - 1) (index_of top);
+  Alcotest.(check int) "just below an edge" 10 (index_of (Float.pred (edge 11)));
+  Alcotest.(check int) "on an edge whose division rounds down" 11 (index_of (edge 11));
+  (* The last bin's upper edge is max + 1e-9. *)
+  Alcotest.(check (option (float 1e-12))) "estimate of the top bin" (Some (top +. 1e-9))
+    (Probe.Losspair.estimate_max_queuing_delay [| top |])
 
 let prop_histogram_index_in_range =
   QCheck.Test.make ~name:"index_of stays in [0, m)" ~count:500
-    QCheck.(float_range (-2.) 3.)
+    QCheck.(float_range 0. top)
     (fun x ->
-      let j = Stats.Histogram.index_of (hist ()) x in
+      let j = index_of x in
       0 <= j && j < hist_m)
 
 let prop_histogram_index_monotone =
   QCheck.Test.make ~name:"index_of is monotone" ~count:500
-    QCheck.(pair (float_range 0. 1.2) (float_range 0. 1.2))
+    QCheck.(pair (float_range 0. top) (float_range 0. top))
     (fun (x, y) ->
-      let h = hist () in
       let x, y = if x <= y then (x, y) else (y, x) in
-      Stats.Histogram.index_of h x <= Stats.Histogram.index_of h y)
+      index_of x <= index_of y)
 
 let prop_histogram_interior_edges =
   (* Bins are half-open on the shared boundary grid: an interior edge
-     belongs to exactly the bin whose lower edge it is.  Before the
-     grid-reconciled index_of, the raw division could round the edge
-     into either adjacent bin, so this property only held as
-     "j = k - 1 || j = k". *)
+     belongs to exactly the bin whose lower edge it is, even where the
+     raw division [edge / w] rounds below it. *)
   QCheck.Test.make ~name:"interior edges land in their own bin" ~count:200
     QCheck.(int_range 1 (hist_m - 1))
-    (fun k ->
-      let h = hist () in
-      let edge = Stats.Histogram.lo h +. (float_of_int k *. Stats.Histogram.width h) in
-      Stats.Histogram.index_of h edge = k)
-
-let prop_histogram_value_roundtrip =
-  (* The right edge of bin j is the lower edge of bin j + 1, so under
-     half-open ownership it indexes to exactly j + 1 — except the last
-     right edge, which is hi and stays in the last bin. *)
-  QCheck.Test.make ~name:"index_of (value_of j) is exactly j+1 (last: j)" ~count:200
-    QCheck.(int_range 0 (hist_m - 1))
-    (fun j ->
-      let h = hist () in
-      let idx = Stats.Histogram.index_of h (Stats.Histogram.value_of h j) in
-      idx = min (j + 1) (hist_m - 1))
+    (fun k -> index_of (edge k) = k)
 
 let prop_histogram_half_open_contract =
-  (* Direct statement of the contract: every in-range sample satisfies
-     edges.(j) <= x < edges.(j+1) for its returned bin (the last bin
-     also owns hi). *)
+  (* Every sample satisfies edge j <= x < edge (j+1) for its bin j. *)
   QCheck.Test.make ~name:"index_of satisfies the half-open bin contract" ~count:500
-    QCheck.(float_range 0.2 1.)
+    QCheck.(float_range 0. top)
     (fun x ->
-      let h = hist () in
-      let j = Stats.Histogram.index_of h x in
-      let edge k = Stats.Histogram.lo h +. (float_of_int k *. Stats.Histogram.width h) in
-      edge j <= x && (x < edge (j + 1) || j = hist_m - 1))
-
-let test_histogram_clamped_counter () =
-  let h = hist () in
-  Stats.Histogram.add h 0.5;
-  Stats.Histogram.add h (-1.);
-  Stats.Histogram.add h 2.;
-  (* The range endpoints are in range, not clamps. *)
-  Stats.Histogram.add h 0.2;
-  Stats.Histogram.add h 1.;
-  Alcotest.(check int) "clamped counts only out-of-range samples" 2
-    (Stats.Histogram.clamped h);
-  Alcotest.(check int) "clamped samples still land in edge bins" 5
-    (Stats.Histogram.total h)
-
-let prop_histogram_values_increasing =
-  QCheck.Test.make ~name:"value_of is strictly increasing" ~count:100
-    QCheck.(int_range 0 (hist_m - 2))
-    (fun j ->
-      let h = hist () in
-      Stats.Histogram.value_of h j < Stats.Histogram.value_of h (j + 1))
+      let j = index_of x in
+      edge j <= x && x < edge (j + 1))
 
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
@@ -218,9 +189,7 @@ let qcheck_cases =
       prop_histogram_index_in_range;
       prop_histogram_index_monotone;
       prop_histogram_interior_edges;
-      prop_histogram_value_roundtrip;
       prop_histogram_half_open_contract;
-      prop_histogram_values_increasing;
     ]
 
 let () =
@@ -239,7 +208,6 @@ let () =
       ( "histogram edges",
         [
           Alcotest.test_case "edge cases" `Quick test_histogram_edges;
-          Alcotest.test_case "clamped counter" `Quick test_histogram_clamped_counter;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -104,6 +104,39 @@ let test_vqd_requires_losses () =
   Alcotest.check_raises "no loss" (Invalid_argument "Vqd.of_trace_truth: trace has no loss")
     (fun () -> ignore (Dcl.Vqd.of_trace_truth scheme5 trace))
 
+(* --- PMF operations: normalize, CDF, total variation -------------------- *)
+
+let scheme_of_len m = Dcl.Discretize.of_range ~m ~lo:0. ~hi:1.
+let vqd_of p = Dcl.Vqd.of_pmf (scheme_of_len (Array.length p)) p
+
+let test_pmf_normalize () =
+  let v = vqd_of [| 2.; 1. |] in
+  check_float "bin 0" (2. /. 3.) v.Dcl.Vqd.pmf.(0);
+  check_float "bin 1" (1. /. 3.) v.Dcl.Vqd.pmf.(1)
+
+let test_cdf_of_pmf () =
+  let v = vqd_of [| 0.25; 0.25; 0.5 |] in
+  check_float "c0" 0.25 v.Dcl.Vqd.cdf.(0);
+  check_float "c1" 0.5 v.Dcl.Vqd.cdf.(1);
+  (* 0.1 + 0.2 + 0.7 sums to 1 + 2^-52 in floating point. *)
+  Alcotest.(check (float 0.)) "last entry forced to exactly 1" 1.
+    (vqd_of [| 0.1; 0.2; 0.7 |]).Dcl.Vqd.cdf.(2)
+
+let test_total_variation () =
+  check_float "identical" 0. (Dcl.Vqd.tv_distance (vqd_of [| 0.5; 0.5 |]) (vqd_of [| 0.5; 0.5 |]));
+  check_float "disjoint" 1. (Dcl.Vqd.tv_distance (vqd_of [| 1.; 0. |]) (vqd_of [| 0.; 1. |]))
+
+let test_normalize_invalid () =
+  Alcotest.check_raises "zero sum" (Invalid_argument "Vqd.of_pmf: non-positive sum")
+    (fun () -> ignore (vqd_of [| 0.; 0. |]))
+
+let test_pmf_invalid () =
+  Alcotest.check_raises "pmf length differs from m" (Invalid_argument "Vqd.of_pmf: length mismatch")
+    (fun () -> ignore (Dcl.Vqd.of_pmf scheme5 [| 1.; 1. |]));
+  Alcotest.check_raises "different symbol counts"
+    (Invalid_argument "Vqd.tv_distance: length mismatch") (fun () ->
+      ignore (Dcl.Vqd.tv_distance (vqd_of [| 1.; 1. |]) (vqd_of [| 1.; 1.; 1. |])))
+
 (* --- Hypothesis tests (Theorems 1-2 on synthetic populations) ---------- *)
 
 (* Build the discretized F directly from a synthetic population of
@@ -343,10 +376,13 @@ let test_identify_models_agree_on_synthetic () =
   let rng = Stats.Rng.create 13 in
   let conclusions =
     List.map
-      (fun model ->
-        let params = { Dcl.Identify.default_params with model } in
-        (Dcl.Identify.run ~params ~rng trace).Dcl.Identify.conclusion)
-      [ Dcl.Identify.Model_mmhd; Dcl.Identify.Model_markov; Dcl.Identify.Model_hmm ]
+      (fun params -> (Dcl.Identify.run ~params ~rng trace).Dcl.Identify.conclusion)
+      Dcl.Identify.
+        [
+          default_params;
+          { default_params with n = 1 };
+          { default_params with model = Model_hmm };
+        ]
   in
   match conclusions with
   | [ a; b; c ] ->
@@ -434,9 +470,33 @@ let prop_component_bound_dominated_by_range =
       let b = Dcl.Bound.component_bound v in
       b > 0. && b <= Dcl.Discretize.queuing_value v.Dcl.Vqd.scheme 4 +. 1e-9)
 
+let pmf_arb =
+  QCheck.make
+    ~print:(fun v -> String.concat ";" (Array.to_list (Array.map string_of_float v.Dcl.Vqd.pmf)))
+    QCheck.Gen.(
+      list_size (int_range 1 12) (float_range 0.001 10.) >|= fun ws -> vqd_of (Array.of_list ws))
+
+let prop_cdf_monotone =
+  QCheck.Test.make ~name:"cdf monotone, ends at 1" ~count:200 pmf_arb (fun v ->
+      let cdf = v.Dcl.Vqd.cdf in
+      let ok = ref (abs_float (cdf.(Array.length cdf - 1) -. 1.) < 1e-6) in
+      for i = 1 to Array.length cdf - 1 do
+        if cdf.(i) < cdf.(i - 1) -. 1e-12 then ok := false
+      done;
+      !ok)
+
+let prop_tv_bounds =
+  QCheck.Test.make ~name:"TV distance in [0,1], symmetric" ~count:200
+    (QCheck.pair pmf_arb pmf_arb) (fun (p, q) ->
+      QCheck.assume (Array.length p.Dcl.Vqd.pmf = Array.length q.Dcl.Vqd.pmf);
+      let d = Dcl.Vqd.tv_distance p q in
+      d >= -1e-12 && d <= 1. +. 1e-12 && abs_float (d -. Dcl.Vqd.tv_distance q p) < 1e-12)
+
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
+      prop_cdf_monotone;
+      prop_tv_bounds;
       prop_wdcl_monotone_in_beta;
       prop_sdcl_implies_wdcl;
       prop_bounds_ordering;
@@ -463,6 +523,14 @@ let () =
           Alcotest.test_case "quantile" `Quick test_vqd_quantile;
           Alcotest.test_case "of trace truth" `Quick test_vqd_of_trace_truth;
           Alcotest.test_case "requires losses" `Quick test_vqd_requires_losses;
+        ] );
+      ( "histogram",
+        [
+          Alcotest.test_case "pmf" `Quick test_pmf_normalize;
+          Alcotest.test_case "cdf of pmf" `Quick test_cdf_of_pmf;
+          Alcotest.test_case "total variation" `Quick test_total_variation;
+          Alcotest.test_case "normalize invalid" `Quick test_normalize_invalid;
+          Alcotest.test_case "invalid" `Quick test_pmf_invalid;
         ] );
       ( "hypothesis tests",
         [

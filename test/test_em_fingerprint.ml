@@ -133,10 +133,9 @@ let probe_trace =
   in
   Probe.Trace.create ~records ~interval ~base_delay:0.1 ~hop_count:3
 
-(* [Identify.run] end to end for one model family: the VQD pmf, the
+(* [Identify.run] end to end for one parameter record: the VQD pmf, the
    conclusion, the winning fit's log-likelihood and sweep count. *)
-let check_identify name pinned model =
-  let params = { Dcl.Identify.default_params with model } in
+let check_identify name pinned params =
   let r = Dcl.Identify.run ~params ~rng:(Stats.Rng.create 21) probe_trace in
   let h = fold_array 0L r.Dcl.Identify.vqd.Dcl.Vqd.pmf in
   let h =
@@ -151,13 +150,15 @@ let check_identify name pinned model =
   check name pinned h
 
 let test_identify_mmhd () =
-  check_identify "Identify mmhd" "bf7340306bdd1a7e" Dcl.Identify.Model_mmhd
+  check_identify "Identify mmhd" "bf7340306bdd1a7e" Dcl.Identify.default_params
 
 let test_identify_markov () =
-  check_identify "Identify markov" "3dda522914d00805" Dcl.Identify.Model_markov
+  check_identify "Identify markov" "3dda522914d00805"
+    { Dcl.Identify.default_params with n = 1 }
 
 let test_identify_hmm () =
-  check_identify "Identify hmm" "22ae69705e12e6b7" Dcl.Identify.Model_hmm
+  check_identify "Identify hmm" "22ae69705e12e6b7"
+    { Dcl.Identify.default_params with model = Dcl.Identify.Model_hmm }
 
 let () =
   Alcotest.run "em_fingerprint"

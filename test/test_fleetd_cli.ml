@@ -1,4 +1,5 @@
-(* End-end CLI validation for dcl-fleetd and dcl-identify: out-of-range
+(* End-end CLI validation for dcl-fleetd, dcl-identify, dcl-sim and
+   dcl-pathchar: out-of-range
    or malformed arguments must be rejected at the cmdliner layer with
    the standard cli-error exit code (124) and never reach the library
    (where they would surface as an Invalid_argument backtrace, a NaN
@@ -10,6 +11,8 @@
 let bin name = Filename.concat (Filename.concat ".." "bin") name
 let exe = bin "dcl_fleetd.exe"
 let identify_exe = bin "dcl_identify.exe"
+let sim_exe = bin "dcl_sim.exe"
+let pathchar_exe = bin "dcl_pathchar.exe"
 
 let run ?(stderr = Filename.null) exe args =
   Sys.command (Filename.quote_command exe args ~stdout:Filename.null ~stderr)
@@ -60,6 +63,25 @@ let test_admin_validation () =
   check_rejected "metrics interval negative" [ "--metrics-interval"; "-2" ];
   check_rejected "linger negative" [ "--linger"; "-1" ];
   check_rejected "linger infinite" [ "--linger"; "inf" ]
+
+(* Durations and bandwidths must be finite and positive: zero or a
+   negative value once escaped as an uncaught Invalid_argument, NaN as
+   an empty trace, and infinity as a run that never ends. *)
+let test_sim_validation () =
+  let rejected exe name flags = check_rejected_by exe name flags in
+  List.iter
+    (fun (name, flags) ->
+      rejected sim_exe ("dcl-sim " ^ name) ([ "-s"; "strongly" ] @ flags);
+      rejected pathchar_exe ("dcl-pathchar " ^ name) ([ "-s"; "inet-ufpr" ] @ flags))
+    [
+      ("duration zero", [ "-d"; "0" ]);
+      ("duration negative", [ "--duration=-5" ]);
+      ("duration nan", [ "-d"; "nan" ]);
+      ("duration infinite", [ "-d"; "inf" ]);
+    ];
+  rejected sim_exe "dcl-sim bw3 zero" [ "-s"; "strongly"; "--bw3"; "0" ];
+  rejected sim_exe "dcl-sim bw3 negative" [ "-s"; "strongly"; "--bw3=-1" ];
+  rejected sim_exe "dcl-sim bw3 infinite" [ "-s"; "strongly"; "--bw3"; "inf" ]
 
 let tiny = [ "--paths"; "4"; "--epochs"; "2"; "--epoch"; "8"; "--seed"; "3" ]
 
@@ -124,6 +146,27 @@ let test_malformed_trace_source () =
   Alcotest.(check int) "exit code" 1 (run ~stderr:err exe (tiny @ [ "--source"; trace ]));
   Alcotest.(check bool) "stderr names FILE:1:" true
     (contains (read_file err) (trace ^ ":1:"))
+
+(* A readable trace that cannot be discretized: no surviving probe, or
+   every surviving probe with the same delay. *)
+let test_degenerate_trace_source () =
+  let check name body expected =
+    let trace = Filename.temp_file "fleetd_degenerate" ".trace" in
+    let err = Filename.temp_file "fleetd_cli" ".err" in
+    Fun.protect ~finally:(fun () ->
+        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ trace; err ])
+    @@ fun () ->
+    Out_channel.with_open_text trace (fun oc ->
+        output_string oc ("dcltrace 1 0.020000000 0.050000000 1\n" ^ body));
+    Alcotest.(check int) (name ^ ": exit code") 1
+      (run ~stderr:err exe (tiny @ [ "--source"; trace ]));
+    let msg = read_file err in
+    Alcotest.(check bool) (name ^ ": stderr names the file and the cause") true
+      (contains msg trace && contains msg expected)
+  in
+  check "header only" "" "no surviving probe";
+  check "equal delays" "0.000000 0.060000000\n0.020000 L\n0.040000 0.060000000\n"
+    "no delay spread"
 
 (* --- dcl-identify --------------------------------------------------------- *)
 
@@ -261,10 +304,10 @@ let test_live_endpoint () =
     (contains trace "\"name\":\"fleet.epoch\"")
 
 let () =
-  if not (Sys.file_exists exe && Sys.file_exists identify_exe) then begin
+  if not (List.for_all Sys.file_exists [ exe; identify_exe; sim_exe; pathchar_exe ]) then begin
     (* Driven by dune, the deps guarantee the binaries; a bare run
        outside the build tree degrades to a skip, not a false fail. *)
-    print_endline "test_fleetd_cli: dcl_fleetd.exe or dcl_identify.exe not found, skipping";
+    print_endline "test_fleetd_cli: a dcl_*.exe under ../bin not found, skipping";
     exit 0
   end;
   Alcotest.run "fleetd-cli"
@@ -280,6 +323,9 @@ let () =
           Alcotest.test_case "admin flags" `Quick test_admin_validation;
           Alcotest.test_case "malformed trace source" `Quick
             test_malformed_trace_source;
+          Alcotest.test_case "degenerate trace source" `Quick
+            test_degenerate_trace_source;
+          Alcotest.test_case "sim and pathchar durations" `Quick test_sim_validation;
         ] );
       ( "accepted",
         [ Alcotest.test_case "valid invocations" `Quick test_valid_runs ] );

@@ -16,7 +16,7 @@ let concurrent_counter_sum =
       Obs.set_enabled true;
       let c = Obs.Counter.make "test_obs_concurrent_total" in
       let before = Obs.Counter.value c in
-      Stats.Pool.run ~participants:domains n (fun i ->
+      Stats.Pool.run ~chunk:64 ~participants:domains n (fun i ->
           if i land 1 = 0 then Obs.Counter.incr c else Obs.Counter.add c 1);
       Obs.Counter.value c -. before = float_of_int n)
 
@@ -29,7 +29,7 @@ let concurrent_float_sum =
       let before = Obs.Counter.value c in
       (* 0.25 is exactly representable, so the CAS accumulation admits
          no rounding and the check can be exact. *)
-      Stats.Pool.run ~participants:4 n (fun _ -> Obs.Counter.add_float c 0.25);
+      Stats.Pool.run ~chunk:64 ~participants:4 n (fun _ -> Obs.Counter.add_float c 0.25);
       Obs.Counter.value c -. before = 0.25 *. float_of_int n)
 
 (* --- histogram bucket boundaries ---------------------------------------- *)
@@ -100,9 +100,6 @@ let test_snapshot_determinism () =
   let p1 = Obs.prometheus () in
   let p2 = Obs.prometheus () in
   Alcotest.(check string) "two prometheus dumps identical" p1 p2;
-  let j1 = Obs.json () in
-  let j2 = Obs.json () in
-  Alcotest.(check string) "two json dumps identical" j1 j2;
   (* The dump carries the recorded values, not just the names. *)
   let contains s sub =
     let n = String.length s and m = String.length sub in
@@ -331,15 +328,6 @@ let json_valid s =
   (not !fail) && !pos = n
 
 let test_json_exports_well_formed () =
-  Obs.set_enabled true;
-  let hostile = "a\"b\\c\nd\te\011f" in
-  let c =
-    Obs.Counter.make ~labels:[ ("v", hostile) ] ~help:"hostile \"help\" \\ text"
-      "test_obs_hostile_total"
-  in
-  Obs.Counter.incr c;
-  Alcotest.(check bool) "Obs.json with hostile labels parses" true
-    (json_valid (Obs.json ()));
   Obs.Trace.set_capacity 64;
   Obs.Trace.set_enabled true;
   Obs.Trace.clear ();
@@ -350,6 +338,17 @@ let test_json_exports_well_formed () =
   Obs.Trace.set_enabled false;
   Alcotest.(check bool) "Trace.chrome_json with hostile details parses" true
     (json_valid (Obs.Trace.chrome_json ()))
+
+(* Every destination but "-" is a file of Prometheus text, a .json
+   path included. *)
+let test_write_json_path () =
+  Obs.set_enabled true;
+  Obs.Counter.incr (Obs.Counter.make "test_obs_write_total");
+  let path = Filename.temp_file "obs_write" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.write path;
+  Alcotest.(check string) "file holds Obs.prometheus ()" (Obs.prometheus ())
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* --- flight recorder ----------------------------------------------------- *)
 
@@ -379,7 +378,7 @@ let test_trace_concurrent_emission () =
   Obs.Trace.set_enabled true;
   Obs.Trace.clear ();
   let n = 1000 in
-  Stats.Pool.run ~participants:4 n (fun i -> Obs.Trace.instant "test.conc" i);
+  Stats.Pool.run ~chunk:64 ~participants:4 n (fun i -> Obs.Trace.instant "test.conc" i);
   Obs.Trace.set_enabled false;
   let evs =
     List.filter
@@ -488,6 +487,7 @@ let () =
           q prometheus_label_roundtrip;
           Alcotest.test_case "json exporters well-formed" `Quick
             test_json_exports_well_formed;
+          Alcotest.test_case "write to a .json path" `Quick test_write_json_path;
         ] );
       ( "trace",
         [

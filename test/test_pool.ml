@@ -14,7 +14,7 @@ let qtest t = QCheck_alcotest.to_alcotest t
 (* The array-building map the properties check: item [i] fills slot [i]. *)
 let map_range ~participants n f =
   let results = Array.make n None in
-  Stats.Pool.run ~participants n (fun i -> results.(i) <- Some (f i));
+  Stats.Pool.run ~chunk:1 ~participants n (fun i -> results.(i) <- Some (f i));
   Array.map Option.get results
 
 (* --- map_range over random sizes/participant counts equals Array.init -- *)
@@ -99,7 +99,7 @@ let test_warm_workspaces_not_contaminated () =
      left in the warm [Em.domain_ws] buffers leaks across jobs. *)
   let big_obs = mmhd_obs ~seed:41 ~n:3 ~m:5 ~len:900 in
   let big = Mmhd.init_informed (Stats.Rng.create 1) ~n:3 ~m:5 big_obs in
-  Stats.Pool.run ~participants:4 4 (fun _ ->
+  Stats.Pool.run ~chunk:1 ~participants:4 4 (fun _ ->
       ignore (Mmhd.fit_from ~max_iter:8 big big_obs));
   let small_obs = mmhd_obs ~seed:43 ~n:2 ~m:3 ~len:300 in
   let small = Mmhd.init_informed (Stats.Rng.create 2) ~n:2 ~m:3 small_obs in

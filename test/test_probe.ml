@@ -304,7 +304,7 @@ let test_losspair_estimate_near_qmax () =
   let lp = Probe.Losspair.create net ~src:a ~dst:c ~gap:0.004 ~pair_interval:0.04 () in
   Probe.Losspair.start lp ~at:1. ~until:121.;
   Sim.run_until sim 125.;
-  match Probe.Losspair.estimate_max_queuing_delay lp with
+  match Probe.Losspair.estimate_max_queuing_delay (Probe.Losspair.samples lp) with
   | None -> Alcotest.fail "no loss pairs observed"
   | Some est ->
       check_close 0.02 "estimate near Q_max of the only congested link"
@@ -317,7 +317,44 @@ let test_losspair_no_losses () =
   Sim.run_until sim 3.;
   Alcotest.(check int) "no loss pairs on idle path" 0 (Probe.Losspair.loss_pairs lp);
   Alcotest.(check (option (float 0.))) "no estimate" None
-    (Probe.Losspair.estimate_max_queuing_delay lp)
+    (Probe.Losspair.estimate_max_queuing_delay (Probe.Losspair.samples lp))
+
+(* --- Loss-pair histogram --------------------------------------------------- *)
+
+(* The estimator's bin width: 40 bins over [0, max sample + 1e-9]. *)
+let lp_width top = (top +. 1e-9) /. 40.
+let lp_estimate = Probe.Losspair.estimate_max_queuing_delay
+let check_estimate name expected xs = Alcotest.(check (option (float 0.))) name expected (lp_estimate xs)
+
+let test_histogram_binning () =
+  let w = lp_width 4. in
+  check_estimate "interior sample in its bin" (Some (3. *. w)) [| 0.25; 0.25; 4. |];
+  (* At top 0.5 the division [11 w / w] rounds below 11. *)
+  let w' = lp_width 0.5 in
+  let e = 11. *. w' in
+  check_estimate "edge sample counts in the bin above" (Some (12. *. w')) [| e; e; 0.5 |];
+  check_estimate "zero in the first bin" (Some w) [| 0.; 0.; 4. |];
+  check_estimate "largest sample in the last bin" (Some (40. *. w)) [| 4. |]
+
+let test_histogram_mode () =
+  let w = lp_width 4. in
+  check_estimate "upper edge of the fullest bin" (Some (26. *. w))
+    [| 0.55; 0.52; 2.55; 2.52; 2.58; 4. |];
+  check_estimate "a tie goes to the lowest bin" (Some (6. *. w))
+    [| 2.55; 2.52; 0.55; 0.52; 4. |]
+
+let test_histogram_empty () = check_estimate "no sample, no estimate" None [||]
+
+let prop_estimate_is_bin_edge =
+  QCheck.Test.make ~name:"histogram index within bins" ~count:500
+    QCheck.(array_of_size (Gen.int_range 1 50) (float_bound_inclusive 10.))
+    (fun xs ->
+      let w = lp_width (Array.fold_left Float.max xs.(0) xs) in
+      match lp_estimate xs with
+      | None -> false
+      | Some e ->
+          let k = Float.round (e /. w) in
+          1. <= k && k <= 40. && e = k *. w)
 
 (* A 1,000 s window is 50,000 probes (25,000 pairs); a stream that
    scheduled its window up front would hold them all in the event
@@ -351,7 +388,9 @@ let test_losspair_bounded_queue () =
   in
   Alcotest.(check bool) (Printf.sprintf "queue depth max %.0f <= 4" depth) true (depth <= 4.)
 
-let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_trace_roundtrip ]
+let qcheck_cases =
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
+    [ prop_trace_roundtrip; prop_estimate_is_bin_edge ]
 
 let () =
   Alcotest.run "probe"
@@ -387,6 +426,12 @@ let () =
           Alcotest.test_case "estimate near Qmax" `Quick test_losspair_estimate_near_qmax;
           Alcotest.test_case "no losses" `Quick test_losspair_no_losses;
           Alcotest.test_case "bounded event queue" `Quick test_losspair_bounded_queue;
+        ] );
+      ( "histogram",
+        [
+          Alcotest.test_case "binning" `Quick test_histogram_binning;
+          Alcotest.test_case "mode" `Quick test_histogram_mode;
+          Alcotest.test_case "empty pmf" `Quick test_histogram_empty;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -158,54 +158,6 @@ let test_quantile_invalid () =
   Alcotest.check_raises "empty" (Invalid_argument "Summary.quantile: empty sample")
     (fun () -> ignore (Stats.Summary.quantile [||] 0.5))
 
-(* --- Histogram --------------------------------------------------------- *)
-
-let test_histogram_binning () =
-  let h = Stats.Histogram.create ~m:4 ~lo:0. ~hi:8. in
-  Alcotest.(check int) "first bin" 0 (Stats.Histogram.index_of h 0.5);
-  Alcotest.(check int) "second bin" 1 (Stats.Histogram.index_of h 2.5);
-  Alcotest.(check int) "clamp low" 0 (Stats.Histogram.index_of h (-3.));
-  Alcotest.(check int) "clamp high" 3 (Stats.Histogram.index_of h 100.);
-  check_float "width" 2. (Stats.Histogram.width h);
-  check_float "value_of = upper edge" 4. (Stats.Histogram.value_of h 1)
-
-let test_histogram_pmf () =
-  let h = Stats.Histogram.create ~m:2 ~lo:0. ~hi:2. in
-  List.iter (Stats.Histogram.add h) [ 0.1; 0.2; 1.5 ];
-  let pmf = Stats.Histogram.pmf h in
-  check_float "bin 0" (2. /. 3.) pmf.(0);
-  check_float "bin 1" (1. /. 3.) pmf.(1);
-  Alcotest.(check int) "total" 3 (Stats.Histogram.total h)
-
-let test_histogram_empty_pmf () =
-  let h = Stats.Histogram.create ~m:3 ~lo:0. ~hi:1. in
-  Alcotest.(check (array (float 0.))) "all zero" [| 0.; 0.; 0. |] (Stats.Histogram.pmf h)
-
-let test_histogram_mode () =
-  let h = Stats.Histogram.create ~m:4 ~lo:0. ~hi:4. in
-  List.iter (Stats.Histogram.add h) [ 2.5; 2.7; 0.5 ];
-  check_float "mode = upper edge of bin 2" 3. (Stats.Histogram.mode_value h)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "m <= 0" (Invalid_argument "Histogram.create: m <= 0") (fun () ->
-      ignore (Stats.Histogram.create ~m:0 ~lo:0. ~hi:1.));
-  Alcotest.check_raises "hi <= lo" (Invalid_argument "Histogram.create: hi <= lo")
-    (fun () -> ignore (Stats.Histogram.create ~m:3 ~lo:1. ~hi:1.))
-
-let test_cdf_of_pmf () =
-  let cdf = Stats.Histogram.cdf_of_pmf [| 0.25; 0.25; 0.5 |] in
-  check_float "c0" 0.25 cdf.(0);
-  check_float "c1" 0.5 cdf.(1);
-  check_float "c2 forced to 1" 1. cdf.(2)
-
-let test_total_variation () =
-  check_float "identical" 0. (Stats.Histogram.total_variation [| 0.5; 0.5 |] [| 0.5; 0.5 |]);
-  check_float "disjoint" 1. (Stats.Histogram.total_variation [| 1.; 0. |] [| 0.; 1. |])
-
-let test_normalize_invalid () =
-  Alcotest.check_raises "zero sum" (Invalid_argument "Histogram.normalize: non-positive sum")
-    (fun () -> ignore (Stats.Histogram.normalize [| 0.; 0. |]))
-
 (* --- Matrix ------------------------------------------------------------ *)
 
 let test_row_normalize () =
@@ -227,31 +179,6 @@ let test_random_stochastic () =
 
 (* --- QCheck properties -------------------------------------------------- *)
 
-let pmf_gen =
-  QCheck.Gen.(
-    list_size (int_range 1 12) (float_range 0.001 10.)
-    |> map (fun ws -> Stats.Histogram.normalize (Array.of_list ws)))
-
-let pmf_arb = QCheck.make ~print:(fun a -> String.concat ";" (Array.to_list (Array.map string_of_float a))) pmf_gen
-
-let prop_cdf_monotone =
-  QCheck.Test.make ~name:"cdf monotone, ends at 1" ~count:200 pmf_arb (fun pmf ->
-      let cdf = Stats.Histogram.cdf_of_pmf pmf in
-      let ok = ref (abs_float (cdf.(Array.length cdf - 1) -. 1.) < 1e-6) in
-      for i = 1 to Array.length cdf - 1 do
-        if cdf.(i) < cdf.(i - 1) -. 1e-12 then ok := false
-      done;
-      !ok)
-
-let prop_tv_bounds =
-  QCheck.Test.make ~name:"TV distance in [0,1], symmetric" ~count:200
-    (QCheck.pair pmf_arb pmf_arb) (fun (p, q) ->
-      QCheck.assume (Array.length p = Array.length q);
-      let d = Stats.Histogram.total_variation p q in
-      d >= -1e-12
-      && d <= 1. +. 1e-12
-      && abs_float (d -. Stats.Histogram.total_variation q p) < 1e-12)
-
 let prop_quantile_in_range =
   QCheck.Test.make ~name:"quantile within sample range" ~count:200
     QCheck.(pair (list_of_size (QCheck.Gen.int_range 1 40) (float_bound_exclusive 100.)) (float_bound_inclusive 1.))
@@ -262,17 +189,9 @@ let prop_quantile_in_range =
       let hi = Array.fold_left Float.max a.(0) a in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
-let prop_histogram_index_in_range =
-  QCheck.Test.make ~name:"histogram index within bins" ~count:500
-    QCheck.(pair (int_range 1 20) (float_range (-1000.) 1000.))
-    (fun (m, x) ->
-      let h = Stats.Histogram.create ~m ~lo:(-10.) ~hi:10. in
-      let j = Stats.Histogram.index_of h x in
-      j >= 0 && j < m)
-
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_cdf_monotone; prop_tv_bounds; prop_quantile_in_range; prop_histogram_index_in_range ]
+    [ prop_quantile_in_range ]
 
 let () =
   Alcotest.run "stats"
@@ -305,17 +224,6 @@ let () =
           Alcotest.test_case "quantiles" `Quick test_quantiles;
           Alcotest.test_case "interpolation" `Quick test_quantile_interpolation;
           Alcotest.test_case "invalid" `Quick test_quantile_invalid;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "pmf" `Quick test_histogram_pmf;
-          Alcotest.test_case "empty pmf" `Quick test_histogram_empty_pmf;
-          Alcotest.test_case "mode" `Quick test_histogram_mode;
-          Alcotest.test_case "invalid" `Quick test_histogram_invalid;
-          Alcotest.test_case "cdf of pmf" `Quick test_cdf_of_pmf;
-          Alcotest.test_case "total variation" `Quick test_total_variation;
-          Alcotest.test_case "normalize invalid" `Quick test_normalize_invalid;
         ] );
       ( "matrix",
         [
