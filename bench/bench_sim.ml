@@ -16,57 +16,23 @@
 
 let depth_bound = 1000
 
-(* Order-sensitive fold of the IEEE bits of every record: send time,
-   observation, virtual queuing delay, per-hop queuing, loss hop. *)
-let fingerprint (t : Probe.Trace.t) =
-  let fold h x = Int64.add (Int64.mul h 1000003L) (Int64.bits_of_float x) in
-  let fold_int h i = Int64.add (Int64.mul h 31L) (Int64.of_int i) in
-  Array.fold_left
-    (fun h (r : Probe.Trace.record) ->
-      let h = fold h r.Probe.Trace.send_time in
-      let h =
-        match r.Probe.Trace.obs with
-        | Probe.Trace.Lost -> fold_int h 0
-        | Probe.Trace.Delay d -> fold (fold_int h 1) d
-      in
-      match r.Probe.Trace.truth with
-      | None -> fold_int h 0
-      | Some tr ->
-          let h = fold (fold_int h 1) tr.Probe.Trace.virtual_queuing_delay in
-          let h = Array.fold_left fold h tr.Probe.Trace.hop_queuing in
-          fold_int h (match tr.Probe.Trace.loss_hop with Some k -> k + 1 | None -> 0))
-    (fold_int 0L (Probe.Trace.length t))
-    t.Probe.Trace.records
-  |> Printf.sprintf "%016Lx"
-
 type scenario = { name : string; sim_seconds : float; run : unit -> Probe.Trace.t }
 
+(* Catalogue scenarios at seed 1; an Internet path contributes its
+   true-clock trace. *)
 let scenarios ~smoke =
-  let topology name duration config =
-    {
-      name;
-      sim_seconds = duration;
-      run = (fun () -> (Scenarios.Paper_topology.run config).Scenarios.Paper_topology.trace);
-    }
-  in
-  let internet name duration kind =
-    {
-      name;
-      sim_seconds = duration;
-      run = (fun () -> (Scenarios.Internet.run ~duration kind).Scenarios.Internet.trace);
-    }
-  in
-  let d_topo = if smoke then 30. else 300. and d_inet = if smoke then 30. else 600. in
-  let bw3 = List.hd Scenarios.Presets.strongly_dcl_sweep in
-  let open Scenarios.Presets in
-  [
-    topology "table2-strongly" d_topo (strongly_dcl ~duration:d_topo ~bw3 ());
-    topology "table3-weakly" d_topo (weakly_dcl ~duration:d_topo ());
-    topology "table4-nodcl" d_topo (no_dcl ~duration:d_topo ());
-    topology "red-weakly" d_topo (with_red ~min_th_frac:0.2 (weakly_dcl ~duration:d_topo ()));
-    internet "cornell-ufpr" d_inet Scenarios.Internet.Ethernet_ufpr;
-    internet "snu-adsl" d_inet Scenarios.Internet.Adsl_from_snu;
-  ]
+  List.map
+    (fun name ->
+      match (Scenarios.Catalogue.find name).source with
+      | Topology config ->
+          let sim_seconds = if smoke then 30. else 300. in
+          let config = config ~seed:1 ~duration:sim_seconds in
+          { name; sim_seconds; run = (fun () -> (Scenarios.Paper_topology.run config).trace) }
+      | Path kind ->
+          let sim_seconds = if smoke then 30. else 600. in
+          let run () = (Scenarios.Internet.run ~seed:1 ~duration:sim_seconds kind).trace in
+          { name; sim_seconds; run })
+    [ "table2-strongly"; "table3-weakly"; "table4-nodcl"; "red-weakly"; "cornell-ufpr"; "snu-adsl" ]
 
 type run = { events : int; depth : int; minor_words : float; seconds : float; print : string }
 
@@ -86,7 +52,7 @@ let measure s =
     depth = int_of_float (Obs.Gauge.value m_depth);
     minor_words;
     seconds;
-    print = fingerprint trace;
+    print = Printf.sprintf "%016Lx" (Probe.Trace.fingerprint trace);
   }
 
 (* The median, minimum and maximum of [xs] (an odd count keeps the

@@ -29,21 +29,19 @@ let build_source source rng ~paths ~m ~congested_fraction ~seed =
   match source with
   | "synth" -> Ok (Fleet.Source.synthetic ~congested_fraction ~m ~rng ~paths ())
   | "sim" ->
-      (* A strongly-dominant run of the paper topology; 60 s of probing
-         keeps startup short while leaving thousands of symbols to
-         replay. *)
-      let bw3 = List.hd Scenarios.Presets.strongly_dcl_sweep in
-      let config = Scenarios.Presets.strongly_dcl ~seed ~duration:60. ~bw3 () in
-      let outcome = Scenarios.Paper_topology.run config in
-      Ok (Fleet.Source.of_trace ~m ~paths outcome.Scenarios.Paper_topology.trace)
+      (* The Table II strongly-dominant scenario; 60 s of probing keeps
+         startup short while leaving thousands of symbols to replay. *)
+      let trace =
+        match (Scenarios.Catalogue.find "table2-strongly").source with
+        | Topology config -> (Scenarios.Paper_topology.run (config ~seed ~duration:60.)).trace
+        | Path kind -> (Scenarios.Internet.run ~seed ~duration:60. kind).repaired
+      in
+      Ok (Fleet.Source.of_trace ~m ~paths trace)
   | file ->
-      (* A readable trace still needs a delay spread to discretize. *)
       Result.bind (Probe.Trace.load file) (fun trace ->
-          if Probe.Trace.losses trace = Probe.Trace.length trace then
-            Error (file ^ ": no surviving probe to discretize")
-          else if Probe.Trace.max_delay trace <= Probe.Trace.min_delay trace then
-            Error (file ^ ": no delay spread (all observed delays equal)")
-          else Ok (Fleet.Source.of_trace ~m ~paths trace))
+          match Obs_cli.undiscretizable trace with
+          | Some why -> Error (file ^ ": " ^ why)
+          | None -> Ok (Fleet.Source.of_trace ~m ~paths trace))
 
 (* How many paths hold each conclusion, in report order (untested
    last), from one pass over the fleet. *)

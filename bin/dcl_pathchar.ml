@@ -2,19 +2,11 @@
    one of the built-in wide-area scenarios — the cross-validation step
    of the paper's Internet experiments, as a standalone tool.
 
-     dcl-pathchar --scenario inet-adsl-snu *)
+     dcl-pathchar --scenario snu-adsl *)
 
 open Cmdliner
 
-let kinds =
-  [
-    ("inet-ufpr", Scenarios.Internet.Ethernet_ufpr);
-    ("inet-adsl-ufpr", Scenarios.Internet.Adsl_from_ufpr);
-    ("inet-adsl-usevilla", Scenarios.Internet.Adsl_from_usevilla);
-    ("inet-adsl-snu", Scenarios.Internet.Adsl_from_snu);
-  ]
-
-let run kind seed duration metrics =
+let run (name, kind) seed duration metrics =
   Obs_cli.with_metrics metrics @@ fun () ->
   let o = Scenarios.Internet.run ~seed ~duration ~with_pathchar:true kind in
   Printf.printf "%s (%d hops), probing %.0f s\n"
@@ -25,7 +17,8 @@ let run kind seed duration metrics =
   | None ->
       (* Return instead of [exit]: exiting would skip the --metrics
          dump the surrounding [with_metrics] writes on the way out. *)
-      prerr_endline "no pathchar result";
+      Printf.eprintf "dcl-pathchar: %s over %g s: the pathchar campaign did not finish\n"
+        name duration;
       1
   | Some r ->
       Array.iter
@@ -50,6 +43,12 @@ let run kind seed duration metrics =
       0
 
 let kind_arg =
+  let kinds =
+    List.filter_map
+      (fun (e : Scenarios.Catalogue.entry) ->
+        match e.source with Path kind -> Some (e.name, (e.name, kind)) | Topology _ -> None)
+      Scenarios.Catalogue.all
+  in
   let doc =
     Printf.sprintf "Wide-area scenario: %s." (String.concat ", " (List.map fst kinds))
   in

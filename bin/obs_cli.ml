@@ -1,7 +1,8 @@
 (* Shared command-line plumbing for the dcl tools: validated argument
-   converters, and the optional --metrics / --trace flags that turn
-   collection on for the whole run and dump a registry snapshot /
-   flight-recorder dump on exit. *)
+   converters, the check that a trace can be discretized, and the
+   optional --metrics / --trace flags that turn collection on for the
+   whole run and dump a registry snapshot / flight-recorder dump on
+   exit. *)
 
 open Cmdliner
 
@@ -63,6 +64,15 @@ let nonneg_float ~what =
             (`Msg (Printf.sprintf "%s must be finite and non-negative, got %s" what s))
   in
   Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
+(* Why [trace] cannot be discretized, if it cannot: no surviving
+   probe, or no spread among the observed delays. *)
+let undiscretizable trace =
+  if Probe.Trace.losses trace = Probe.Trace.length trace then
+    Some "no surviving probe to discretize"
+  else if Probe.Trace.max_delay trace <= Probe.Trace.min_delay trace then
+    Some "no delay spread (all observed delays equal)"
+  else None
 
 let metrics_arg =
   Arg.(

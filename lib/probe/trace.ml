@@ -91,6 +91,24 @@ let random_segment rng t ~duration =
   let pos = if want = n then 0 else Stats.Rng.int rng (n - want + 1) in
   sub t ~pos ~len:want
 
+(* Order-sensitive fold of the record count and the IEEE bits of every
+   record: send time, observation, virtual queuing delay, per-hop
+   queuing, loss hop. *)
+let fingerprint t =
+  let fold h x = Int64.add (Int64.mul h 1000003L) (Int64.bits_of_float x) in
+  let fold_int h i = Int64.add (Int64.mul h 31L) (Int64.of_int i) in
+  Array.fold_left
+    (fun h r ->
+      let h = fold h r.send_time in
+      let h = match r.obs with Lost -> fold_int h 0 | Delay d -> fold (fold_int h 1) d in
+      match r.truth with
+      | None -> fold_int h 0
+      | Some tr ->
+          let h = fold (fold_int h 1) tr.virtual_queuing_delay in
+          let h = Array.fold_left fold h tr.hop_queuing in
+          fold_int h (match tr.loss_hop with Some k -> k + 1 | None -> 0))
+    (fold_int 0L (length t)) t.records
+
 (* --- text serialization ---------------------------------------------
 
    Header line:   dcltrace 1 <interval> <base_delay> <hop_count>

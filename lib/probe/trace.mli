@@ -55,6 +55,11 @@ val random_segment : Stats.Rng.t -> t -> duration:float -> t
 (** Uniformly positioned contiguous segment covering [duration]
     seconds of probing (Section VI-A4's evaluation protocol). *)
 
+val fingerprint : t -> int64
+(** Order-sensitive hash of the record count and the IEEE bit patterns
+    of every record, ground truth included: pins a simulated run bit
+    for bit. *)
+
 val save : t -> string -> unit
 (** Write the trace to a text file (one record per line; ground truth
     retained when present). *)

@@ -129,18 +129,20 @@ let repair_clock trace =
   in
   let times = Array.of_list (List.map fst survivors) in
   let delays = Array.of_list (List.map snd survivors) in
-  let { Clocksync.slope; _ } = Clocksync.estimate ~times ~delays in
-  let t0 = if Array.length records = 0 then 0. else records.(0).Probe.Trace.send_time in
-  let records =
-    Array.map
-      (fun (r : Probe.Trace.record) ->
-        match r.obs with
-        | Probe.Trace.Lost -> r
-        | Probe.Trace.Delay d ->
-            { r with obs = Probe.Trace.Delay (d -. (slope *. (r.send_time -. t0))) })
-      records
-  in
-  ({ trace with records }, slope)
+  if Array.length times < 2 then (trace, 0.)
+  else
+    let { Clocksync.slope; _ } = Clocksync.estimate ~times ~delays in
+    let t0 = records.(0).Probe.Trace.send_time in
+    let records =
+      Array.map
+        (fun (r : Probe.Trace.record) ->
+          match r.obs with
+          | Probe.Trace.Lost -> r
+          | Probe.Trace.Delay d ->
+              { r with obs = Probe.Trace.Delay (d -. (slope *. (r.send_time -. t0))) })
+        records
+    in
+    ({ trace with records }, slope)
 
 let run ?(seed = 1) ?(duration = 1200.) ?(with_pathchar = false) kind =
   let p = profile kind in

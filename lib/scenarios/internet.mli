@@ -56,4 +56,6 @@ val run : ?seed:int -> ?duration:float -> ?with_pathchar:bool -> kind -> outcome
 
 val repair_clock : Probe.Trace.t -> Probe.Trace.t * float
 (** Estimate and remove the skew from the surviving probes' delays;
-    returns the repaired trace and the estimated skew. *)
+    returns the repaired trace and the estimated skew.  With fewer than
+    two surviving probes there is no skew to estimate: the trace comes
+    back unchanged, with skew 0. *)

@@ -64,24 +64,21 @@ let test_admin_validation () =
   check_rejected "linger negative" [ "--linger"; "-1" ];
   check_rejected "linger infinite" [ "--linger"; "inf" ]
 
-(* Durations and bandwidths must be finite and positive: zero or a
-   negative value once escaped as an uncaught Invalid_argument, NaN as
-   an empty trace, and infinity as a run that never ends. *)
+(* Durations must be finite and positive: zero or a negative value
+   once escaped as an uncaught Invalid_argument, NaN as an empty trace,
+   and infinity as a run that never ends. *)
 let test_sim_validation () =
   let rejected exe name flags = check_rejected_by exe name flags in
   List.iter
     (fun (name, flags) ->
-      rejected sim_exe ("dcl-sim " ^ name) ([ "-s"; "strongly" ] @ flags);
-      rejected pathchar_exe ("dcl-pathchar " ^ name) ([ "-s"; "inet-ufpr" ] @ flags))
+      rejected sim_exe ("dcl-sim " ^ name) ([ "-s"; "table2-strongly" ] @ flags);
+      rejected pathchar_exe ("dcl-pathchar " ^ name) ([ "-s"; "cornell-ufpr" ] @ flags))
     [
       ("duration zero", [ "-d"; "0" ]);
       ("duration negative", [ "--duration=-5" ]);
       ("duration nan", [ "-d"; "nan" ]);
       ("duration infinite", [ "-d"; "inf" ]);
-    ];
-  rejected sim_exe "dcl-sim bw3 zero" [ "-s"; "strongly"; "--bw3"; "0" ];
-  rejected sim_exe "dcl-sim bw3 negative" [ "-s"; "strongly"; "--bw3=-1" ];
-  rejected sim_exe "dcl-sim bw3 infinite" [ "-s"; "strongly"; "--bw3"; "inf" ]
+    ]
 
 let tiny = [ "--paths"; "4"; "--epochs"; "2"; "--epoch"; "8"; "--seed"; "3" ]
 
@@ -167,6 +164,31 @@ let test_degenerate_trace_source () =
   check "header only" "" "no surviving probe";
   check "equal delays" "0.000000 0.060000000\n0.020000 L\n0.040000 0.060000000\n"
     "no delay spread"
+
+(* A positive duration too short to leave a usable run: a trace with no
+   surviving probe or no delay spread (dcl-sim, which then writes no
+   file), or a pathchar campaign that cannot finish.  Each once exited
+   0 with an unusable trace or 125 with an uncaught exception. *)
+let test_sim_tiny_durations () =
+  let out = Filename.temp_file "sim_cli" ".trace" and err = Filename.temp_file "sim_cli" ".err" in
+  Sys.remove out;
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; err ])
+  @@ fun () ->
+  List.iter
+    (fun (exe, scenario, duration, extra) ->
+      let name = Printf.sprintf "%s -s %s -d %s" (Filename.basename exe) scenario duration in
+      Alcotest.(check int) (name ^ ": exit code") 1
+        (run ~stderr:err exe ([ "-s"; scenario; "-d"; duration ] @ extra));
+      let msg = read_file err in
+      Alcotest.(check bool) (name ^ ": stderr names the scenario and duration") true
+        (contains msg scenario && contains msg duration);
+      Alcotest.(check bool) (name ^ ": no trace written") false (Sys.file_exists out))
+    [
+      (sim_exe, "table2-strongly", "0.01", [ "-o"; out ]);
+      (sim_exe, "cornell-ufpr", "0.01", [ "-o"; out ]);
+      (pathchar_exe, "cornell-ufpr", "1e-09", []);
+    ]
 
 (* --- dcl-identify --------------------------------------------------------- *)
 
@@ -326,6 +348,7 @@ let () =
           Alcotest.test_case "degenerate trace source" `Quick
             test_degenerate_trace_source;
           Alcotest.test_case "sim and pathchar durations" `Quick test_sim_validation;
+          Alcotest.test_case "sim and pathchar tiny durations" `Quick test_sim_tiny_durations;
         ] );
       ( "accepted",
         [ Alcotest.test_case "valid invocations" `Quick test_valid_runs ] );

@@ -132,6 +132,28 @@ let test_internet_snu_two_bottlenecks () =
   Alcotest.(check bool) "neither dominates at the 94% level" true
     (main < 0.94 && second < 0.94)
 
+(* Every named scenario: unique names, [find] returns the entry, and
+   dcl-sim's default run (seed 1, 300 s) loses probes.  The ~0.05%-loss
+   Cornell->UFPR and UFPR->ADSL paths lose none in 60 s. *)
+let test_catalogue () =
+  let all = Scenarios.Catalogue.all in
+  let names = List.map (fun (e : Scenarios.Catalogue.entry) -> e.name) all in
+  Alcotest.(check int) "names unique" (List.length all)
+    (List.length (List.sort_uniq String.compare names));
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Catalogue.find: no scenario strongly") (fun () ->
+      ignore (Scenarios.Catalogue.find "strongly"));
+  List.iter
+    (fun (e : Scenarios.Catalogue.entry) ->
+      Alcotest.(check bool) (e.name ^ ": find") true (Scenarios.Catalogue.find e.name == e);
+      let trace =
+        match e.source with
+        | Topology config -> (Scenarios.Paper_topology.run (config ~seed:1 ~duration:300.)).trace
+        | Path kind -> (Scenarios.Internet.run ~seed:1 ~duration:300. kind).trace
+      in
+      Alcotest.(check bool) (e.name ^ " loses probes") true (Probe.Trace.losses trace > 0))
+    all
+
 let () =
   Alcotest.run "scenarios"
     [
@@ -152,4 +174,5 @@ let () =
           Alcotest.test_case "path structure" `Slow test_internet_path_structure;
           Alcotest.test_case "snu two bottlenecks" `Slow test_internet_snu_two_bottlenecks;
         ] );
+      ("catalogue", [ Alcotest.test_case "every scenario" `Slow test_catalogue ]);
     ]
